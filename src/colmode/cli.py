@@ -358,15 +358,15 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
                 "n_eff": est.n_eff,
             }
         )
-        groups.setdefault(est.source, []).append(est)
+        groups.setdefault(est.source, []).append((est, rep))
 
     summary = {"config_hash": pconf.digest(), "manifest": name, "groups": {}}
-    for source, ests in sorted(groups.items()):
-        if len(ests) >= 2:
-            rep = witness_with_uncertainty(ests)
+    for source, members in sorted(groups.items()):
+        if len(members) >= 2:
+            rep = witness_with_uncertainty(est for est, _ in members)
         else:
-            rep = witness_from_estimate(ests[0])
-        summary["groups"][source] = dict(rep.to_dict(), n_records=len(ests))
+            rep = members[0][1]
+        summary["groups"][source] = dict(rep.to_dict(), n_records=len(members))
 
     rows.sort(key=lambda r: r["file"])
     csv_path = out_dir / "witness_distribution.csv"
@@ -390,6 +390,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
     params = ModelParams.from_dict(config["params"])
     A, D = steady_dynamics(params)
     cells = [(float(c["T"]), float(c["B"])) for c in config["cells"]]
+    segment_statistic = config.get("segment_statistic", "second_moment")
     result = convergence_sweep(
         A,
         D,
@@ -397,7 +398,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         runs_per_cell=int(config.get("runs_per_cell", 16)),
         segments_per_record=int(config.get("segments_per_record", 24)),
         master_seed=master_seed,
-        segment_statistic=config.get("segment_statistic", "second_moment"),
+        segment_statistic=segment_statistic,
     )
     csv_path = out_dir / "converge.csv"
     write_csv(csv_path, CONVERGE_COLUMNS, result["rows"], name)
@@ -419,6 +420,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
             runs_per_cell=int(crossing.get("runs_per_cell", 12)),
             segments_per_record=int(crossing.get("segments_per_record", 24)),
             master_seed=master_seed,
+            segment_statistic=segment_statistic,
         )
         cross_path = out_dir / "crossing.csv"
         write_csv(cross_path, ["T", "B", "g_cross", "sigma"], rows, name)

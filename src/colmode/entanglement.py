@@ -37,6 +37,10 @@ LAMBDA_PT = np.diag([1.0, 1.0, 1.0, -1.0])
 PPT_BOUND = 0.5
 DUAN_BOUND = 2.0
 
+# Cut the A, B, C blocks of (n, 4, 4) covariances as one (n, 3, 2, 2) stack
+_BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
+_BLOCK_COLS = np.array([[0, 1], [2, 3], [2, 3]])[:, None, :]
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -132,19 +136,8 @@ def symplectic_eigenvalues(V: np.ndarray) -> tuple[float, float]:
     return float(ev[3]), float(ev[0])
 
 
-def _block_invariants(V: np.ndarray):
-    A = V[:2, :2]
-    B = V[2:, 2:]
-    C = V[:2, 2:]
-    det_a = float(np.linalg.det(A))
-    det_b = float(np.linalg.det(B))
-    det_c = float(np.linalg.det(C))
-    det_v = float(np.linalg.det(V))
-    return det_a, det_b, det_c, det_v
-
-
-def ppt_nu_minus(V: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest PT symplectic eigenvalue via the block-invariant route.
+def _nu_minus(V: np.ndarray, tol: float = 1e-10):
+    """Smallest PT symplectic eigenvalue of each covariance in a (..., 4, 4) stack.
 
     nu^2 solves nu^4 - Delta nu^2 + det V = 0 with
     Delta = det A + det B - 2 det C; the smaller root is evaluated in the
@@ -152,22 +145,50 @@ def ppt_nu_minus(V: np.ndarray, tol: float = 1e-10) -> float:
     Near spectral degeneracy (discriminant at rounding level) the invariant
     route loses half the working precision, so the spectrum of
     i Omega Lambda V Lambda takes over there; the two routes agree to 1e-10
-    everywhere else (property-tested).
+    everywhere else (property-tested).  Entries with no real positive root
+    (det V <= 0, discriminant below -tol, or a non-positive denominator) are
+    NaN, so an invalid estimate can never read as entangled.  No
+    positive-definiteness check: callers validate where they need one.
     """
-    V = _require_positive_definite(V)
-    det_a, det_b, det_c, det_v = _block_invariants(V)
+    V = np.asarray(V, dtype=float)
+    stack = V.reshape(-1, 4, 4)
+    det_a, det_b, det_c = np.linalg.det(stack[:, _BLOCK_ROWS, _BLOCK_COLS]).T
+    det_v = np.linalg.det(stack)
     delta = det_a + det_b - 2.0 * det_c
     disc = delta * delta - 4.0 * det_v
-    if disc < -tol:
-        raise ComplexRootError(
-            f"PT invariant discriminant {disc:.3e} negative beyond tolerance"
-        )
-    if disc <= 1e-9 * delta * delta:
-        return symplectic_eigenvalues(partial_transpose(V))[1]
-    nu2 = 2.0 * det_v / (delta + math.sqrt(disc))
-    if nu2 < -tol:
-        raise ComplexRootError(f"negative squared PT eigenvalue {nu2:.3e}")
-    return math.sqrt(max(nu2, 0.0))
+    denom = delta + np.sqrt(np.maximum(disc, 0.0))
+    real = (det_v > 0.0) & (disc >= -tol) & (denom > 0.0)
+    nu = np.sqrt(np.divide(2.0 * det_v, denom, out=np.full_like(det_v, np.nan), where=real))
+    spectral = real & (disc <= 1e-9 * delta * delta)
+    if np.count_nonzero(spectral):
+        pt = LAMBDA_PT @ stack[spectral] @ LAMBDA_PT
+        nu[spectral] = np.abs(np.linalg.eigvals(1j * OMEGA @ pt)).min(axis=-1)
+    # [()] turns the 0-d result of a single matrix into a scalar
+    return nu.reshape(V.shape[:-2])[()]
+
+
+def _duan_sum(V: np.ndarray):
+    """EPR-variance sum of each covariance in a (..., 4, 4) stack, minimized
+    over the two sign orientations; no positive-definiteness check."""
+    # v[j, i] is V[..., i, j], stack axes reversed until the final .T; one
+    # matrix gives numpy scalars, which keeps null model C's objective cheap
+    v = np.asarray(V, dtype=float).T
+    xx, pp = v[0, 0] + v[2, 2], v[1, 1] + v[3, 3]
+    w1 = (xx - 2 * v[2, 0]) + (pp + 2 * v[3, 1])
+    w2 = (xx + 2 * v[2, 0]) + (pp - 2 * v[3, 1])
+    return np.minimum(w1, w2).T
+
+
+def _checked_nu_minus(V: np.ndarray, tol: float = 1e-10) -> float:
+    nu = float(_nu_minus(V, tol))
+    if math.isnan(nu):
+        raise ComplexRootError("PT symplectic invariants admit no real positive root")
+    return nu
+
+
+def ppt_nu_minus(V: np.ndarray, tol: float = 1e-10) -> float:
+    """Smallest PT symplectic eigenvalue of a validated covariance."""
+    return _checked_nu_minus(_require_positive_definite(V), tol)
 
 
 def duan_witness(V: np.ndarray) -> float:
@@ -177,29 +198,7 @@ def duan_witness(V: np.ndarray) -> float:
              Var(X_a + X_b) + Var(P_a - P_b) ];
     separable states satisfy W >= 2 with vacuum variance 1/2.
     """
-    V = _require_positive_definite(V)
-    return _duan_raw(V)
-
-
-def _duan_raw(V: np.ndarray) -> float:
-    w1 = (V[0, 0] + V[2, 2] - 2 * V[0, 2]) + (V[1, 1] + V[3, 3] + 2 * V[1, 3])
-    w2 = (V[0, 0] + V[2, 2] + 2 * V[0, 2]) + (V[1, 1] + V[3, 3] - 2 * V[1, 3])
-    return float(min(w1, w2))
-
-
-def _nu_minus_raw(V: np.ndarray) -> float:
-    """Tolerant smallest PT eigenvalue for noisy estimates: clamps instead
-    of raising, for use inside optimizers and bootstrap loops."""
-    det_a = float(np.linalg.det(V[:2, :2]))
-    det_b = float(np.linalg.det(V[2:, 2:]))
-    det_c = float(np.linalg.det(V[:2, 2:]))
-    det_v = float(np.linalg.det(V))
-    delta = det_a + det_b - 2.0 * det_c
-    disc = max(delta * delta - 4.0 * det_v, 0.0)
-    denom = delta + math.sqrt(disc)
-    if denom <= 0.0:
-        return 0.0
-    return math.sqrt(max(2.0 * det_v / denom, 0.0))
+    return float(_duan_sum(_require_positive_definite(V)))
 
 
 def analytic_nu_minus(G: float, kappa: float, n: float) -> float:
@@ -221,4 +220,5 @@ def analytic_boundary(n: float) -> float:
 
 def witness_report_from_covariance(V: np.ndarray) -> WitnessReport:
     """Exact-state witness report (zero statistical uncertainty)."""
-    return make_report(ppt_nu_minus(V), duan_witness(V))
+    V = _require_positive_definite(V)
+    return make_report(_checked_nu_minus(V), _duan_sum(V))

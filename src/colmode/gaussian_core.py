@@ -168,7 +168,8 @@ class ModelParams:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix or of each matrix in a (..., n, n) stack."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def mat_to_list(M: np.ndarray) -> list:

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from .entanglement import _duan_sum, _nu_minus, witness_report_from_covariance
 from .errors import NotPsdError, UnstableGainError, ValidationError
 from .gaussian_core import (
     ModelParams,
@@ -301,14 +302,12 @@ _PENALTY = 1e6
 
 
 def _mixture_objective(theta, target_power, which):
-    from .entanglement import _duan_raw, _nu_minus_raw
-
     lg = np.clip(theta[:2], -5.0, 5.0)
     out = mixture_state(theta[2:6], theta[6:10], np.exp(2.0 * lg), target_power)
     if out is None:
         return _PENALTY + float(np.sum(theta**2))
     V = out[0]
-    return _duan_raw(V) if which == "duan" else _nu_minus_raw(V)
+    return _duan_sum(V) if which == "duan" else _nu_minus(V)
 
 
 def gen_optimized_mixture(
@@ -375,8 +374,6 @@ def gen_optimized_mixture(
     samples[:, 3] = src[:, 2:] @ M_Ps[1]
     samples += vac
     samples = samples[config.burn_in :]
-
-    from .entanglement import witness_report_from_covariance
 
     report = witness_report_from_covariance(V)
     meta = {

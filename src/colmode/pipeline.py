@@ -13,11 +13,13 @@ for any stationary record regardless of its spectral composition, which
 matters because null-model records mix classical and vacuum correlation
 times; segment-level bootstrap resampling supplies the uncertainties, with
 each segment of length T at bandwidth B carrying N_eff = T * B effective
-samples.  The alternative "mean" statistic (per-segment quadrature means,
-rescaled by the known Ornstein-Uhlenbeck segment-averaging attenuation
-factor at the record's linewidth) is also provided; it is exact only for
-single-rate records and is kept for cross-checks, with the applied factor
-reported rather than hidden.
+samples; one bootstrap draw per record gives both the entry-wise and the
+witness standard errors.  The alternative "mean" statistic (per-segment
+quadrature means, rescaled by the known Ornstein-Uhlenbeck segment-averaging
+attenuation factor at the record's linewidth) is also provided; it is exact
+only for single-rate records and is kept for cross-checks, with the applied
+factor reported rather than hidden.  Singular estimates are refused, never
+scored: see witness_from_estimate.
 """
 
 from __future__ import annotations
@@ -28,20 +30,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import trapezoid
 from scipy.signal import filtfilt
 
 from .errors import (
     BandwidthExceedsNyquistError,
+    ComplexRootError,
     InsufficientEnsembleError,
     TooFewSegmentsError,
     ValidationError,
 )
-from .entanglement import (
-    WitnessReport,
-    _duan_raw,
-    _nu_minus_raw,
-    make_report,
-)
+from .entanglement import WitnessReport, _duan_sum, _nu_minus, make_report
 from .gaussian_core import closed_form_dynamics, symmetrize
 from .trajectory import (
     TrajectoryConfig,
@@ -64,6 +63,8 @@ __all__ = [
 ]
 
 _BOOT_STREAM = 0xBEEF
+
+MIN_MEAN_SEGMENTS = 5
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,25 @@ class PipelineConfig:
 
 @dataclass
 class EstimatedCovariance:
-    """Empirical covariance with segment-level resampling information.
+    """Empirical covariance with segment-bootstrap standard errors.
 
-    calibration is the accumulated vacuum-reference transfer of any applied
-    band-limit filters (already divided out of V_hat and stderr);
-    attenuation is the segment-averaging factor of the "mean" statistic
-    (1.0 for second moments).  Both are reported, never hidden.
+    stderr_nu and stderr_duan come from the same replicates as stderr (NaN
+    if one has no real PT root).  calibration is the accumulated
+    vacuum-reference transfer of any applied band-limit filters (already
+    divided out of V_hat and stderr); attenuation is the segment-averaging
+    factor of the "mean" statistic (1.0 for second moments).  Both are
+    reported, never hidden.
     """
 
     V_hat: np.ndarray
     n_segments: int
     n_eff: float
     stderr: np.ndarray
+    stderr_nu: float
+    stderr_duan: float
     attenuation: float
     calibration: float
     statistic: str
-    segment_stats: np.ndarray
     record_seed: int
     source: str
     config_hash: str
@@ -167,7 +171,7 @@ def vacuum_transfer(B: float, dt: float, kappa: float, n_grid: int = 4096) -> fl
     cw = np.cos(w)
     spec = (1.0 - r * r) / (1.0 - 2.0 * r * cw + r * r)
     gain = ((1.0 - a) ** 2 / (1.0 - 2.0 * a * cw + a * a)) ** 2
-    return float(np.trapezoid(spec * gain, w) / np.trapezoid(spec, w))
+    return float(trapezoid(spec * gain, w) / trapezoid(spec, w))
 
 
 def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
@@ -244,7 +248,9 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     length T = config.integration_time.  Each segment contributes one
     statistic (second-moment matrix by default); their average is the
     covariance estimate and segment-level bootstrap resampling gives the
-    per-entry standard errors.  N_eff = T * B is reported alongside.
+    per-entry and the witness standard errors.  N_eff = T * B is reported
+    alongside.  The sample covariance of k segment means in 4-D has rank
+    <= k - 1, so the "mean" statistic needs MIN_MEAN_SEGMENTS segments.
     """
     dt = record.dt
     m = int(round(config.integration_time / dt))
@@ -254,6 +260,11 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     if n_seg < 2:
         raise TooFewSegmentsError(
             f"record holds {record.n_steps} samples, need >= 2 segments of {m}"
+        )
+    if config.segment_statistic == "mean" and n_seg < MIN_MEAN_SEGMENTS:
+        raise TooFewSegmentsError(
+            f"the 'mean' statistic needs >= {MIN_MEAN_SEGMENTS} segments for a "
+            f"full-rank covariance, record holds {n_seg} segments of {m} samples"
         )
     X = record.samples[: n_seg * m].reshape(n_seg, m, 4)
     cal = float(record.meta.get("bandlimit_cal", 1.0))
@@ -281,18 +292,23 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
             for b in range(resamples):
                 boot[b] = np.cov(stats[idx[b]].T, ddof=1) / (atten * cal)
         stderr = boot.std(axis=0, ddof=1)
+        boot = symmetrize(boot)
+        stderr_nu = float(_nu_minus(boot).std(ddof=1))
+        stderr_duan = float(_duan_sum(boot).std(ddof=1))
     else:
         stderr = np.zeros((4, 4))
+        stderr_nu = stderr_duan = 0.0
 
     return EstimatedCovariance(
         V_hat=V_hat,
         n_segments=int(n_seg),
         n_eff=config.integration_time * config.bandwidth,
         stderr=stderr,
+        stderr_nu=stderr_nu,
+        stderr_duan=stderr_duan,
         attenuation=atten,
         calibration=cal,
         statistic=config.segment_statistic,
-        segment_stats=stats,
         record_seed=record.seed,
         source=record.source.value,
         config_hash=config.digest(),
@@ -300,41 +316,23 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     )
 
 
-def _witness_raw(V: np.ndarray) -> tuple[float, float]:
-    """Tolerant witness pair for bootstrap replicates (no PD validation)."""
-    return _nu_minus_raw(V), _duan_raw(V)
+def _point_witnesses(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Witness pair of point estimates; one with no real PT root is a
+    numerical failure (ComplexRootError), never a verdict."""
+    nu = _nu_minus(V)
+    if np.isnan(nu).any():
+        raise ComplexRootError("covariance estimate has no real PT symplectic eigenvalue")
+    return nu, _duan_sum(V)
 
 
-def _bootstrap_covariances(est: EstimatedCovariance, resamples: int) -> np.ndarray:
-    rng = np.random.Generator(
-        np.random.PCG64(derive_stream_seed(est.record_seed, _BOOT_STREAM))
-    )
-    n_seg = est.n_segments
-    idx = rng.integers(0, n_seg, size=(resamples, n_seg))
-    if est.statistic == "second_moment":
-        return est.segment_stats[idx].mean(axis=1) / est.calibration
-    boot = np.empty((resamples, 4, 4))
-    for b in range(resamples):
-        boot[b] = np.cov(est.segment_stats[idx[b]].T, ddof=1) / (
-            est.attenuation * est.calibration
-        )
-    return boot
+def witness_from_estimate(est: EstimatedCovariance) -> WitnessReport:
+    """Witness pair for one estimate, with its segment-bootstrap standard errors.
 
-
-def witness_from_estimate(est: EstimatedCovariance, resamples: int | None = None) -> WitnessReport:
-    """Witness pair for one estimate, with segment-bootstrap standard errors."""
-    nu, duan = _witness_raw(symmetrize(est.V_hat))
-    r = est.meta.get("bootstrap_resamples") if resamples is None else resamples
-    if r is None:
-        r = 1000
-    if r > 0 and est.n_segments >= 2:
-        boot = _bootstrap_covariances(est, int(r))
-        vals = np.array([_witness_raw(symmetrize(Vb)) for Vb in boot])
-        stderr_nu = float(vals[:, 0].std(ddof=1))
-        stderr_duan = float(vals[:, 1].std(ddof=1))
-    else:
-        stderr_nu = stderr_duan = 0.0
-    return make_report(nu, duan, stderr_nu, stderr_duan)
+    A NaN witness standard error fails every 3-sigma test, so a bootstrap
+    replicate without a real PT root can block a verdict but never make one.
+    """
+    nu, duan = _point_witnesses(est.V_hat)
+    return make_report(nu, duan, est.stderr_nu, est.stderr_duan)
 
 
 def witness_with_uncertainty(estimates) -> WitnessReport:
@@ -342,7 +340,7 @@ def witness_with_uncertainty(estimates) -> WitnessReport:
     estimates = list(estimates)
     if len(estimates) < 2:
         raise InsufficientEnsembleError("need at least two independent estimates")
-    vals = np.array([_witness_raw(symmetrize(e.V_hat)) for e in estimates])
+    vals = np.column_stack(_point_witnesses(np.stack([e.V_hat for e in estimates])))
     m = len(estimates)
     nu_mean, duan_mean = vals.mean(axis=0)
     nu_se = float(vals[:, 0].std(ddof=1)) / math.sqrt(m)
@@ -358,9 +356,7 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
     """
     processed = bandlimit(record, config.bandwidth)
     processed = demodulate(processed, config.demod_frequency)
-    est = estimate_covariance(processed, config)
-    est.meta["bootstrap_resamples"] = config.bootstrap_resamples
-    return est
+    return estimate_covariance(processed, config)
 
 
 def _cell_dt(B: float) -> float:

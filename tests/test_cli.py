@@ -216,6 +216,33 @@ class TestConverge:
         lines = (out / "converge.csv").read_text().splitlines()
         assert len(lines) == 2 + 4
 
+    def test_crossing_scan_gets_segment_statistic(self, tmp_path, monkeypatch):
+        import colmode.cli as cli_mod
+
+        seen = {}
+
+        def fake_sweep(A, D, cells, **kwargs):
+            seen["sweep"] = kwargs["segment_statistic"]
+            rows = [{"T": T, "B": B, "n_eff": T * B, "nu_mean": 0.2, "nu_stderr": 0.01,
+                     "duan_mean": 0.8, "duan_stderr": 0.01, "n_runs": 2} for T, B in cells]
+            return {"rows": rows, "slope_nu": -0.5, "slope_duan": -0.5}
+
+        def fake_crossing(**kwargs):
+            seen["crossing"] = kwargs["segment_statistic"]
+            return [{"T": T, "B": B, "g_cross": 0.17, "sigma": 0.01} for T, B in kwargs["cells"]]
+
+        monkeypatch.setattr(cli_mod, "convergence_sweep", fake_sweep)
+        monkeypatch.setattr(cli_mod, "crossing_scan", fake_crossing)
+        cfg_path = write_config(tmp_path, "conv.json", {
+            "params": {"G": 0.25, "kappa_a": 1.0, "kappa_b": 1.0,
+                       "n_a": 0.0, "n_b": 0.0, "preset": "CLOSED_FORM"},
+            "cells": [{"T": 50.0, "B": 0.04}],
+            "segment_statistic": "mean",
+            "crossing": {"n": 0.5, "g_values": [0.1, 0.2], "cells": [{"T": 8.0, "B": 1.0}]},
+        })
+        assert main(["converge", "-c", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert seen == {"sweep": "mean", "crossing": "mean"}
+
 
 class TestThresholds:
     def test_room_temperature_worked_example(self, tmp_path):
@@ -275,6 +302,27 @@ class TestExitCodes:
             "n_eff": {"min": 0.0, "max": 1.0, "steps": 2},
         })
         assert main(["phase-diagram", "-c", cfg_path, "--out-dir", str(tmp_path)]) == 3
+
+    def test_singular_estimate_exits_3_without_verdict(self, tmp_path):
+        # a record with one silent quadrature has det V = 0: no real PT
+        # root, so no verdict rather than nu_minus = 0 (entangled)
+        from colmode.cli import save_record
+        from colmode.trajectory import SourceTag, TrajectoryRecord
+
+        samples = np.random.default_rng(4).standard_normal((5000, 4))
+        samples[:, 3] = 0.0
+        rec = TrajectoryRecord(samples=samples, dt=0.1, source=SourceTag.QUANTUM,
+                               seed=4, meta={"kappa": 1.0})
+        (path,) = [p for p in save_record(rec, tmp_path / "silent", "npy", "m")
+                   if p.suffix == ".npy"]
+        an_cfg = write_config(tmp_path, "an.json", {
+            "pipeline": {"bandwidth": 1.0, "integration_time": 10.0,
+                         "bootstrap_resamples": 50},
+        })
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "-c", an_cfg, "--out-dir", str(out)]) == 3
+        assert not (out / "witness_distribution.csv").exists()
+        assert not (out / "witness_report.json").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COLMODE_OUT_DIR", str(tmp_path / "envout"))

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from colmode.entanglement import (
     LAMBDA_PT,
     WitnessReport,
+    _duan_sum,
+    _nu_minus,
     analytic_boundary,
     analytic_nu_minus,
     duan_witness,
@@ -16,7 +18,7 @@ from colmode.entanglement import (
     symplectic_eigenvalues,
     witness_report_from_covariance,
 )
-from colmode.errors import NotPositiveDefiniteError, ValidationError
+from colmode.errors import ComplexRootError, NotPositiveDefiniteError, ValidationError
 from colmode.gaussian_core import closed_form_covariance
 
 from conftest import random_physical_covariance
@@ -96,11 +98,42 @@ class TestPptNuMinus:
 
     def test_route_equivalence_random_states(self, rng):
         # invariant route vs spectrum of the partially transposed covariance
-        for _ in range(1000):
-            V = random_physical_covariance(rng)
+        states = [random_physical_covariance(rng) for _ in range(1000)]
+        for V in states:
             via_invariants = ppt_nu_minus(V)
             via_spectrum = symplectic_eigenvalues(partial_transpose(V))[1]
             assert abs(via_invariants - via_spectrum) < 1e-10
+        # the same states as one stack: elementwise equal to the scalar calls
+        stack = np.stack(states)
+        assert np.array_equal(_nu_minus(stack), [ppt_nu_minus(V) for V in states])
+        assert np.array_equal(_duan_sum(stack), [duan_witness(V) for V in states])
+
+    def test_stack_mixes_degenerate_and_generic_states(self):
+        # thermal entries take the spectral route, the squeezed one does not
+        stack = np.stack([1.7 * np.eye(4), symmetric_block_state(1.0, 0.6), 0.5 * np.eye(4)])
+        nu = _nu_minus(stack.reshape(3, 1, 4, 4))
+        assert nu.shape == (3, 1)
+        assert nu.ravel() == pytest.approx([1.7, 0.4, 0.5], abs=1e-12)
+        duan = _duan_sum(stack.reshape(3, 1, 4, 4))
+        assert duan.shape == (3, 1)
+        assert duan.ravel() == pytest.approx([6.8, 1.6, 2.0], abs=1e-12)
+
+    def test_no_real_root_is_nan_never_zero(self):
+        # det V = 0 must not read as nu_minus = 0, i.e. maximal entanglement
+        singular = np.diag([1.0, 1.0, 1.0, 0.0])
+        indefinite = np.diag([1.0, -1.0, 1.0, 1.0])
+        nu = _nu_minus(np.stack([singular, indefinite, 0.5 * np.eye(4)]))
+        assert np.isnan(nu[0]) and np.isnan(nu[1])
+        assert nu[2] == pytest.approx(0.5, abs=1e-14)
+        assert np.isnan(_nu_minus(singular))
+
+    def test_underflowing_determinant_raises_not_zero(self):
+        # positive definite, but det V underflows to 0: no computable root
+        V = np.diag([1.0, 1.0, 1e-200, 1e-200])
+        with pytest.raises(ComplexRootError):
+            ppt_nu_minus(V)
+        with pytest.raises(ComplexRootError):
+            witness_report_from_covariance(V)
 
     def test_degenerate_discriminant_clamped(self):
         # thermal states have nu_+ = nu_-; rounding noise must not raise

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from colmode.entanglement import ppt_nu_minus
 from colmode.errors import (
     BandwidthExceedsNyquistError,
+    ComplexRootError,
     InsufficientEnsembleError,
     TooFewSegmentsError,
     ValidationError,
@@ -54,7 +57,7 @@ def filter_power_ratio(a: float, passes: int = 2, n_grid: int = 200_001) -> floa
     """Quadrature oracle: variance transfer of the filter on white noise."""
     w = np.linspace(0.0, math.pi, n_grid)
     h2 = (1.0 - a) ** 2 / (1.0 - 2.0 * a * np.cos(w) + a * a)
-    return float(np.trapezoid(h2**passes, w) / math.pi)
+    return float(trapezoid(h2**passes, w) / math.pi)
 
 
 class TestBandlimit:
@@ -194,11 +197,66 @@ class TestEstimateCovariance:
         dev = np.abs(est.V_hat - V_true)
         assert np.all(dev <= 4.0 * est.stderr + 0.02)
 
+    def test_singular_mean_estimate_refused(self):
+        # deeply separable thermal state (true nu_minus = 2.5): with 2-4
+        # segments the covariance of k segment means in 4-D has rank <= k - 1
+        # and its witness reads nu_minus ~ 0, entangled_ppt = True
+        A, D = closed_form_dynamics(0.0, 1.0, 2.0)
+        pc = PipelineConfig(bandwidth=1.0, integration_time=10.0,
+                            bootstrap_resamples=0, segment_statistic="mean")
+        for k in (2, 3, 4):
+            rec = sample_exact_ou(A, D, TrajectoryConfig(dt=0.1, n_steps=100 * k, master_seed=7),
+                                  meta={"kappa": 1.0})
+            with pytest.raises(TooFewSegmentsError):
+                estimate_covariance(rec, pc)
+        rec = sample_exact_ou(A, D, TrajectoryConfig(dt=0.1, n_steps=500, master_seed=7),
+                              meta={"kappa": 1.0})
+        assert estimate_covariance(rec, pc).n_segments == 5
+
     def test_n_eff_reported(self):
         rec = quantum_record(n_steps=10_000)
         est = estimate_covariance(rec, PipelineConfig(bandwidth=2.5, integration_time=4.0))
         assert est.n_eff == pytest.approx(10.0)
         assert est.n_segments == 10_000 // int(round(4.0 / rec.dt))
+
+
+class TestWitnessSoundness:
+    def test_zero_resamples_means_zero_witness_stderr(self):
+        rec = quantum_record(n_steps=20_000)
+        est = estimate_covariance(rec, PipelineConfig(bandwidth=1.0, integration_time=10.0,
+                                                      bootstrap_resamples=0))
+        rep = witness_from_estimate(est)
+        assert rep.stderr_nu == 0.0 and rep.stderr_duan == 0.0
+
+    def test_no_real_root_point_estimate_raises(self):
+        rec = quantum_record(n_steps=20_000)
+        est = analyze_record(rec, PipelineConfig(bandwidth=1.0, integration_time=10.0,
+                                                 bootstrap_resamples=0))
+        singular = dataclasses.replace(est, V_hat=np.diag([1.0, 1.0, 1.0, 0.0]))
+        with pytest.raises(ComplexRootError):
+            witness_from_estimate(singular)
+        with pytest.raises(ComplexRootError):
+            witness_with_uncertainty([est, singular])
+
+    def test_nan_replicate_blocks_ppt_verdict(self, monkeypatch):
+        import colmode.pipeline as pipeline_mod
+
+        kernel = pipeline_mod._nu_minus
+
+        def one_replicate_without_root(V):
+            nu = kernel(V)
+            if np.ndim(V) == 3:
+                nu[0] = np.nan
+            return nu
+
+        monkeypatch.setattr(pipeline_mod, "_nu_minus", one_replicate_without_root)
+        rec = quantum_record(n_steps=120_000, seed=2)
+        est = analyze_record(rec, PipelineConfig(bandwidth=2.0, integration_time=10.0,
+                                                 bootstrap_resamples=200))
+        rep = witness_from_estimate(est)
+        assert math.isnan(rep.stderr_nu)
+        assert rep.nu_minus < 0.5 and not rep.entangled_ppt
+        assert rep.entangled_duan
 
 
 class TestWitnessEnsemble:
