@@ -2,12 +2,14 @@
 
 Subcommands: phase-diagram, simulate, analyze, converge, thresholds.  All
 physics parameters come from JSON config files; the only flag overrides are
---seed, --out-dir, and --threads.  Every run writes a manifest JSON naming
-its config hash, seed, and the SHA-256 digest of each output file, and every
-output file references its manifest.  Data files carry no timestamps, so a
-rerun with the same config and seed is byte-identical; parallel execution
-changes scheduling but never sample streams, which are fixed entirely by
-derived per-task seeds.
+--seed, --out-dir, and --threads.  Only simulate uses --threads, as the
+number of worker processes for its ensemble members; the other commands run
+in one process and only record the value in the manifest.  Every run writes
+a manifest JSON naming its config hash, seed, and the SHA-256 digest of each
+output file, and every output file references its manifest.  Data files
+carry no timestamps, so a rerun with the same config and seed is
+byte-identical; parallel execution changes scheduling but never sample
+streams, which are fixed entirely by derived per-task seeds.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -550,7 +552,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", "-c", required=True, help="JSON config file")
         p.add_argument("--out-dir", default=None, help="output directory (env COLMODE_OUT_DIR)")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--threads", type=int, default=None, help="worker count (env COLMODE_THREADS)")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="worker processes for simulate's ensemble members; the other "
+            "commands run in one process and only record the value in the "
+            "manifest (env COLMODE_THREADS)",
+        )
 
     common(sub.add_parser("phase-diagram", help="witness grid over (G/kappa, n_eff)"))
     common(sub.add_parser("simulate", help="generate quantum and null-model records"))
@@ -566,10 +575,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out_dir = Path(args.out_dir or os.environ.get("COLMODE_OUT_DIR", "out"))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot use output directory {out_dir}: {exc}") from exc
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("COLMODE_THREADS", "1"))
+            env_threads = os.environ.get("COLMODE_THREADS", "1")
+            try:
+                threads = int(env_threads)
+            except ValueError:
+                raise ValidationError(
+                    f"COLMODE_THREADS must be an integer, got {env_threads!r}"
+                ) from None
         if threads < 1:
             raise ValidationError("--threads must be >= 1")
         config = _load_config(args.config)

@@ -213,7 +213,9 @@ def build_diffusion(params: ModelParams) -> np.ndarray:
     return np.diag([da, da, db, db])
 
 
-# Small memo so repeated stability queries on the same drift are free.
+# Memo for repeated stability queries on one drift: a TMS phase grid solves
+# one Lyapunov equation per cell, but its drift depends only on G, so every
+# cell of a G row after the first is a hit.
 _STABLE_CACHE: dict[tuple, bool] = {}
 
 
@@ -254,19 +256,14 @@ def solve_steady_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     return V
 
 
-def evolve_covariance(
-    V0: np.ndarray,
-    A: np.ndarray,
-    D: np.ndarray,
-    t: float,
-    method: str = "auto",
-) -> np.ndarray:
-    """Propagate dV/dt = A V + V A^T + D for a duration t >= 0.
+def evolve_covariance(V0: np.ndarray, A: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
+    """Propagate dV/dt = A V + V A^T + D for a duration t >= 0, for any drift.
 
-    method="auto" uses the exact affine-exponential expression
-    V(t) = e^{At} (V0 - Vinf) e^{A^T t} + Vinf when A is Hurwitz and falls
-    back to fixed-step RK4 (dt = 1e-3 / max|eig A|) otherwise; "exact" and
-    "rk4" force the branch.
+    V(t) = F V0 F^T + Q with (F, Q) read off Van Loan's block exponential
+    expm([[A, D], [0, -A^T]] h) (Van Loan, IEEE TAC 23, 395 (1978)), so a
+    stable, marginal or unstable A takes the same exact path.  The -A^T block
+    grows like e^{|A| h}, so the exponential is taken at h = t / 2^k with
+    ||A h||_1 <= 1 and doubled back k times: Q <- F Q F^T + Q, F <- F F.
     """
     if not math.isfinite(t) or t < 0:
         raise NegativeTimeError(f"evolution time must be >= 0, got {t!r}")
@@ -275,33 +272,20 @@ def evolve_covariance(
     D = np.asarray(D, dtype=float)
     if t == 0.0:
         return V0
-    if method not in ("auto", "exact", "rk4"):
-        raise ValidationError(f"unknown evolution method {method!r}")
-    use_exact = method == "exact" or (method == "auto" and is_stable(A))
-    if use_exact:
-        Vinf = solve_steady_lyapunov(A, D)
-        F = scipy.linalg.expm(A * t)
-        return symmetrize(F @ (V0 - Vinf) @ F.T + Vinf)
-    return _evolve_rk4(V0, A, D, t)
-
-
-def _evolve_rk4(V0, A, D, t):
-    rate = np.max(np.abs(np.linalg.eigvals(A)))
-    dt = 1e-3 / rate if rate > 0 else t
-    n = max(1, math.ceil(t / dt))
-    h = t / n
-
-    def rhs(V):
-        return A @ V + V @ A.T + D
-
-    V = V0
-    for _ in range(n):
-        k1 = rhs(V)
-        k2 = rhs(V + 0.5 * h * k1)
-        k3 = rhs(V + 0.5 * h * k2)
-        k4 = rhs(V + h * k3)
-        V = V + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return symmetrize(V)
+    scale = np.linalg.norm(A, 1) * t
+    k = math.ceil(math.log2(scale)) if scale > 1.0 else 0
+    n = A.shape[0]
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = A
+    M[:n, n:] = D
+    M[n:, n:] = -A.T
+    E = scipy.linalg.expm(M * (t / 2**k))
+    F = E[:n, :n]
+    Q = symmetrize(E[:n, n:] @ F.T)
+    for _ in range(k):
+        Q = F @ Q @ F.T + Q
+        F = F @ F
+    return symmetrize(F @ V0 @ F.T + Q)
 
 
 def closed_form_covariance(G: float, kappa: float, n: float) -> np.ndarray:

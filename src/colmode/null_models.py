@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .entanglement import _duan_sum, _nu_minus, witness_report_from_covariance
 from .errors import NotPsdError, UnstableGainError, ValidationError
@@ -36,6 +35,7 @@ from .trajectory import (
     SourceTag,
     TrajectoryConfig,
     TrajectoryRecord,
+    _ar1_path,
     derive_stream_seed,
     sample_exact_ou,
 )
@@ -136,20 +136,11 @@ def enforce_classicality(V_cl: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def _streams(rates, variances, total: int, rng, dt: float) -> np.ndarray:
     """Stationary scalar OU streams, one column per (rate, variance) pair."""
-    rates = np.asarray(rates, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    k = rates.size
-    z = rng.standard_normal((total, k))
-    out = np.empty((total, k))
-    for j in range(k):
-        f = math.exp(-rates[j] * dt)
-        sigma = math.sqrt(max(variances[j], 0.0))
-        drive = z[:, j].copy()
-        drive[0] *= sigma
-        if total > 1:
-            drive[1:] *= sigma * math.sqrt(max(1.0 - f * f, 0.0))
-        out[:, j] = lfilter([1.0], [1.0, -f], drive)
-    return out
+    f = np.array([math.exp(-r * dt) for r in rates])
+    sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
+    z = rng.standard_normal((total, f.size))
+    drive = sigma * np.sqrt(np.clip(1.0 - f * f, 0.0, None))
+    return _ar1_path(np.diag(f), sigma * z[0], z[1:] * drive)
 
 
 def _vacuum_part(kappa: float, total: int, rng, dt: float) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import lfilter
 
-from .errors import StepTooLargeError, UnstableDriftError, ValidationError
+from .errors import StepTooLargeError, ValidationError
 from .gaussian_core import is_stable, solve_steady_lyapunov, symmetrize
 
 __all__ = [
@@ -157,47 +157,36 @@ def _psd_factor(Q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def _ar1_path(F: np.ndarray, r0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Iterate R_{k+1} = F R_k + w_k; returns (len(w)+1, 4) including R_0.
+    """Iterate R_{k+1} = F R_k + w_k; returns (len(w)+1, n) including R_0.
 
-    Long paths are computed channel-wise in the eigenbasis of F with a
-    C-level IIR filter; short paths (or ill-conditioned eigenbases) use the
-    plain loop.  The branch depends only on the input sizes and F itself,
-    so identical inputs always take identical code paths.
+    Works in the complex Schur basis F = Z T Z^H of any n x n F: Z is
+    unitary, so the change of basis is well conditioned even for defective
+    F.  The triangular recursion u_{k+1} = T u_k + Z^H w_k is solved one
+    channel at a time, last channel first, each as one C-level IIR filter
+    driven by the already computed later channels delayed by one step.
+    Real T and Z (scalar or diagonal F) keep the arithmetic real.
     """
-    n = w.shape[0]
-    total = n + 1
-    use_fast = total >= 256
-    if use_fast:
-        lam, P = np.linalg.eig(F)
-        if np.linalg.cond(P) > 1e8:
-            use_fast = False
-    if not use_fast:
-        out = np.empty((total, 4))
-        out[0] = r0
-        r = r0
-        for k in range(n):
-            r = F @ r + w[k]
-            out[k + 1] = r
-        return out
-    # x feeds y_k = lam y_{k-1} + x_k with x_0 = y_0 (zero initial filter state)
-    x = np.empty((total, 4), dtype=complex)
-    u0 = np.linalg.solve(P, r0.astype(complex))
-    x[0] = u0
-    x[1:] = np.linalg.solve(P, w.T.astype(complex)).T
-    y = np.empty_like(x)
-    for j in range(4):
-        y[:, j] = lfilter([1.0], [1.0, -lam[j]], x[:, j])
-    return (y @ P.T).real
+    T, Z = scipy.linalg.schur(F, output="complex")
+    if not (T.imag.any() or Z.imag.any()):
+        T, Z = T.real, Z.real
+    n = F.shape[0]
+    # x feeds u_k = T_jj u_{k-1} + x_k with x_0 = u_0 (zero initial filter state)
+    x = np.empty((w.shape[0] + 1, n), dtype=T.dtype)
+    x[0] = Z.conj().T @ r0
+    x[1:] = w @ Z.conj()
+    u = np.empty_like(x)
+    for j in reversed(range(n)):
+        coupling = T[j, j + 1 :]
+        if coupling.any():
+            x[1:, j] += u[:-1, j + 1 :] @ coupling
+        u[:, j] = lfilter([1.0], [1.0, -T[j, j]], x[:, j])
+    return (u @ Z.T).real
 
 
 def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
     """Shared precomputation for exact-OU sampling: (F, Lq, Linf, Vinf)."""
-    A = np.asarray(A, dtype=float)
-    D = np.asarray(D, dtype=float)
-    if not is_stable(A):
-        raise UnstableDriftError("exact OU sampling requires a Hurwitz drift")
     Vinf = solve_steady_lyapunov(A, D)
-    F = scipy.linalg.expm(A * dt)
+    F = scipy.linalg.expm(np.asarray(A, dtype=float) * dt)
     Q = symmetrize(Vinf - F @ Vinf @ F.T)
     return F, _psd_factor(Q), _psd_factor(Vinf), Vinf
 

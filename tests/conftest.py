@@ -75,6 +75,21 @@ def evolve_by_vanloan(V0, A, D, t, steps):
     return 0.5 * (V + V.T)
 
 
+def evolve_affine(V0, A, D, t):
+    """Closed-form evolution e^{At} (V0 - Vinf) e^{A^T t} + Vinf for Hurwitz A.
+
+    Vinf comes from the Kronecker form (A (x) I + I (x) A) vec(V) = -vec(D),
+    so this route shares no code with the Van Loan block exponential.
+    """
+    n = A.shape[0]
+    eye = np.eye(n)
+    Vinf = np.linalg.solve(np.kron(A, eye) + np.kron(eye, A), -D.reshape(n * n))
+    Vinf = Vinf.reshape(n, n)
+    F = scipy.linalg.expm(A * t)
+    V = F @ (np.asarray(V0, dtype=float) - Vinf) @ F.T + Vinf
+    return 0.5 * (V + V.T)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

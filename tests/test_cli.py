@@ -324,6 +324,26 @@ class TestExitCodes:
         assert not (out / "witness_distribution.csv").exists()
         assert not (out / "witness_report.json").exists()
 
+    def test_non_integer_threads_env_is_validation_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLMODE_THREADS", "two")
+        cfg_path = write_config(tmp_path, "pd.json", {
+            "g_over_kappa": {"min": 0.0, "max": 0.4, "steps": 3},
+            "n_eff": {"min": 0.0, "max": 1.0, "steps": 2},
+        })
+        assert main(["phase-diagram", "-c", cfg_path, "--out-dir", str(tmp_path)]) == 2
+        assert "error: COLMODE_THREADS" in capsys.readouterr().err
+
+    def test_out_dir_naming_a_file_is_validation_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        cfg_path = write_config(tmp_path, "pd.json", {
+            "g_over_kappa": {"min": 0.0, "max": 0.4, "steps": 3},
+            "n_eff": {"min": 0.0, "max": 1.0, "steps": 2},
+        })
+        assert main(["phase-diagram", "-c", cfg_path, "--out-dir", str(taken)]) == 2
+        assert "error: cannot use output directory" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COLMODE_OUT_DIR", str(tmp_path / "envout"))
         cfg_path = write_config(tmp_path, "pd.json", {

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -24,7 +26,21 @@ from colmode.gaussian_core import (
 )
 from colmode.entanglement import ppt_nu_minus
 
-from conftest import evolve_by_vanloan, random_stable_params
+from conftest import evolve_affine, evolve_by_vanloan, random_stable_params
+
+
+def ivp_covariance(V0, A, D, t, rtol=1e-12, atol=1e-13, method="DOP853"):
+    """dV/dt = A V + V A^T + D integrated adaptively, as an independent oracle."""
+
+    def rhs(_, v):
+        V = v.reshape(4, 4)
+        return (A @ V + V @ A.T + D).reshape(16)
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, t), np.asarray(V0, dtype=float).reshape(16),
+        method=method, rtol=rtol, atol=atol,
+    )
+    return sol.y[:, -1].reshape(4, 4)
 
 
 def sym_params(G=0.25, kappa=1.0, n=0.0, **kw):
@@ -177,24 +193,30 @@ class TestEvolveCovariance:
         with pytest.raises(NegativeTimeError):
             evolve_covariance(np.eye(4), build_drift(p), build_diffusion(p), -1.0)
 
-    def test_rk4_matches_exact_branch(self):
-        p = sym_params(G=0.2, n=0.3)
-        A, D = build_drift(p), build_diffusion(p)
-        V0 = np.diag([1.0, 0.7, 0.9, 1.1])
-        exact = evolve_covariance(V0, A, D, 2.0, method="exact")
-        rk4 = evolve_covariance(V0, A, D, 2.0, method="rk4")
-        assert np.max(np.abs(exact - rk4)) < 1e-10
-
-    def test_unstable_drift_takes_rk4_branch(self):
+    def test_unstable_drift_matches_ivp(self):
         # beyond the instability threshold the covariance grows without a
-        # steady state; check the integrator against the stepped oracle
+        # steady state; check the propagator against an adaptive integrator
         p = sym_params(G=0.6)
         A, D = build_drift(p), build_diffusion(p)
         V0 = 0.5 * np.eye(4)
         got = evolve_covariance(V0, A, D, 2.0)
-        want = evolve_by_vanloan(V0, A, D, 2.0, steps=4)
+        want = ivp_covariance(V0, A, D, 2.0)
         assert np.max(np.abs(got - want)) < 1e-8
         assert np.max(np.abs(got)) > 1.0  # actually grew
+
+    def test_unstable_long_horizon_is_fast_and_exact(self):
+        # t = 50 under 2G > kappa: ~1e4-fold growth, reached by doubling
+        # rather than by a step count proportional to t
+        p = sym_params(G=0.6)
+        A, D = build_drift(p), build_diffusion(p)
+        V0 = 0.5 * np.eye(4)
+        start = time.perf_counter()
+        got = evolve_covariance(V0, A, D, 50.0)
+        elapsed = time.perf_counter() - start
+        want = ivp_covariance(V0, A, D, 50.0)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
+        assert np.max(np.abs(got)) > 1e3
+        assert elapsed < 0.5
 
     def test_vanloan_oracle_agrees_with_ivp(self, rng):
         # validate the test oracle itself once against an adaptive integrator
@@ -212,12 +234,12 @@ class TestEvolveCovariance:
         )
         assert np.max(np.abs(got.reshape(16) - sol.y[:, -1])) < 1e-8
 
-    def test_evolution_matches_vanloan(self, rng):
+    def test_evolution_matches_affine_exponential(self, rng):
         p = random_stable_params(rng)
         A, D = build_drift(p), build_diffusion(p)
         V0 = 2.0 * np.eye(4)
         assert np.max(
-            np.abs(evolve_covariance(V0, A, D, 5.0) - evolve_by_vanloan(V0, A, D, 5.0, 5))
+            np.abs(evolve_covariance(V0, A, D, 5.0) - evolve_affine(V0, A, D, 5.0))
         ) < 1e-10
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.signal import lfilter
 
 from colmode.errors import StepTooLargeError, UnstableDriftError, ValidationError
 from colmode.gaussian_core import (
@@ -22,6 +24,7 @@ from colmode.trajectory import (
     sample_euler_maruyama,
     sample_exact_ou,
     save_record_csv,
+    _ar1_path,
 )
 
 from conftest import random_stable_params
@@ -124,6 +127,55 @@ class TestExactOu:
             )
             rec = sample_exact_ou(build_drift(p), build_diffusion(p), cfg)
             assert np.all(np.isfinite(rec.samples))
+
+
+def loop_ar1(F, r0, w):
+    """R_{k+1} = F R_k + w_k one step at a time: the kernel's oracle."""
+    out = np.empty((w.shape[0] + 1, F.shape[0]))
+    out[0] = r0
+    for k in range(w.shape[0]):
+        out[k + 1] = F @ out[k] + w[k]
+    return out
+
+
+def _tms_step(G=0.25, kappa_b=1.0, delta_a=0.0, delta_b=0.0, dt=0.05):
+    p = ModelParams(G=G, kappa_a=1.0, kappa_b=kappa_b, n_a=0.0, n_b=0.0,
+                    delta_a=delta_a, delta_b=delta_b)
+    return scipy.linalg.expm(build_drift(p) * dt)
+
+
+AR1_DRIFTS = {
+    "closed_form": lambda: scipy.linalg.expm(closed_form_dynamics(0.25, 1.0, 0.0)[0] * 0.05),
+    "tms_resonant": lambda: _tms_step(),
+    "tms_detuned": lambda: _tms_step(G=0.2, kappa_b=0.6, delta_a=0.3, delta_b=-0.2),
+    # defective: one eigenvalue with a single Jordan chain
+    "jordan": lambda: scipy.linalg.expm((-0.5 * np.eye(4) + np.eye(4, k=1)) * 0.05),
+}
+
+
+class TestAr1Kernel:
+    @pytest.mark.parametrize("drift", sorted(AR1_DRIFTS))
+    @pytest.mark.parametrize("n", [0, 1, 254, 255, 20000])
+    def test_matches_plain_loop(self, drift, n):
+        F = AR1_DRIFTS[drift]()
+        rng = np.random.default_rng(n)
+        r0 = rng.standard_normal(4)
+        w = rng.standard_normal((n, 4))
+        want = loop_ar1(F, r0, w)
+        got = _ar1_path(F, r0, w)
+        assert got.shape == (n + 1, 4)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("width", [3, 4, 6])
+    def test_diagonal_is_columnwise_filter(self, width):
+        f = np.linspace(0.5, 0.99, width)
+        rng = np.random.default_rng(width)
+        r0 = rng.standard_normal(width)
+        w = rng.standard_normal((3000, width))
+        want = np.column_stack(
+            [lfilter([1.0], [1.0, -f[j]], np.r_[r0[j], w[:, j]]) for j in range(width)]
+        )
+        assert np.array_equal(_ar1_path(np.diag(f), r0, w), want)
 
 
 class TestEulerMaruyama:
