@@ -21,15 +21,23 @@ import concurrent.futures
 import datetime
 import hashlib
 import json
+import math
 import os
+import platform
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .entanglement import analytic_nu_minus, witness_report_from_covariance
+from .entanglement import (
+    _checked_witnesses,
+    _require_positive_definite,
+    analytic_nu_minus,
+    make_report,
+)
 from .errors import NumericalError, ValidationError
 from .gaussian_core import (
     ModelParams,
@@ -120,6 +128,45 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _load_json(path, what: str) -> dict:
+    """The JSON object in a file; an unreadable file, malformed JSON or a
+    value that is not an object is a ValidationError."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return obj
+
+
+_REQUIRED = object()
+
+
+def _field(section: dict, key: str, kind, default=_REQUIRED):
+    """section[key] converted by kind, or default when it is absent or null;
+    a missing or malformed field raises a ValidationError that names it."""
+    value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValidationError(f"missing field '{key}'")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"field '{key}': {exc}") from exc
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"expected a JSON object, got {value!r}")
+    return value
+
+
 def save_record(record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str) -> list[Path]:
     """Persist one record; returns the written paths."""
     meta = dict(record.meta)
@@ -148,14 +195,17 @@ def load_record(path) -> TrajectoryRecord:
         return load_record_csv(path)
     if path.suffix == ".npy":
         side = path.with_suffix("").with_suffix(".meta.json")
-        info = json.loads(side.read_text())
-        return TrajectoryRecord(
-            samples=np.load(path, allow_pickle=False),
-            dt=info["dt"],
-            source=SourceTag(info["source"]),
-            seed=info["seed"],
-            meta=info.get("meta", {}),
-        )
+        info = _load_json(side, "record sidecar")
+        try:
+            return TrajectoryRecord(
+                samples=np.load(path, allow_pickle=False),
+                dt=_field(info, "dt", float),
+                source=_field(info, "source", SourceTag),
+                seed=_field(info, "seed", int),
+                meta=_field(info, "meta", _object, {}),
+            )
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot load record {path}: {exc}") from exc
     raise ValidationError(f"unsupported record file {path}")
 
 
@@ -170,6 +220,11 @@ def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict |
         "seed": seed,
         "threads": threads,
         "rng": RNG_NAME,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "config": config,
         "config_sha256": sha256_bytes(canonical_json(config).encode()),
         "inputs": inputs or {},
@@ -200,37 +255,44 @@ def _pmap(fn, items, threads: int):
 # phase-diagram
 
 def _axis_values(axis: dict) -> np.ndarray:
-    for key in ("min", "max", "steps"):
-        if key not in axis:
-            raise ValidationError(f"axis needs '{key}'")
-    steps = int(axis["steps"])
+    axis = _object(axis)
+    lo, hi = _field(axis, "min", float), _field(axis, "max", float)
+    steps = _field(axis, "steps", int)
     if steps < 2:
         raise ValidationError("axis needs at least 2 steps")
-    return np.linspace(float(axis["min"]), float(axis["max"]), steps)
+    return np.linspace(lo, hi, steps)
 
 
 def phase_diagram_rows(config: dict) -> list[dict]:
-    preset = Preset(config.get("preset", "CLOSED_FORM"))
-    kappa = float(config.get("kappa", 1.0))
-    g_values = _axis_values(config["g_over_kappa"])
-    n_values = _axis_values(config["n_eff"])
+    """Witness grid over (g/kappa, n_eff), one coupling row at a time: each
+    stable row takes one stacked solve, validation and witness evaluation."""
+    preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
+    kappa = _field(config, "kappa", float, 1.0)
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValidationError(f"kappa must be positive and finite, got {kappa!r}")
+    g_values = _field(config, "g_over_kappa", _axis_values)
+    n_values = _field(config, "n_eff", _axis_values)
     rows = []
     for g in g_values:
-        for n in n_values:
+        G = g * kappa
+        unstable = 2.0 * G >= kappa
+        if not unstable:
+            if preset is Preset.CLOSED_FORM:
+                V = np.stack([closed_form_covariance(G, kappa, n) for n in n_values])
+            else:
+                params = ModelParams(G=G, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
+                D = np.stack([build_diffusion(dc_replace(params, n_a=n, n_b=n)) for n in n_values])
+                V = solve_steady_lyapunov(build_drift(params), D)
+            nu, duan = _checked_witnesses(_require_positive_definite(V, stacked=True))
+        for k, n in enumerate(n_values):
             row = {"g_over_kappa": float(g), "n_eff": float(n)}
-            G = g * kappa
-            if 2.0 * G >= kappa:
+            if unstable:
                 row.update(
                     nu_minus=None, duan_sum=None, entangled_ppt=None,
                     analytic_nu_minus=None, boundary_flag="UNSTABLE",
                 )
             else:
-                if preset is Preset.CLOSED_FORM:
-                    V = closed_form_covariance(G, kappa, n)
-                else:
-                    params = ModelParams(G=G, kappa_a=kappa, kappa_b=kappa, n_a=n, n_b=n)
-                    V = solve_steady_lyapunov(build_drift(params), build_diffusion(params))
-                rep = witness_report_from_covariance(V)
+                rep = make_report(nu[k], duan[k])
                 row.update(
                     nu_minus=rep.nu_minus,
                     duan_sum=rep.duan_sum,
@@ -262,11 +324,11 @@ def cmd_phase_diagram(config: dict, out_dir: Path, seed, threads: int) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _member_args(config: dict, out_dir: Path, manifest_name: str):
-    params = ModelParams.from_dict(config["params"])
-    traj = TrajectoryConfig.from_dict(config["trajectory"])
+def _member_args(
+    params: ModelParams, traj: TrajectoryConfig, config: dict, out_dir: Path, manifest_name: str
+):
     fmt = config.get("format", "npy")
-    n_members = int(config.get("ensemble", 1))
+    n_members = _field(config, "ensemble", int, 1)
     return [
         (params.to_dict(), traj.to_dict(), k, str(out_dir / f"quantum_{k:04d}"), fmt, manifest_name)
         for k in range(n_members)
@@ -290,22 +352,23 @@ def _simulate_member(args) -> list[str]:
 def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
     if seed is not None:
         config = dict(config)
-        config["trajectory"] = dict(config["trajectory"], master_seed=int(seed))
+        config["trajectory"] = dict(_field(config, "trajectory", _object), master_seed=int(seed))
+    params = _field(config, "params", ModelParams.from_dict)
+    traj = _field(config, "trajectory", TrajectoryConfig.from_dict)
     name, manifest = make_manifest("simulate", config, config["trajectory"].get("master_seed"), threads)
     written: list[Path] = []
-    for paths in _pmap(_simulate_member, _member_args(config, out_dir, name), threads):
+    members = _member_args(params, traj, config, out_dir, name)
+    for paths in _pmap(_simulate_member, members, threads):
         written.extend(Path(p) for p in paths)
 
-    trio = config.get("null_trio", {})
+    trio = _field(config, "null_trio", _object, {})
     if trio.get("enabled", False):
-        params = ModelParams.from_dict(config["params"])
-        traj = TrajectoryConfig.from_dict(config["trajectory"])
         V_q = steady_state_covariance(params)
         specs = matched_null_specs(
             V_q,
             kappa=params.kappa_a,
             seed=traj.master_seed,
-            correlation=float(trio.get("correlation", 0.7)),
+            correlation=_field(trio, "correlation", float, 0.7),
             gain=trio.get("gain"),
         )
         fmt = config.get("format", "npy")
@@ -315,8 +378,8 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
             specs[NullKind.OPTIMIZED_MIXTURE],
             config=traj,
             kappa=params.kappa_a,
-            restarts=int(trio.get("restarts", 8)),
-            max_evals=int(trio.get("max_evals", 2000)),
+            restarts=_field(trio, "restarts", int, 8),
+            max_evals=_field(trio, "max_evals", int, 2000),
         )
         for tag, rec in (("null_a", rec_a), ("null_b", rec_b), ("null_c", rec_c)):
             written.extend(save_record(rec, out_dir / tag, fmt, name))
@@ -336,7 +399,10 @@ ANALYZE_COLUMNS = [
 
 
 def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -> int:
-    pconf = PipelineConfig.from_dict(config["pipeline"])
+    pconf = _field(config, "pipeline", PipelineConfig.from_dict)
+    for path in record_paths:
+        if not Path(path).is_file():
+            raise ValidationError(f"record file not found: {path}")
     inputs = {Path(p).name: sha256_file(p) for p in record_paths}
     name, manifest = make_manifest("analyze", config, seed, threads, inputs=inputs)
 
@@ -383,22 +449,26 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
 # ---------------------------------------------------------------------------
 # converge
 
+def _cells(cells) -> list[tuple[float, float]]:
+    return [(_field(_object(c), "T", float), _field(c, "B", float)) for c in cells]
+
+
 CONVERGE_COLUMNS = ["T", "B", "n_eff", "nu_mean", "nu_stderr", "duan_mean", "duan_stderr", "n_runs"]
 
 
 def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
-    master_seed = int(seed if seed is not None else config.get("master_seed", 0))
+    master_seed = seed if seed is not None else _field(config, "master_seed", int, 0)
     name, manifest = make_manifest("converge", config, master_seed, threads)
-    params = ModelParams.from_dict(config["params"])
+    params = _field(config, "params", ModelParams.from_dict)
     A, D = steady_dynamics(params)
-    cells = [(float(c["T"]), float(c["B"])) for c in config["cells"]]
+    cells = _field(config, "cells", _cells)
     segment_statistic = config.get("segment_statistic", "second_moment")
     result = convergence_sweep(
         A,
         D,
         cells,
-        runs_per_cell=int(config.get("runs_per_cell", 16)),
-        segments_per_record=int(config.get("segments_per_record", 24)),
+        runs_per_cell=_field(config, "runs_per_cell", int, 16),
+        segments_per_record=_field(config, "segments_per_record", int, 24),
         master_seed=master_seed,
         segment_statistic=segment_statistic,
     )
@@ -414,13 +484,14 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
 
     crossing = config.get("crossing")
     if crossing:
+        crossing = _field(config, "crossing", _object)
         rows = crossing_scan(
             kappa=params.kappa_a,
-            n=float(crossing["n"]),
-            g_values=[float(g) for g in crossing["g_values"]],
-            cells=[(float(c["T"]), float(c["B"])) for c in crossing["cells"]],
-            runs_per_cell=int(crossing.get("runs_per_cell", 12)),
-            segments_per_record=int(crossing.get("segments_per_record", 24)),
+            n=_field(crossing, "n", float),
+            g_values=_field(crossing, "g_values", lambda gs: [float(g) for g in gs]),
+            cells=_field(crossing, "cells", _cells),
+            runs_per_cell=_field(crossing, "runs_per_cell", int, 12),
+            segments_per_record=_field(crossing, "segments_per_record", int, 24),
             master_seed=master_seed,
             segment_statistic=segment_statistic,
         )
@@ -441,24 +512,23 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
 # thresholds
 
 def _threshold_report(config: dict) -> dict:
-    kappa = config.get("kappa")
+    kappa = _field(config, "kappa", float, None)
     if kappa is None and "ringdown_time" in config:
-        kappa = 1.0 / float(config["ringdown_time"])
+        kappa = 1.0 / _field(config, "ringdown_time", float)
     omega = config.get("omega_col")
     if omega is None and "f_col" in config:
-        omega = 2.0 * np.pi * float(config["f_col"])
+        omega = 2.0 * np.pi * _field(config, "f_col", float)
     spec = NoiseInputSpec(
-        B=config["B"],
-        C_eff=config["C_eff"],
+        B=config.get("B"),
+        C_eff=config.get("C_eff"),
         omega_col=omega,
-        T_amb=config["T_amb"],
+        T_amb=config.get("T_amb"),
         S_V0=config.get("S_V0"),
         R_eff=config.get("R_eff"),
         Re_Y_eff=config.get("Re_Y_eff"),
     )
     report: dict = {"inputs": spec.to_dict()}
     if kappa is not None:
-        kappa = float(kappa)
         report["kappa"] = {"value": kappa, "formula": "1/ringdown_time"}
 
     n_eff, clamped = n_eff_from_noise(spec)
@@ -469,25 +539,25 @@ def _threshold_report(config: dict) -> dict:
     }
 
     c_corr = None
-    g_over_kappa = config.get("G_over_kappa")
+    g_over_kappa = _field(config, "G_over_kappa", float, None)
     if g_over_kappa is not None and kappa is not None and n_eff > 0:
-        c_corr = cooperativity(float(g_over_kappa) * kappa, kappa, n_eff)
+        c_corr = cooperativity(g_over_kappa * kappa, kappa, n_eff)
         report["cooperativity"] = {
             "value": c_corr,
             "formula": "(2G/kappa)*(n_eff+1)/n_eff",
         }
     if c_corr is None:
-        c_corr = config.get("C_corr")
+        c_corr = _field(config, "C_corr", float, None)
 
     vmin: dict = {}
     if c_corr is not None:
         vmin["GENERAL"] = {
-            "value": v_min(VminForm.GENERAL, spec, C_corr=float(c_corr)),
+            "value": v_min(VminForm.GENERAL, spec, C_corr=c_corr),
             "formula": "sqrt(S_V0*B/C_corr)",
         }
         if spec.R_eff is not None:
             vmin["THERMAL"] = {
-                "value": v_min(VminForm.THERMAL, spec, C_corr=float(c_corr)),
+                "value": v_min(VminForm.THERMAL, spec, C_corr=c_corr),
                 "formula": "sqrt(4*k_B*T*R_eff*B/C_corr)",
             }
     if kappa is not None:
@@ -500,12 +570,12 @@ def _threshold_report(config: dict) -> dict:
     if vmin:
         report["v_min"] = vmin
 
-    v_col = config.get("V_col")
+    v_col = _field(config, "V_col", float, None)
     if v_col is not None:
-        n_col = collective_occupation(float(v_col), spec.C_eff, spec.omega_col)
+        n_col = collective_occupation(v_col, spec.C_eff, spec.omega_col)
         report["N_col"] = {"value": n_col, "formula": "C_eff*V_col^2/(2*hbar*omega_col)"}
         if kappa is not None:
-            t_int = float(config.get("T_int", 1.0))
+            t_int = _field(config, "T_int", float, 1.0)
             d_phi, sigma2 = phase_diffusion(kappa, n_eff, n_col, t_int)
             report["phase_diffusion"] = {
                 "D_phi": d_phi,
@@ -529,15 +599,6 @@ def cmd_thresholds(config: dict, out_dir: Path, seed, threads: int) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-def _load_config(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -590,7 +651,7 @@ def main(argv=None) -> int:
                 ) from None
         if threads < 1:
             raise ValidationError("--threads must be >= 1")
-        config = _load_config(args.config)
+        config = _load_json(args.config, "config file")
         if args.command == "phase-diagram":
             return cmd_phase_diagram(config, out_dir, args.seed, threads)
         if args.command == "simulate":

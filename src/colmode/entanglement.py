@@ -87,6 +87,7 @@ class WitnessReport:
 
 
 _VERDICT_EPS = 1e-12  # rounding floor so exact boundary states never flip
+_DISC_TOL = 1e-10  # most negative PT discriminant still read as a real root
 
 
 def make_report(nu_minus, duan_sum, stderr_nu=0.0, stderr_duan=0.0) -> WitnessReport:
@@ -101,17 +102,20 @@ def make_report(nu_minus, duan_sum, stderr_nu=0.0, stderr_duan=0.0) -> WitnessRe
     )
 
 
-def _require_symmetric(V: np.ndarray) -> np.ndarray:
+def _require_symmetric(V: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """V as one symmetric 4x4 covariance, or with stacked=True as a
+    (..., 4, 4) stack of them; the symmetry tolerance is per matrix."""
     V = np.asarray(V, dtype=float)
-    if V.shape != (4, 4):
+    if V.shape[-2:] != (4, 4) or (V.ndim != 2 and not stacked):
         raise ValidationError(f"expected a 4x4 covariance matrix, got {V.shape}")
-    if np.max(np.abs(V - V.T)) > 1e-10 * max(1.0, np.max(np.abs(V))):
+    scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
+    if np.any(np.abs(V - V.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValidationError("covariance matrix must be symmetric")
     return symmetrize(V)
 
 
-def _require_positive_definite(V: np.ndarray) -> np.ndarray:
-    V = _require_symmetric(V)
+def _require_positive_definite(V: np.ndarray, stacked: bool = False) -> np.ndarray:
+    V = _require_symmetric(V, stacked)
     if np.min(np.linalg.eigvalsh(V)) <= 0.0:
         raise NotPositiveDefiniteError("covariance matrix must be positive definite")
     return V
@@ -136,7 +140,7 @@ def symplectic_eigenvalues(V: np.ndarray) -> tuple[float, float]:
     return float(ev[3]), float(ev[0])
 
 
-def _nu_minus(V: np.ndarray, tol: float = 1e-10):
+def _nu_minus(V: np.ndarray):
     """Smallest PT symplectic eigenvalue of each covariance in a (..., 4, 4) stack.
 
     nu^2 solves nu^4 - Delta nu^2 + det V = 0 with
@@ -146,9 +150,10 @@ def _nu_minus(V: np.ndarray, tol: float = 1e-10):
     route loses half the working precision, so the spectrum of
     i Omega Lambda V Lambda takes over there; the two routes agree to 1e-10
     everywhere else (property-tested).  Entries with no real positive root
-    (det V <= 0, discriminant below -tol, or a non-positive denominator) are
-    NaN, so an invalid estimate can never read as entangled.  No
-    positive-definiteness check: callers validate where they need one.
+    (det V <= 0, discriminant below -_DISC_TOL, or a non-positive
+    denominator) are NaN, so an invalid estimate can never read as
+    entangled.  No positive-definiteness check: callers validate where they
+    need one.
     """
     V = np.asarray(V, dtype=float)
     stack = V.reshape(-1, 4, 4)
@@ -157,7 +162,7 @@ def _nu_minus(V: np.ndarray, tol: float = 1e-10):
     delta = det_a + det_b - 2.0 * det_c
     disc = delta * delta - 4.0 * det_v
     denom = delta + np.sqrt(np.maximum(disc, 0.0))
-    real = (det_v > 0.0) & (disc >= -tol) & (denom > 0.0)
+    real = (det_v > 0.0) & (disc >= -_DISC_TOL) & (denom > 0.0)
     nu = np.sqrt(np.divide(2.0 * det_v, denom, out=np.full_like(det_v, np.nan), where=real))
     spectral = real & (disc <= 1e-9 * delta * delta)
     if np.count_nonzero(spectral):
@@ -179,16 +184,19 @@ def _duan_sum(V: np.ndarray):
     return np.minimum(w1, w2).T
 
 
-def _checked_nu_minus(V: np.ndarray, tol: float = 1e-10) -> float:
-    nu = float(_nu_minus(V, tol))
-    if math.isnan(nu):
+def _checked_witnesses(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nu_minus, duan_sum) over a (..., 4, 4) stack; a covariance with no
+    real PT root raises ComplexRootError, never a verdict.  No
+    positive-definiteness check: callers validate where they need one."""
+    nu = _nu_minus(V)
+    if np.isnan(nu).any():
         raise ComplexRootError("PT symplectic invariants admit no real positive root")
-    return nu
+    return nu, _duan_sum(V)
 
 
-def ppt_nu_minus(V: np.ndarray, tol: float = 1e-10) -> float:
+def ppt_nu_minus(V: np.ndarray) -> float:
     """Smallest PT symplectic eigenvalue of a validated covariance."""
-    return _checked_nu_minus(_require_positive_definite(V), tol)
+    return float(_checked_witnesses(_require_positive_definite(V))[0])
 
 
 def duan_witness(V: np.ndarray) -> float:
@@ -220,5 +228,4 @@ def analytic_boundary(n: float) -> float:
 
 def witness_report_from_covariance(V: np.ndarray) -> WitnessReport:
     """Exact-state witness report (zero statistical uncertainty)."""
-    V = _require_positive_definite(V)
-    return make_report(_checked_nu_minus(V), _duan_sum(V))
+    return make_report(*_checked_witnesses(_require_positive_definite(V)))

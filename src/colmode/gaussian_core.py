@@ -213,31 +213,20 @@ def build_diffusion(params: ModelParams) -> np.ndarray:
     return np.diag([da, da, db, db])
 
 
-# Memo for repeated stability queries on one drift: a TMS phase grid solves
-# one Lyapunov equation per cell, but its drift depends only on G, so every
-# cell of a G row after the first is a hit.
-_STABLE_CACHE: dict[tuple, bool] = {}
-
-
 def is_stable(A: np.ndarray, eps: float = STABILITY_EPS) -> bool:
     """True iff every eigenvalue of A has real part < -eps (Hurwitz)."""
-    A = np.asarray(A, dtype=float)
-    key = (A.tobytes(), eps)
-    hit = _STABLE_CACHE.get(key)
-    if hit is None:
-        hit = bool(np.max(np.linalg.eigvals(A).real) < -eps)
-        if len(_STABLE_CACHE) > 4096:
-            _STABLE_CACHE.clear()
-        _STABLE_CACHE[key] = hit
-    return hit
+    return bool(np.max(np.linalg.eigvals(np.asarray(A, dtype=float)).real) < -eps)
 
 
 def solve_steady_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Unique steady covariance solving A V + V A^T + D = 0 for Hurwitz A.
+    """Unique steady covariance solving A V + V A^T + D = 0 for Hurwitz A,
+    for D of shape (..., 4, 4): one diffusion matrix or a stack of them.
 
     Solved by vectorizing to the dense 16x16 system
     (A (x) I + I (x) A) vec(V) = -vec(D), which is exact and cheap at this
-    size.  The output is symmetrized and the residual checked to 1e-10.
+    size; a stack shares one stability check and one Kronecker matrix, and
+    each of its entries is bit-identical to a solve of that D alone.  The
+    output is symmetrized and the residual checked to 1e-10.
     """
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
@@ -246,10 +235,10 @@ def solve_steady_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     eye = np.eye(4)
     M = np.kron(A, eye) + np.kron(eye, A)
     try:
-        v = np.linalg.solve(M, -D.reshape(16))
+        v = np.linalg.solve(M, -D.reshape(*D.shape[:-2], 16, 1))
     except np.linalg.LinAlgError as exc:
         raise SingularSolveError(str(exc)) from exc
-    V = symmetrize(v.reshape(4, 4))
+    V = symmetrize(v.reshape(D.shape))
     resid = np.max(np.abs(A @ V + V @ A.T + D))
     if not np.isfinite(resid) or resid > 1e-10:
         raise SingularSolveError(f"steady-state residual {resid:.3e} exceeds 1e-10")

@@ -35,12 +35,11 @@ from scipy.signal import filtfilt
 
 from .errors import (
     BandwidthExceedsNyquistError,
-    ComplexRootError,
     InsufficientEnsembleError,
     TooFewSegmentsError,
     ValidationError,
 )
-from .entanglement import WitnessReport, _duan_sum, _nu_minus, make_report
+from .entanglement import WitnessReport, _checked_witnesses, _duan_sum, _nu_minus, make_report
 from .gaussian_core import closed_form_dynamics, symmetrize
 from .trajectory import (
     TrajectoryConfig,
@@ -316,22 +315,13 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     )
 
 
-def _point_witnesses(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Witness pair of point estimates; one with no real PT root is a
-    numerical failure (ComplexRootError), never a verdict."""
-    nu = _nu_minus(V)
-    if np.isnan(nu).any():
-        raise ComplexRootError("covariance estimate has no real PT symplectic eigenvalue")
-    return nu, _duan_sum(V)
-
-
 def witness_from_estimate(est: EstimatedCovariance) -> WitnessReport:
     """Witness pair for one estimate, with its segment-bootstrap standard errors.
 
     A NaN witness standard error fails every 3-sigma test, so a bootstrap
     replicate without a real PT root can block a verdict but never make one.
     """
-    nu, duan = _point_witnesses(est.V_hat)
+    nu, duan = _checked_witnesses(est.V_hat)
     return make_report(nu, duan, est.stderr_nu, est.stderr_duan)
 
 
@@ -340,7 +330,7 @@ def witness_with_uncertainty(estimates) -> WitnessReport:
     estimates = list(estimates)
     if len(estimates) < 2:
         raise InsufficientEnsembleError("need at least two independent estimates")
-    vals = np.column_stack(_point_witnesses(np.stack([e.V_hat for e in estimates])))
+    vals = np.column_stack(_checked_witnesses(np.stack([e.V_hat for e in estimates])))
     m = len(estimates)
     nu_mean, duan_mean = vals.mean(axis=0)
     nu_se = float(vals[:, 0].std(ddof=1)) / math.sqrt(m)

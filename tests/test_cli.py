@@ -1,15 +1,21 @@
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from colmode.cli import (
     load_record,
     main,
     phase_diagram_rows,
+    save_record,
     sha256_file,
 )
+from colmode.entanglement import witness_report_from_covariance
+from colmode.gaussian_core import ModelParams, build_diffusion, build_drift, solve_steady_lyapunov
+from colmode.trajectory import SourceTag, TrajectoryRecord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -83,8 +89,50 @@ class TestPhaseDiagram:
         assert len(text) == 2 + 30
         manifest = json.loads(next(out.glob("manifest_*.json")).read_text())
         assert manifest["schema"] == "colmode.manifest/1"
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
         recorded = {e["path"]: e["sha256"] for e in manifest["outputs"]}
         assert recorded["phase_diagram.csv"] == sha256_file(csv_path)
+
+    def test_tms_grid_matches_per_cell_oracle(self, monkeypatch):
+        # descending g axis: the first rows are UNSTABLE, the rest stacked
+        import colmode.cli as cli_mod
+
+        solves = []
+
+        def counted_solve(A, D):
+            solves.append(D.shape)
+            return solve_steady_lyapunov(A, D)
+
+        monkeypatch.setattr(cli_mod, "solve_steady_lyapunov", counted_solve)
+        kappa = 1.3
+        cfg = {
+            "preset": "TMS_HAMILTONIAN",
+            "kappa": kappa,
+            "g_over_kappa": {"min": 0.7, "max": 0.0, "steps": 9},
+            "n_eff": {"min": 0.0, "max": 3.0, "steps": 7},
+        }
+        rows = phase_diagram_rows(cfg)
+        assert len(rows) == 9 * 7
+        unstable = {r["g_over_kappa"] for r in rows if r["boundary_flag"] == "UNSTABLE"}
+        stable = {r["g_over_kappa"] for r in rows if r["boundary_flag"] == "STABLE"}
+        assert len(unstable) == 3 and len(stable) == 6
+        assert solves == [(7, 4, 4)] * 6
+        for r in rows:
+            G = r["g_over_kappa"] * kappa
+            if r["boundary_flag"] == "UNSTABLE":
+                assert r["nu_minus"] is None and r["entangled_ppt"] is None
+                continue
+            p = ModelParams(G=G, kappa_a=kappa, kappa_b=kappa, n_a=r["n_eff"], n_b=r["n_eff"])
+            rep = witness_report_from_covariance(
+                solve_steady_lyapunov(build_drift(p), build_diffusion(p))
+            )
+            assert r["nu_minus"] == rep.nu_minus
+            assert r["duan_sum"] == rep.duan_sum
+            assert r["entangled_ppt"] == rep.entangled_ppt
 
     def test_rows_are_canonically_sorted(self):
         import random
@@ -306,9 +354,6 @@ class TestExitCodes:
     def test_singular_estimate_exits_3_without_verdict(self, tmp_path):
         # a record with one silent quadrature has det V = 0: no real PT
         # root, so no verdict rather than nu_minus = 0 (entangled)
-        from colmode.cli import save_record
-        from colmode.trajectory import SourceTag, TrajectoryRecord
-
         samples = np.random.default_rng(4).standard_normal((5000, 4))
         samples[:, 3] = 0.0
         rec = TrajectoryRecord(samples=samples, dt=0.1, source=SourceTag.QUANTUM,
@@ -343,6 +388,75 @@ class TestExitCodes:
         assert main(["phase-diagram", "-c", cfg_path, "--out-dir", str(taken)]) == 2
         assert "error: cannot use output directory" in capsys.readouterr().err
         assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_bad_kappa_is_validation_error(self, tmp_path, capsys, kappa):
+        cfg_path = write_config(tmp_path, "pd.json", {
+            "kappa": kappa,
+            "g_over_kappa": {"min": 0.0, "max": 0.4, "steps": 3},
+            "n_eff": {"min": 0.0, "max": 1.0, "steps": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "-c", cfg_path, "--out-dir", str(out)]) == 2
+        assert "error: kappa" in capsys.readouterr().err
+        assert not (out / "phase_diagram.csv").exists()
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("simulate", {}, "params"),
+        ("simulate", {"params": small_simulate_config()["params"]}, "trajectory"),
+        ("simulate", dict(small_simulate_config(), ensemble="many"), "ensemble"),
+        ("converge", {}, "params"),
+        ("converge", {"params": small_simulate_config()["params"], "cells": [{"T": 5.0}]}, "B"),
+        ("analyze", {}, "pipeline"),
+        ("thresholds", {}, "B"),
+        ("thresholds", {"B": 1.0, "C_eff": 1.0, "f_col": "fast", "T_amb": 300.0}, "f_col"),
+        ("phase-diagram", {}, "g_over_kappa"),
+        ("phase-diagram", {"g_over_kappa": {"min": 0.0, "max": 0.4, "steps": "x"},
+                           "n_eff": {"min": 0.0, "max": 1.0, "steps": 2}}, "steps"),
+    ])
+    def test_missing_or_malformed_field_is_validation_error(
+        self, tmp_path, capsys, command, config, field
+    ):
+        cfg_path = write_config(tmp_path, "cfg.json", config)
+        records = [str(tmp_path / "none.npy")] if command == "analyze" else []
+        argv = [command, *records, "-c", cfg_path, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"'{field}'" in err[0] or f"error: {field} " in err[0]
+
+    @pytest.mark.parametrize("damage", [
+        "missing_record", "corrupt_record", "missing_sidecar", "malformed_sidecar",
+        "sidecar_not_object", "no_dt", "no_source", "no_seed", "bad_source",
+    ])
+    def test_bad_record_file_is_validation_error(self, tmp_path, capsys, damage):
+        rec = TrajectoryRecord(samples=np.random.default_rng(1).standard_normal((2000, 4)),
+                               dt=0.1, source=SourceTag.QUANTUM, seed=1, meta={"kappa": 1.0})
+        npy, side = save_record(rec, tmp_path / "rec", "npy", "m")
+        info = json.loads(side.read_text())
+        if damage == "missing_record":
+            npy.unlink()
+        elif damage == "corrupt_record":
+            npy.write_bytes(b"not an npy file")
+        elif damage == "missing_sidecar":
+            side.unlink()
+        elif damage == "malformed_sidecar":
+            side.write_text("{not json")
+        elif damage == "sidecar_not_object":
+            side.write_text("[1, 2]")
+        elif damage == "bad_source":
+            side.write_text(json.dumps(dict(info, source="MARTIAN")))
+        else:
+            del info[damage[3:]]
+            side.write_text(json.dumps(info))
+        an_cfg = write_config(tmp_path, "an.json", {
+            "pipeline": {"bandwidth": 1.0, "integration_time": 10.0, "bootstrap_resamples": 10},
+        })
+        out = tmp_path / "out"
+        assert main(["analyze", str(npy), "-c", an_cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "witness_report.json").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COLMODE_OUT_DIR", str(tmp_path / "envout"))

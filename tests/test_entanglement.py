@@ -9,6 +9,8 @@ from colmode.entanglement import (
     WitnessReport,
     _duan_sum,
     _nu_minus,
+    _require_positive_definite,
+    _require_symmetric,
     analytic_boundary,
     analytic_nu_minus,
     duan_witness,
@@ -50,6 +52,23 @@ class TestPartialTranspose:
         V = np.arange(16.0).reshape(4, 4)
         with pytest.raises(ValidationError):
             partial_transpose(V)
+        # in a stack, one asymmetric matrix is enough; the tolerance is per
+        # matrix, so a large neighbour does not widen it
+        slightly = 0.5 * np.eye(4)
+        slightly[0, 1] += 1e-8
+        for bad in (V, slightly):
+            with pytest.raises(ValidationError):
+                _require_symmetric(np.stack([1e3 * np.eye(4), bad]), stacked=True)
+        ok = np.stack([1e3 * np.eye(4), 0.5 * np.eye(4)])
+        assert np.array_equal(_require_symmetric(ok, stacked=True), ok)
+
+    def test_single_matrix_functions_reject_stacks(self):
+        stack = np.stack([0.5 * np.eye(4), np.eye(4)])
+        for fn in (partial_transpose, symplectic_eigenvalues, ppt_nu_minus,
+                   duan_witness, witness_report_from_covariance):
+            for V in (stack, np.eye(3), np.ones(16)):
+                with pytest.raises(ValidationError):
+                    fn(V)
 
 
 class TestSymplecticEigenvalues:
@@ -73,8 +92,11 @@ class TestSymplecticEigenvalues:
         assert nu_m == pytest.approx(expected, rel=1e-10)
 
     def test_not_positive_definite_rejected(self):
+        singular = np.diag([1.0, 1.0, 1.0, 0.0])
         with pytest.raises(NotPositiveDefiniteError):
-            symplectic_eigenvalues(np.diag([1.0, 1.0, 1.0, 0.0]))
+            symplectic_eigenvalues(singular)
+        with pytest.raises(NotPositiveDefiniteError):
+            _require_positive_definite(np.stack([np.eye(4), singular, np.eye(4)]), stacked=True)
 
 
 class TestPptNuMinus:

@@ -155,8 +155,24 @@ class TestSolveSteadyLyapunov:
 
     def test_unstable_drift_rejected(self):
         p = sym_params(G=0.5)
+        D = build_diffusion(p)
         with pytest.raises(UnstableDriftError):
-            solve_steady_lyapunov(build_drift(p), build_diffusion(p))
+            solve_steady_lyapunov(build_drift(p), D)
+        with pytest.raises(UnstableDriftError):
+            solve_steady_lyapunov(build_drift(p), np.stack([D, 2.0 * D]))
+
+    def test_stacked_diffusion_matches_per_matrix_solves(self, rng):
+        # one drift, a (2, 3, 4, 4) stack of diffusion matrices: every entry
+        # must be bit-identical to solving for its D alone
+        for _ in range(10):
+            p = random_stable_params(rng)
+            A = build_drift(p)
+            M = rng.standard_normal((2, 3, 4, 4))
+            D = M @ M.swapaxes(-1, -2) + build_diffusion(p)
+            V = solve_steady_lyapunov(A, D)
+            assert V.shape == D.shape
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(V[idx], solve_steady_lyapunov(A, D[idx]))
 
 
 class TestEvolveCovariance:
