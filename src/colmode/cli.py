@@ -21,7 +21,6 @@ import concurrent.futures
 import datetime
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -67,6 +66,7 @@ from .pipeline import (
 from .thresholds import (
     NoiseInputSpec,
     VminForm,
+    _positive,
     collective_occupation,
     cooperativity,
     n_eff_from_noise,
@@ -190,23 +190,25 @@ def save_record(record: TrajectoryRecord, base: Path, fmt: str, manifest_name: s
 
 
 def load_record(path) -> TrajectoryRecord:
+    """A .csv record, or a .npy record with its .meta.json sidecar; a file
+    that does not hold a valid record is a ValidationError."""
     path = Path(path)
-    if path.suffix == ".csv":
-        return load_record_csv(path)
     if path.suffix == ".npy":
-        side = path.with_suffix("").with_suffix(".meta.json")
-        info = _load_json(side, "record sidecar")
-        try:
-            return TrajectoryRecord(
-                samples=np.load(path, allow_pickle=False),
-                dt=_field(info, "dt", float),
-                source=_field(info, "source", SourceTag),
-                seed=_field(info, "seed", int),
-                meta=_field(info, "meta", _object, {}),
-            )
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot load record {path}: {exc}") from exc
-    raise ValidationError(f"unsupported record file {path}")
+        info = _load_json(path.with_suffix("").with_suffix(".meta.json"), "record sidecar")
+    elif path.suffix != ".csv":
+        raise ValidationError(f"unsupported record file {path}")
+    try:
+        if path.suffix == ".csv":
+            return load_record_csv(path)
+        return TrajectoryRecord(
+            samples=np.load(path, allow_pickle=False),
+            dt=_field(info, "dt", float),
+            source=_field(info, "source", SourceTag),
+            seed=_field(info, "seed", int),
+            meta=_field(info, "meta", _object, {}),
+        )
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot load record {path}: {exc}") from exc
 
 
 def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict | None = None):
@@ -267,11 +269,15 @@ def phase_diagram_rows(config: dict) -> list[dict]:
     """Witness grid over (g/kappa, n_eff), one coupling row at a time: each
     stable row takes one stacked solve, validation and witness evaluation."""
     preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
-    kappa = _field(config, "kappa", float, 1.0)
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValidationError(f"kappa must be positive and finite, got {kappa!r}")
+    kappa = _positive("kappa", _field(config, "kappa", float, 1.0))
     g_values = _field(config, "g_over_kappa", _axis_values)
     n_values = _field(config, "n_eff", _axis_values)
+    if preset is Preset.TMS_HAMILTONIAN:
+        # the diffusion depends on n_eff alone: one stack serves every row
+        D = np.stack([
+            build_diffusion(ModelParams(G=0.0, kappa_a=kappa, kappa_b=kappa, n_a=n, n_b=n))
+            for n in n_values
+        ])
     rows = []
     for g in g_values:
         G = g * kappa
@@ -281,7 +287,6 @@ def phase_diagram_rows(config: dict) -> list[dict]:
                 V = np.stack([closed_form_covariance(G, kappa, n) for n in n_values])
             else:
                 params = ModelParams(G=G, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
-                D = np.stack([build_diffusion(dc_replace(params, n_a=n, n_b=n)) for n in n_values])
                 V = solve_steady_lyapunov(build_drift(params), D)
             nu, duan = _checked_witnesses(_require_positive_definite(V, stacked=True))
         for k, n in enumerate(n_values):
@@ -514,7 +519,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
 def _threshold_report(config: dict) -> dict:
     kappa = _field(config, "kappa", float, None)
     if kappa is None and "ringdown_time" in config:
-        kappa = 1.0 / _field(config, "ringdown_time", float)
+        kappa = 1.0 / _positive("ringdown_time", _field(config, "ringdown_time", float))
     omega = config.get("omega_col")
     if omega is None and "f_col" in config:
         omega = 2.0 * np.pi * _field(config, "f_col", float)

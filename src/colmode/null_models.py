@@ -6,6 +6,11 @@ covariance V_cl convolved with the vacuum floor, V = V_cl + I/2.  States of
 this form admit a positive P-representation, so the Duan sum can never drop
 below 2 nor the smallest PT symplectic eigenvalue below 1/2; the generators
 are free to chase strong correlations without ever crossing either bound.
+Classicality is checked once per exact state, with enforce_classicality:
+classical_paramp_covariance checks its Lyapunov solution and
+gen_optimized_mixture checks its optimized state.  The objective that null
+model C minimizes evaluates mixture_state unchecked, because a mixture
+V_cl = M S M^T with S > 0 is positive semidefinite by construction.
 
 Classical fluctuations are Lorentzian-filtered (single-pole) noise matched
 in bandwidth and per-channel power to the quantum records they are compared
@@ -143,14 +148,42 @@ def _streams(rates, variances, total: int, rng, dt: float) -> np.ndarray:
     return _ar1_path(np.diag(f), sigma * z[0], z[1:] * drive)
 
 
-def _vacuum_part(kappa: float, total: int, rng, dt: float) -> np.ndarray:
-    return _streams([kappa / 2.0] * 4, [VACUUM] * 4, total, rng, dt)
+_SOURCE = {
+    NullKind.SHARED_NOISE: SourceTag.NULL_A,
+    NullKind.CLASSICAL_PARAMP: SourceTag.NULL_B,
+    NullKind.OPTIMIZED_MIXTURE: SourceTag.NULL_C,
+}
 
 
-def _default_config(config: TrajectoryConfig | None) -> TrajectoryConfig:
+def _checked_config(
+    spec: NullModelSpec, kind: NullKind, config: TrajectoryConfig | None
+) -> TrajectoryConfig:
+    """The trajectory config (or the default one) for a spec of the given kind."""
+    if spec.kind is not kind:
+        raise ValidationError(f"spec kind {spec.kind} is not {kind.value}")
     if config is None:
         return TrajectoryConfig(dt=0.05, n_steps=20000, scheme=Scheme.EXACT_OU)
     return config
+
+
+def _null_record(spec, config, kappa, classical, rng, **extra_meta) -> TrajectoryRecord:
+    """Record of the classical samples plus four vacuum streams, burn-in dropped.
+
+    The vacuum streams are drawn from rng after any classical streams it
+    produced, so each generator keeps its draw order.
+    """
+    vacuum = _streams([kappa / 2.0] * 4, [VACUUM] * 4, classical.shape[0], rng, config.dt)
+    meta = {
+        "kappa": kappa,
+        "null_kind": spec.kind.value,
+        "burn_in": config.burn_in,
+        "target_power": spec.target_power,
+        **extra_meta,
+    }
+    samples = (classical + vacuum)[config.burn_in :]
+    return TrajectoryRecord(
+        samples=samples, dt=config.dt, source=_SOURCE[spec.kind], seed=spec.seed, meta=meta
+    )
 
 
 def gen_shared_noise(
@@ -164,15 +197,12 @@ def gen_shared_noise(
     Lorentzian-filtered at the target bandwidth and scaled to the target
     power, then lifted by an independent vacuum stream per quadrature.
     """
-    if spec.kind is not NullKind.SHARED_NOISE:
-        raise ValidationError(f"spec kind {spec.kind} is not SHARED_NOISE")
-    config = _default_config(config)
+    config = _checked_config(spec, NullKind.SHARED_NOISE, config)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     total = config.burn_in + config.n_steps
     gamma = 2.0 * math.pi * spec.target_bandwidth
     # six unit-variance classical streams: (shared, local_a, local_b) per quadrature
     cl = _streams([gamma] * 6, [1.0] * 6, total, rng, config.dt)
-    vac = _vacuum_part(kappa, total, rng, config.dt)
     rho = spec.correlation
     amp = math.sqrt(spec.target_power)
     w_s, w_u = math.sqrt(rho), math.sqrt(1.0 - rho)
@@ -181,18 +211,18 @@ def gen_shared_noise(
     samples[:, 2] = amp * (w_s * cl[:, 0] + w_u * cl[:, 2])  # X_b
     samples[:, 1] = amp * (w_s * cl[:, 3] + w_u * cl[:, 4])  # P_a
     samples[:, 3] = amp * (w_s * cl[:, 3] + w_u * cl[:, 5])  # P_b
-    samples += vac
-    samples = samples[config.burn_in :]
-    meta = {
-        "kappa": kappa,
-        "null_kind": spec.kind.value,
-        "burn_in": config.burn_in,
-        "target_power": spec.target_power,
-        "correlation": rho,
-    }
-    return TrajectoryRecord(
-        samples=samples, dt=config.dt, source=SourceTag.NULL_A, seed=spec.seed, meta=meta
-    )
+    return _null_record(spec, config, kappa, samples, rng, correlation=rho)
+
+
+def _paramp_dynamics(spec: NullModelSpec, kappa: float):
+    """Drift, classical diffusion and classical occupancy of null model B."""
+    g = spec.gain
+    if 2.0 * g >= kappa:
+        raise UnstableGainError(f"classical gain {g:g} at or beyond kappa/2 = {kappa / 2:g}")
+    # classical occupancy reproducing the target per-quadrature power
+    n_cl = spec.target_power * (kappa**2 - 4.0 * g**2) / kappa**2
+    A = build_drift(ModelParams(G=g, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0))
+    return A, kappa * n_cl * np.eye(4), n_cl
 
 
 def gen_classical_paramp(
@@ -207,17 +237,8 @@ def gen_classical_paramp(
     then lifted by the vacuum floor.  Exhibits phase-sensitive
     cross-correlations while remaining positive-P by construction.
     """
-    if spec.kind is not NullKind.CLASSICAL_PARAMP:
-        raise ValidationError(f"spec kind {spec.kind} is not CLASSICAL_PARAMP")
-    config = _default_config(config)
-    g = spec.gain
-    if 2.0 * g >= kappa:
-        raise UnstableGainError(f"classical gain {g:g} at or beyond kappa/2 = {kappa / 2:g}")
-    # classical occupancy reproducing the target per-quadrature power
-    n_cl = spec.target_power * (kappa**2 - 4.0 * g**2) / kappa**2
-    params = ModelParams(G=g, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
-    A = build_drift(params)
-    D_cl = kappa * n_cl * np.eye(4)
+    config = _checked_config(spec, NullKind.CLASSICAL_PARAMP, config)
+    A, D_cl, n_cl = _paramp_dynamics(spec, kappa)
     total = config.burn_in + config.n_steps
     if n_cl > 0:
         cl_cfg = TrajectoryConfig(
@@ -227,30 +248,15 @@ def gen_classical_paramp(
     else:
         classical = np.zeros((total, 4))
     vac_rng = np.random.Generator(np.random.PCG64(derive_stream_seed(spec.seed, 1)))
-    samples = classical + _vacuum_part(kappa, total, vac_rng, config.dt)
-    samples = samples[config.burn_in :]
-    meta = {
-        "kappa": kappa,
-        "null_kind": spec.kind.value,
-        "burn_in": config.burn_in,
-        "target_power": spec.target_power,
-        "gain": g,
-        "classical_occupancy": n_cl,
-    }
-    return TrajectoryRecord(
-        samples=samples, dt=config.dt, source=SourceTag.NULL_B, seed=spec.seed, meta=meta
+    return _null_record(
+        spec, config, kappa, classical, vac_rng, gain=spec.gain, classical_occupancy=n_cl
     )
 
 
 def classical_paramp_covariance(spec: NullModelSpec, kappa: float = 1.0) -> np.ndarray:
     """Exact state of null model B (classical steady state plus vacuum)."""
-    g = spec.gain
-    if 2.0 * g >= kappa:
-        raise UnstableGainError("classical gain at or beyond kappa/2")
-    n_cl = spec.target_power * (kappa**2 - 4.0 * g**2) / kappa**2
-    params = ModelParams(G=g, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
-    A = build_drift(params)
-    V_cl = solve_steady_lyapunov(A, kappa * n_cl * np.eye(4)) if n_cl > 0 else np.zeros((4, 4))
+    A, D_cl, n_cl = _paramp_dynamics(spec, kappa)
+    V_cl = solve_steady_lyapunov(A, D_cl) if n_cl > 0 else np.zeros((4, 4))
     return enforce_classicality(V_cl)
 
 
@@ -264,19 +270,18 @@ def mixture_state(M_X, M_P, source_vars, target_power: float):
     mixed by real 2x2 matrices M_X (X quadratures) and M_P (P quadratures);
     each channel row pair is rescaled so the mean of its X and P classical
     variances equals target_power.  Returns (V, M_X_scaled, M_P_scaled) or
-    None when a channel row carries no power.
+    None when a channel row carries no power.  V_cl = M S M^T with S >= 0 is
+    positive semidefinite and is assembled exactly symmetric, so V is
+    classical by construction and is returned unchecked (see
+    gen_optimized_mixture).
     """
     M_X = np.asarray(M_X, dtype=float).reshape(2, 2)
     M_P = np.asarray(M_P, dtype=float).reshape(2, 2)
     S = np.diag(np.asarray(source_vars, dtype=float))
-    BX = M_X @ S @ M_X.T
-    BP = M_P @ S @ M_P.T
-    scales = np.empty(2)
-    for i in range(2):
-        var_i = 0.5 * (BX[i, i] + BP[i, i])
-        if var_i < 1e-12:
-            return None
-        scales[i] = math.sqrt(target_power / var_i)
+    var = 0.5 * (np.diag(M_X @ S @ M_X.T) + np.diag(M_P @ S @ M_P.T))
+    if np.any(var < 1e-12):
+        return None
+    scales = np.sqrt(target_power / var)
     M_Xs = M_X * scales[:, None]
     M_Ps = M_P * scales[:, None]
     BX = M_Xs @ S @ M_Xs.T
@@ -286,7 +291,7 @@ def mixture_state(M_X, M_P, source_vars, target_power: float):
     V_cl[2, 0] = BX[0, 1]
     V_cl[1, 1], V_cl[3, 3], V_cl[1, 3] = BP[0, 0], BP[1, 1], BP[0, 1]
     V_cl[3, 1] = BP[0, 1]
-    return enforce_classicality(V_cl), M_Xs, M_Ps
+    return V_cl + VACUUM * np.eye(4), M_Xs, M_Ps
 
 
 _PENALTY = 1e6
@@ -313,18 +318,18 @@ def gen_optimized_mixture(
 
     Derivative-free direct search (Nelder-Mead) over two source log-gains
     and the two real 2x2 mixing matrices, with seeded random restarts;
-    classicality (vacuum floor) and per-channel power are enforced inside
-    the objective, so the achieved Duan sum can approach but never beat 2.
+    per-channel power is normalized inside the objective and every
+    candidate is classical by construction (mixture_state), so the achieved
+    Duan sum can approach but never beat 2.  The optimized state is checked
+    once with enforce_classicality before its record is drawn.
     Returns (record, report) where report is the exact witness of the
     optimized state; optimizer metadata lands in record.meta["optimizer"].
     """
-    if spec.kind is not NullKind.OPTIMIZED_MIXTURE:
-        raise ValidationError(f"spec kind {spec.kind} is not OPTIMIZED_MIXTURE")
+    config = _checked_config(spec, NullKind.OPTIMIZED_MIXTURE, config)
     if objective not in ("duan", "nu_minus"):
         raise ValidationError("objective must be 'duan' or 'nu_minus'")
     if restarts < 1 or max_evals < 10:
         raise ValidationError("need restarts >= 1 and max_evals >= 10")
-    config = _default_config(config)
 
     best = None
     converged = False
@@ -344,6 +349,7 @@ def gen_optimized_mixture(
     lg = np.clip(best.x[:2], -5.0, 5.0)
     source_vars = np.exp(2.0 * lg)
     V, M_Xs, M_Ps = mixture_state(best.x[2:6], best.x[6:10], source_vars, spec.target_power)
+    V = enforce_classicality(V - VACUUM * np.eye(4))
 
     # realize the optimized state as a time series: four classical source
     # streams (x1, x2, p1, p2) plus the four vacuum streams
@@ -357,33 +363,22 @@ def gen_optimized_mixture(
         rng,
         config.dt,
     )
-    vac = _vacuum_part(kappa, total, rng, config.dt)
     samples = np.empty((total, 4))
     samples[:, 0] = src[:, :2] @ M_Xs[0]
     samples[:, 2] = src[:, :2] @ M_Xs[1]
     samples[:, 1] = src[:, 2:] @ M_Ps[0]
     samples[:, 3] = src[:, 2:] @ M_Ps[1]
-    samples += vac
-    samples = samples[config.burn_in :]
-
-    report = witness_report_from_covariance(V)
-    meta = {
-        "kappa": kappa,
-        "null_kind": spec.kind.value,
-        "burn_in": config.burn_in,
-        "target_power": spec.target_power,
-        "optimizer": {
+    record = _null_record(
+        spec, config, kappa, samples, rng,
+        optimizer={
             "objective": objective,
             "achieved": float(best.fun),
             "converged": converged,
             "restarts": restarts,
             "max_evals": max_evals,
         },
-    }
-    record = TrajectoryRecord(
-        samples=samples, dt=config.dt, source=SourceTag.NULL_C, seed=spec.seed, meta=meta
     )
-    return record, report
+    return record, witness_report_from_covariance(V)
 
 
 def matched_null_specs(

@@ -349,8 +349,24 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
     return estimate_covariance(processed, config)
 
 
-def _cell_dt(B: float) -> float:
-    return min(0.1, 1.0 / (8.0 * B))
+def _cell_witness(
+    A, D, T, B, runs, segments_per_record, seed, bootstrap_resamples, segment_statistic
+) -> WitnessReport:
+    """Ensemble witness of one (T, B) cell over `runs` fresh records of
+    segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)).
+    PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long."""
+    pconf = PipelineConfig(
+        bandwidth=B,
+        integration_time=T,
+        bootstrap_resamples=bootstrap_resamples,
+        segment_statistic=segment_statistic,
+    )
+    dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
+    m = int(round(pconf.integration_time / dt))
+    cfg = TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
+    return witness_with_uncertainty(
+        analyze_record(r, pconf) for r in sample_ensemble(A, D, cfg, runs)
+    )
 
 
 def convergence_sweep(
@@ -375,23 +391,10 @@ def convergence_sweep(
         raise ValidationError("runs_per_cell must be >= 2")
     rows = []
     for i, (T, B) in enumerate(cells):
-        dt = _cell_dt(B)
-        m = int(round(T / dt))
-        if m < 4:
-            raise ValidationError(f"cell (T={T}, B={B}) has fewer than 4 samples per segment")
-        cfg = TrajectoryConfig(
-            dt=dt,
-            n_steps=segments_per_record * m,
-            master_seed=derive_stream_seed(master_seed, 1000 + i),
+        rep = _cell_witness(
+            A, D, T, B, runs_per_cell, segments_per_record,
+            derive_stream_seed(master_seed, 1000 + i), bootstrap_resamples, segment_statistic,
         )
-        pconf = PipelineConfig(
-            bandwidth=B,
-            integration_time=T,
-            bootstrap_resamples=bootstrap_resamples,
-            segment_statistic=segment_statistic,
-        )
-        ests = [analyze_record(r, pconf) for r in sample_ensemble(A, D, cfg, runs_per_cell)]
-        rep = witness_with_uncertainty(ests)
         rows.append(
             {
                 "T": float(T),
@@ -430,20 +433,13 @@ def crossing_scan(
     g_values = sorted(float(g) for g in g_values)
     rows = []
     for ci, (T, B) in enumerate(cells):
-        dt = _cell_dt(B)
-        m = int(round(T / dt))
-        pconf = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0,
-                               segment_statistic=segment_statistic)
         means, errs = [], []
         for gi, g in enumerate(g_values):
             A, D = closed_form_dynamics(g * kappa, kappa, n)
-            cfg = TrajectoryConfig(
-                dt=dt,
-                n_steps=segments_per_record * m,
-                master_seed=derive_stream_seed(master_seed, 10000 + 100 * ci + gi),
+            rep = _cell_witness(
+                A, D, T, B, runs_per_cell, segments_per_record,
+                derive_stream_seed(master_seed, 10000 + 100 * ci + gi), 0, segment_statistic,
             )
-            ests = [analyze_record(r, pconf) for r in sample_ensemble(A, D, cfg, runs_per_cell)]
-            rep = witness_with_uncertainty(ests)
             means.append(rep.nu_minus)
             errs.append(rep.stderr_nu)
         g_cross = sigma = None

@@ -413,6 +413,9 @@ class TestExitCodes:
         ("phase-diagram", {}, "g_over_kappa"),
         ("phase-diagram", {"g_over_kappa": {"min": 0.0, "max": 0.4, "steps": "x"},
                            "n_eff": {"min": 0.0, "max": 1.0, "steps": 2}}, "steps"),
+        *[("thresholds", {"B": 1.0, "C_eff": 1e-12, "f_col": 1e6, "T_amb": 300.0,
+                          "R_eff": 50.0, "ringdown_time": t}, "ringdown_time")
+          for t in (0.0, -15e-6, float("nan"), float("inf"))],
     ])
     def test_missing_or_malformed_field_is_validation_error(
         self, tmp_path, capsys, command, config, field
@@ -428,34 +431,45 @@ class TestExitCodes:
     @pytest.mark.parametrize("damage", [
         "missing_record", "corrupt_record", "missing_sidecar", "malformed_sidecar",
         "sidecar_not_object", "no_dt", "no_source", "no_seed", "bad_source",
+        "csv_bad_value", "csv_bad_source",
     ])
     def test_bad_record_file_is_validation_error(self, tmp_path, capsys, damage):
         rec = TrajectoryRecord(samples=np.random.default_rng(1).standard_normal((2000, 4)),
                                dt=0.1, source=SourceTag.QUANTUM, seed=1, meta={"kappa": 1.0})
-        npy, side = save_record(rec, tmp_path / "rec", "npy", "m")
-        info = json.loads(side.read_text())
-        if damage == "missing_record":
-            npy.unlink()
-        elif damage == "corrupt_record":
-            npy.write_bytes(b"not an npy file")
-        elif damage == "missing_sidecar":
-            side.unlink()
-        elif damage == "malformed_sidecar":
-            side.write_text("{not json")
-        elif damage == "sidecar_not_object":
-            side.write_text("[1, 2]")
-        elif damage == "bad_source":
-            side.write_text(json.dumps(dict(info, source="MARTIAN")))
+        if damage.startswith("csv_"):
+            (path,) = save_record(rec, tmp_path / "rec", "csv", "m")
+            text = path.read_text()
+            path.write_text({
+                "csv_bad_value": text + "0.1,1,2,3,abc\n",
+                "csv_bad_source": text.replace("source=QUANTUM", "source=BOGUS"),
+            }[damage])
         else:
-            del info[damage[3:]]
-            side.write_text(json.dumps(info))
+            path, side = save_record(rec, tmp_path / "rec", "npy", "m")
+            info = json.loads(side.read_text())
+            if damage == "missing_record":
+                path.unlink()
+            elif damage == "corrupt_record":
+                path.write_bytes(b"not an npy file")
+            elif damage == "missing_sidecar":
+                side.unlink()
+            elif damage == "malformed_sidecar":
+                side.write_text("{not json")
+            elif damage == "sidecar_not_object":
+                side.write_text("[1, 2]")
+            elif damage == "bad_source":
+                side.write_text(json.dumps(dict(info, source="MARTIAN")))
+            else:
+                del info[damage[3:]]
+                side.write_text(json.dumps(info))
         an_cfg = write_config(tmp_path, "an.json", {
             "pipeline": {"bandwidth": 1.0, "integration_time": 10.0, "bootstrap_resamples": 10},
         })
         out = tmp_path / "out"
-        assert main(["analyze", str(npy), "-c", an_cfg, "--out-dir", str(out)]) == 2
+        assert main(["analyze", str(path), "-c", an_cfg, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        if damage.startswith("csv_"):
+            assert err[0].startswith("error: cannot load record")
         assert not (out / "witness_report.json").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from colmode.entanglement import duan_witness, ppt_nu_minus
+from colmode import null_models
+from colmode.entanglement import _duan_sum, _nu_minus, duan_witness, ppt_nu_minus
 from colmode.errors import NotPsdError, UnstableGainError, ValidationError
 from colmode.gaussian_core import check_physicality, closed_form_covariance
 from colmode.null_models import (
@@ -177,6 +178,35 @@ class TestOptimizedMixture:
 
     def test_degenerate_row_returns_none(self):
         assert mixture_state(np.zeros((2, 2)), np.zeros((2, 2)), [1.0, 1.0], 0.6) is None
+
+    @given(
+        theta=st.lists(st.floats(-4.0, 4.0), min_size=10, max_size=10),
+        power=st.floats(0.01, 5.0),
+    )
+    def test_mixture_state_is_classical_by_construction(self, theta, power):
+        # why the objective may skip enforce_classicality: every candidate
+        # state already passes it, unchanged to the last bit
+        theta = np.array(theta)
+        out = mixture_state(theta[2:6], theta[6:10], np.exp(2.0 * theta[:2]), power)
+        assume(out is not None)
+        V = out[0]
+        assert np.array_equal(enforce_classicality(V - 0.5 * np.eye(4)), V)
+        assert _duan_sum(V) >= 2.0 - 1e-12
+        assert _nu_minus(V) >= 0.5 - 1e-10
+
+    def test_classicality_checked_once_per_search(self, monkeypatch):
+        calls = []
+
+        def counting(V_cl):
+            calls.append(1)
+            return enforce_classicality(V_cl)
+
+        monkeypatch.setattr(null_models, "enforce_classicality", counting)
+        gen_optimized_mixture(
+            self.spec(), config=TrajectoryConfig(dt=0.1, n_steps=200),
+            restarts=2, max_evals=300,
+        )
+        assert len(calls) == 1
 
     def test_optimizer_saturates_classical_bound(self):
         rec, rep = gen_optimized_mixture(
