@@ -167,6 +167,25 @@ def _object(value) -> dict:
     return value
 
 
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _count(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {value!r}")
+    return n
+
+
+def _record_format(value) -> str:
+    if value not in ("npy", "csv"):
+        raise ValueError(f"must be 'npy' or 'csv', got {value!r}")
+    return value
+
+
 def save_record(record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str) -> list[Path]:
     """Persist one record; returns the written paths."""
     meta = dict(record.meta)
@@ -329,17 +348,6 @@ def cmd_phase_diagram(config: dict, out_dir: Path, seed, threads: int) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _member_args(
-    params: ModelParams, traj: TrajectoryConfig, config: dict, out_dir: Path, manifest_name: str
-):
-    fmt = config.get("format", "npy")
-    n_members = _field(config, "ensemble", int, 1)
-    return [
-        (params.to_dict(), traj.to_dict(), k, str(out_dir / f"quantum_{k:04d}"), fmt, manifest_name)
-        for k in range(n_members)
-    ]
-
-
 def _simulate_member(args) -> list[str]:
     params_d, traj_d, k, base, fmt, manifest_name = args
     params = ModelParams.from_dict(params_d)
@@ -360,14 +368,20 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
         config["trajectory"] = dict(_field(config, "trajectory", _object), master_seed=int(seed))
     params = _field(config, "params", ModelParams.from_dict)
     traj = _field(config, "trajectory", TrajectoryConfig.from_dict)
+    fmt = _field(config, "format", _record_format, "npy")
+    n_members = _field(config, "ensemble", _count, 1)
+    trio = _field(config, "null_trio", _object, {})
+    trio_enabled = _field(trio, "enabled", _bool, False)
     name, manifest = make_manifest("simulate", config, config["trajectory"].get("master_seed"), threads)
     written: list[Path] = []
-    members = _member_args(params, traj, config, out_dir, name)
+    members = [
+        (params.to_dict(), traj.to_dict(), k, str(out_dir / f"quantum_{k:04d}"), fmt, name)
+        for k in range(n_members)
+    ]
     for paths in _pmap(_simulate_member, members, threads):
         written.extend(Path(p) for p in paths)
 
-    trio = _field(config, "null_trio", _object, {})
-    if trio.get("enabled", False):
+    if trio_enabled:
         V_q = steady_state_covariance(params)
         specs = matched_null_specs(
             V_q,
@@ -376,15 +390,10 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
             correlation=_field(trio, "correlation", float, 0.7),
             gain=trio.get("gain"),
         )
-        fmt = config.get("format", "npy")
         rec_a = gen_shared_noise(specs[NullKind.SHARED_NOISE], traj, kappa=params.kappa_a)
         rec_b = gen_classical_paramp(specs[NullKind.CLASSICAL_PARAMP], traj, kappa=params.kappa_a)
         rec_c, _ = gen_optimized_mixture(
-            specs[NullKind.OPTIMIZED_MIXTURE],
-            config=traj,
-            kappa=params.kappa_a,
-            restarts=_field(trio, "restarts", int, 8),
-            max_evals=_field(trio, "max_evals", int, 2000),
+            specs[NullKind.OPTIMIZED_MIXTURE], config=traj, kappa=params.kappa_a
         )
         for tag, rec in (("null_a", rec_a), ("null_b", rec_b), ("null_c", rec_c)):
             written.extend(save_record(rec, out_dir / tag, fmt, name))

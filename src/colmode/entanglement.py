@@ -175,8 +175,7 @@ def _nu_minus(V: np.ndarray):
 def _duan_sum(V: np.ndarray):
     """EPR-variance sum of each covariance in a (..., 4, 4) stack, minimized
     over the two sign orientations; no positive-definiteness check."""
-    # v[j, i] is V[..., i, j], stack axes reversed until the final .T; one
-    # matrix gives numpy scalars, which keeps null model C's objective cheap
+    # v[j, i] is V[..., i, j], stack axes reversed until the final .T
     v = np.asarray(V, dtype=float).T
     xx, pp = v[0, 0] + v[2, 2], v[1, 1] + v[3, 3]
     w1 = (xx - 2 * v[2, 0]) + (pp + 2 * v[3, 1])

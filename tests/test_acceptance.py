@@ -217,7 +217,7 @@ def _null_records(seed_base: int, n_specs: int):
         )
         yield gen_shared_noise(shared, cfg)
         yield gen_classical_paramp(paramp, cfg)
-        yield gen_optimized_mixture(mixture, config=cfg, restarts=2, max_evals=300)[0]
+        yield gen_optimized_mixture(mixture, config=cfg)[0]
 
 
 def test_07_null_model_falsification():

@@ -14,7 +14,13 @@ from colmode.cli import (
     sha256_file,
 )
 from colmode.entanglement import witness_report_from_covariance
-from colmode.gaussian_core import ModelParams, build_diffusion, build_drift, solve_steady_lyapunov
+from colmode.gaussian_core import (
+    ModelParams,
+    build_diffusion,
+    build_drift,
+    solve_steady_lyapunov,
+    steady_state_covariance,
+)
 from colmode.trajectory import SourceTag, TrajectoryRecord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -186,8 +192,10 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, "sim.json", cfg)
         out = tmp_path / "out"
         assert main(["simulate", "-c", cfg_path, "--out-dir", str(out)]) == 0
-        quantum = load_record(out / "quantum_0000.npy")
-        target = float(np.mean(np.var(quantum.samples, axis=0)))
+        # the exact power of the quantum state the trio is matched to, not a
+        # record's sample estimate of it
+        V_q = steady_state_covariance(ModelParams.from_dict(cfg["params"]))
+        target = float(np.mean(np.diag(V_q)))
         for tag in ("null_a", "null_b", "null_c"):
             rec = load_record(out / f"{tag}.npy")
             power = float(np.mean(np.var(rec.samples, axis=0)))
@@ -416,6 +424,9 @@ class TestExitCodes:
         *[("thresholds", {"B": 1.0, "C_eff": 1e-12, "f_col": 1e6, "T_amb": 300.0,
                           "R_eff": 50.0, "ringdown_time": t}, "ringdown_time")
           for t in (0.0, -15e-6, float("nan"), float("inf"))],
+        ("simulate", small_simulate_config(fmt="xml"), "format"),
+        ("simulate", small_simulate_config(null_trio="false"), "enabled"),
+        *[("simulate", small_simulate_config(ensemble=n), "ensemble") for n in (0, -3)],
     ])
     def test_missing_or_malformed_field_is_validation_error(
         self, tmp_path, capsys, command, config, field
