@@ -303,7 +303,9 @@ def phase_diagram_rows(config: dict) -> list[dict]:
         unstable = 2.0 * G >= kappa
         if not unstable:
             if preset is Preset.CLOSED_FORM:
-                V = np.stack([closed_form_covariance(G, kappa, n) for n in n_values])
+                # an n_eff that overflows leaves non-finite entries, refused below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    V = np.stack([closed_form_covariance(G, kappa, n) for n in n_values])
             else:
                 params = ModelParams(G=G, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
                 V = solve_steady_lyapunov(build_drift(params), D)

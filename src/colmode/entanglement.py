@@ -103,11 +103,13 @@ def make_report(nu_minus, duan_sum, stderr_nu=0.0, stderr_duan=0.0) -> WitnessRe
 
 
 def _require_symmetric(V: np.ndarray, stacked: bool = False) -> np.ndarray:
-    """V as one symmetric 4x4 covariance, or with stacked=True as a
+    """V as one finite symmetric 4x4 covariance, or with stacked=True as a
     (..., 4, 4) stack of them; the symmetry tolerance is per matrix."""
     V = np.asarray(V, dtype=float)
     if V.shape[-2:] != (4, 4) or (V.ndim != 2 and not stacked):
         raise ValidationError(f"expected a 4x4 covariance matrix, got {V.shape}")
+    if not np.isfinite(V).all():
+        raise ValidationError("covariance matrix has non-finite entries")
     scale = np.maximum(1.0, np.abs(V).max(axis=(-2, -1)))
     if np.any(np.abs(V - V.swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-10 * scale):
         raise ValidationError("covariance matrix must be symmetric")

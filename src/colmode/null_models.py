@@ -25,20 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import witness_report_from_covariance
+from .entanglement import _require_symmetric, witness_report_from_covariance
 from .errors import NotPsdError, UnstableGainError, ValidationError
-from .gaussian_core import (
-    ModelParams,
-    build_drift,
-    solve_steady_lyapunov,
-    symmetrize,
-)
+from .gaussian_core import ModelParams, build_drift, solve_steady_lyapunov
 from .trajectory import (
     Scheme,
     SourceTag,
     TrajectoryConfig,
     TrajectoryRecord,
-    _ar1_path,
+    _draw_path,
     derive_stream_seed,
     sample_exact_ou,
 )
@@ -127,23 +122,18 @@ def enforce_classicality(V_cl: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     Requires V_cl >= 0; the result has every single-quadrature variance
     >= 1/2 and smallest PT symplectic eigenvalue >= 1/2.
     """
-    V_cl = np.asarray(V_cl, dtype=float)
-    if V_cl.shape != (4, 4):
-        raise ValidationError("classical covariance must be 4x4")
-    if np.max(np.abs(V_cl - V_cl.T)) > 1e-10 * max(1.0, np.max(np.abs(V_cl))):
-        raise ValidationError("classical covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh(symmetrize(V_cl))) < -tol * max(1.0, np.max(np.abs(V_cl))):
+    V_cl = _require_symmetric(V_cl)
+    if np.min(np.linalg.eigvalsh(V_cl)) < -tol * max(1.0, np.max(np.abs(V_cl))):
         raise NotPsdError("classical covariance is not positive semidefinite")
-    return symmetrize(V_cl) + VACUUM * np.eye(4)
+    return V_cl + VACUUM * np.eye(4)
 
 
 def _streams(rates, variances, total: int, rng, dt: float) -> np.ndarray:
     """Stationary scalar OU streams, one column per (rate, variance) pair."""
     f = np.array([math.exp(-r * dt) for r in rates])
     sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
-    z = rng.standard_normal((total, f.size))
     drive = sigma * np.sqrt(np.clip(1.0 - f * f, 0.0, None))
-    return _ar1_path(np.diag(f), sigma * z[0], z[1:] * drive)
+    return _draw_path(np.diag(f), np.diag(drive), np.diag(sigma), total, rng)
 
 
 _SOURCE = {

@@ -124,11 +124,11 @@ class EstimatedCovariance:
     """Empirical covariance with segment-bootstrap standard errors.
 
     stderr_nu and stderr_duan come from the same replicates as stderr (NaN
-    if one has no real PT root).  calibration is the accumulated
-    vacuum-reference transfer of any applied band-limit filters (already
-    divided out of V_hat and stderr); attenuation is the segment-averaging
-    factor of the "mean" statistic (1.0 for second moments).  Both are
-    reported, never hidden.
+    if one has no real PT root; all of them are NaN with fewer than two
+    replicates).  calibration is the accumulated vacuum-reference transfer
+    of any applied band-limit filters (already divided out of V_hat and
+    stderr); attenuation is the segment-averaging factor of the "mean"
+    statistic (1.0 for second moments).  Both are reported, never hidden.
     """
 
     V_hat: np.ndarray
@@ -240,16 +240,24 @@ def _ou_mean_attenuation(gamma: float, dt: float, m: int) -> float:
     return float(1.0 / m + (2.0 / m**2) * np.sum((m - j) * r**j))
 
 
+def _cov_of_means(stats: np.ndarray) -> np.ndarray:
+    """Sample covariance (ddof 1) of (..., n_seg, 4) segment means, with
+    numpy's own order of operations, so one matrix matches numpy bit for bit."""
+    d = stats - stats.mean(axis=-2, keepdims=True)
+    return d.swapaxes(-1, -2) @ d * (1.0 / (stats.shape[-2] - 1))
+
+
 def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> EstimatedCovariance:
     """Segmented covariance estimate with bootstrap uncertainties.
 
     The record is split into floor(duration / T) non-overlapping segments of
     length T = config.integration_time.  Each segment contributes one
-    statistic (second-moment matrix by default); their average is the
-    covariance estimate and segment-level bootstrap resampling gives the
-    per-entry and the witness standard errors.  N_eff = T * B is reported
-    alongside.  The sample covariance of k segment means in 4-D has rank
-    <= k - 1, so the "mean" statistic needs MIN_MEAN_SEGMENTS segments.
+    statistic (second-moment matrix by default), and one reduction of the
+    segment statistics gives both the covariance estimate and each
+    segment-level bootstrap replicate, whose spread gives the per-entry and
+    the witness standard errors.  N_eff = T * B is reported alongside.  The
+    sample covariance of k segment means in 4-D has rank <= k - 1, so the
+    "mean" statistic needs MIN_MEAN_SEGMENTS segments.
     """
     dt = record.dt
     m = int(round(config.integration_time / dt))
@@ -270,33 +278,28 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
 
     if config.segment_statistic == "second_moment":
         stats = np.einsum("smi,smj->sij", X, X) / m
-        V_hat = symmetrize(stats.mean(axis=0)) / cal
-        atten = 1.0
+        reduce, atten = (lambda s: s.mean(axis=-3)), 1.0
     else:
         stats = X.mean(axis=1)
         kappa = float(record.meta.get("kappa", 1.0))
-        atten = _ou_mean_attenuation(kappa / 2.0, dt, m)
-        V_hat = symmetrize(np.cov(stats.T, ddof=1)) / (atten * cal)
+        reduce, atten = _cov_of_means, _ou_mean_attenuation(kappa / 2.0, dt, m)
+    V_hat = symmetrize(reduce(stats)) / (atten * cal)
 
     resamples = config.bootstrap_resamples
-    if resamples > 0:
+    if resamples >= 2:
         rng = np.random.Generator(
             np.random.PCG64(derive_stream_seed(record.seed, _BOOT_STREAM))
         )
         idx = rng.integers(0, n_seg, size=(resamples, n_seg))
-        if config.segment_statistic == "second_moment":
-            boot = stats[idx].mean(axis=1) / cal
-        else:
-            boot = np.empty((resamples, 4, 4))
-            for b in range(resamples):
-                boot[b] = np.cov(stats[idx[b]].T, ddof=1) / (atten * cal)
+        boot = reduce(stats[idx]) / (atten * cal)
         stderr = boot.std(axis=0, ddof=1)
         boot = symmetrize(boot)
         stderr_nu = float(_nu_minus(boot).std(ddof=1))
         stderr_duan = float(_duan_sum(boot).std(ddof=1))
     else:
-        stderr = np.zeros((4, 4))
-        stderr_nu = stderr_duan = 0.0
+        # fewer than two replicates have no spread: no standard error, no verdict
+        stderr = np.full((4, 4), np.nan)
+        stderr_nu = stderr_duan = math.nan
 
     return EstimatedCovariance(
         V_hat=V_hat,
@@ -319,7 +322,8 @@ def witness_from_estimate(est: EstimatedCovariance) -> WitnessReport:
     """Witness pair for one estimate, with its segment-bootstrap standard errors.
 
     A NaN witness standard error fails every 3-sigma test, so a bootstrap
-    replicate without a real PT root can block a verdict but never make one.
+    replicate without a real PT root, or a run with fewer than two
+    replicates, can block a verdict but never make one.
     """
     nu, duan = _checked_witnesses(est.V_hat)
     return make_report(nu, duan, est.stderr_nu, est.stderr_duan)
@@ -350,15 +354,16 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
 
 
 def _cell_witness(
-    A, D, T, B, runs, segments_per_record, seed, bootstrap_resamples, segment_statistic
+    A, D, T, B, runs, segments_per_record, seed, segment_statistic
 ) -> WitnessReport:
     """Ensemble witness of one (T, B) cell over `runs` fresh records of
     segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)).
-    PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long."""
+    PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long.
+    No bootstrap: the ensemble witness reads only each record's V_hat."""
     pconf = PipelineConfig(
         bandwidth=B,
         integration_time=T,
-        bootstrap_resamples=bootstrap_resamples,
+        bootstrap_resamples=0,
         segment_statistic=segment_statistic,
     )
     dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
@@ -376,7 +381,6 @@ def convergence_sweep(
     runs_per_cell: int = 16,
     segments_per_record: int = 24,
     master_seed: int = 0,
-    bootstrap_resamples: int = 0,
     segment_statistic: str = "second_moment",
 ) -> dict:
     """Witness mean and standard error versus N_eff = T * B.
@@ -385,15 +389,19 @@ def convergence_sweep(
     the pipeline, and reduced to the ensemble witness; the fitted slope of
     log(stderr) against log(N_eff) is returned along with the per-cell rows.
     With the number of runs and segments held fixed across cells, the
-    standard error scales as N_eff^(-1/2).
+    standard error scales as N_eff^(-1/2).  The slope needs cells at two or
+    more distinct N_eff values.
     """
     if runs_per_cell < 2:
         raise ValidationError("runs_per_cell must be >= 2")
+    cells = list(cells)
+    if len({float(T) * float(B) for T, B in cells}) < 2:
+        raise ValidationError("convergence sweep needs cells at >= 2 distinct N_eff = T * B")
     rows = []
     for i, (T, B) in enumerate(cells):
         rep = _cell_witness(
             A, D, T, B, runs_per_cell, segments_per_record,
-            derive_stream_seed(master_seed, 1000 + i), bootstrap_resamples, segment_statistic,
+            derive_stream_seed(master_seed, 1000 + i), segment_statistic,
         )
         rows.append(
             {
@@ -438,7 +446,7 @@ def crossing_scan(
             A, D = closed_form_dynamics(g * kappa, kappa, n)
             rep = _cell_witness(
                 A, D, T, B, runs_per_cell, segments_per_record,
-                derive_stream_seed(master_seed, 10000 + 100 * ci + gi), 0, segment_statistic,
+                derive_stream_seed(master_seed, 10000 + 100 * ci + gi), segment_statistic,
             )
             means.append(rep.nu_minus)
             errs.append(rep.stderr_nu)

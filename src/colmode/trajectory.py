@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -184,23 +184,33 @@ def _ar1_path(F: np.ndarray, r0: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
-    """Shared precomputation for exact-OU sampling: (F, Lq, Linf, Vinf)."""
+    """Shared precomputation for exact-OU sampling: (F, Lq, Linf)."""
     Vinf = solve_steady_lyapunov(A, D)
     F = scipy.linalg.expm(np.asarray(A, dtype=float) * dt)
     Q = symmetrize(Vinf - F @ Vinf @ F.T)
-    return F, _psd_factor(Q), _psd_factor(Vinf), Vinf
+    return F, _psd_factor(Q), _psd_factor(Vinf)
 
 
-def _draw_path(F, Lnoise, Linf, config: TrajectoryConfig, seed: int, r0=None) -> np.ndarray:
-    """One stream: R_0 explicit, or Linf-distributed, or the origin."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    total = config.burn_in + config.n_steps
+def _draw_path(F, Lnoise, L0, total: int, rng, r0=None) -> np.ndarray:
+    """total samples of R_{k+1} = F R_k + Lnoise z_k from R_0 = r0, else L0 z
+    (the origin if L0 is None); R_0's normals are drawn from rng first."""
+    n = F.shape[0]
     if r0 is None:
-        r0 = Linf @ rng.standard_normal(4) if Linf is not None else np.zeros(4)
-    z = rng.standard_normal((total - 1, 4)) if total > 1 else np.empty((0, 4))
-    w = z @ Lnoise.T
-    path = _ar1_path(F, r0, w)
-    return path[config.burn_in :]
+        r0 = L0 @ rng.standard_normal(n) if L0 is not None else np.zeros(n)
+    w = rng.standard_normal((total - 1, n)) @ Lnoise.T
+    return _ar1_path(F, r0, w)
+
+
+def _records(F, Lnoise, L0, config, scheme, source, meta, members, r0=None):
+    """One record of _draw_path per (seed, extra meta) member, burn-in dropped."""
+    total = config.burn_in + config.n_steps
+    base = {"scheme": scheme.value, "burn_in": config.burn_in, **(meta or {})}
+    records = []
+    for seed, extra in members:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        samples = _draw_path(F, Lnoise, L0, total, rng, r0)[config.burn_in :]
+        records.append(TrajectoryRecord(samples, config.dt, source, seed, {**base, **extra}))
+    return records
 
 
 def sample_exact_ou(
@@ -215,15 +225,9 @@ def sample_exact_ou(
     R_0 is drawn from the steady-state Gaussian, so every sample is
     marginally steady-state distributed and burn_in only discards samples.
     """
-    if config.scheme is not Scheme.EXACT_OU:
-        config = replace(config, scheme=Scheme.EXACT_OU)
-    F, Lq, Linf, _ = _steady_prep(A, D, config.dt)
-    seed = config.master_seed
-    samples = _draw_path(F, Lq, Linf, config, seed)
-    m = {"scheme": Scheme.EXACT_OU.value, "burn_in": config.burn_in}
-    if meta:
-        m.update(meta)
-    return TrajectoryRecord(samples=samples, dt=config.dt, source=source, seed=seed, meta=m)
+    F, Lq, Linf = _steady_prep(A, D, config.dt)
+    members = [(config.master_seed, {})]
+    return _records(F, Lq, Linf, config, Scheme.EXACT_OU, source, meta, members)[0]
 
 
 def sample_euler_maruyama(
@@ -241,8 +245,6 @@ def sample_euler_maruyama(
     override (e.g. for decay tests).  Noise streams are not sample-compatible
     with the exact scheme even at the same seed.
     """
-    if config.scheme is not Scheme.EULER_MARUYAMA:
-        config = replace(config, scheme=Scheme.EULER_MARUYAMA)
     A = np.asarray(A, dtype=float)
     D = np.asarray(D, dtype=float)
     rate = float(np.max(np.abs(np.linalg.eigvals(A))))
@@ -259,12 +261,8 @@ def sample_euler_maruyama(
             raise ValidationError("r0 must be a 4-vector")
     elif is_stable(A) and np.max(np.abs(D)) > 0:
         Linf = _psd_factor(solve_steady_lyapunov(A, D))
-    seed = config.master_seed
-    samples = _draw_path(F, Lnoise, Linf, config, seed, r0=r0)
-    m = {"scheme": Scheme.EULER_MARUYAMA.value, "burn_in": config.burn_in}
-    if meta:
-        m.update(meta)
-    return TrajectoryRecord(samples=samples, dt=config.dt, source=source, seed=seed, meta=m)
+    members = [(config.master_seed, {})]
+    return _records(F, Lnoise, Linf, config, Scheme.EULER_MARUYAMA, source, meta, members, r0)[0]
 
 
 def sample_ensemble(
@@ -283,24 +281,11 @@ def sample_ensemble(
     """
     if n_members <= 0:
         raise ValidationError("ensemble size must be positive")
-    F, Lq, Linf, _ = _steady_prep(A, D, config.dt)
-    base_meta = {"scheme": Scheme.EXACT_OU.value, "burn_in": config.burn_in}
-    if meta:
-        base_meta.update(meta)
-    records = []
-    for k in range(n_members):
-        seed = derive_stream_seed(config.master_seed, k)
-        samples = _draw_path(F, Lq, Linf, config, seed)
-        records.append(
-            TrajectoryRecord(
-                samples=samples,
-                dt=config.dt,
-                source=source,
-                seed=seed,
-                meta=dict(base_meta, member=k),
-            )
-        )
-    return records
+    F, Lq, Linf = _steady_prep(A, D, config.dt)
+    members = [
+        (derive_stream_seed(config.master_seed, k), {"member": k}) for k in range(n_members)
+    ]
+    return _records(F, Lq, Linf, config, Scheme.EXACT_OU, source, meta, members)
 
 
 # ---------------------------------------------------------------------------

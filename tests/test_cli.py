@@ -243,6 +243,30 @@ class TestAnalyze:
         # single-rate records: the mean statistic is also calibrated
         assert report["groups"]["QUANTUM"]["nu_minus"] == pytest.approx(1 / 6, abs=0.06)
 
+    def test_zero_resamples_never_certify_null_c(self, tmp_path):
+        # null model C sits on nu_minus = 1/2; with no bootstrap replicates its
+        # record read 0.494 +- 0.0 and entangled_ppt True on this config
+        cfg = json.loads((CONFIGS / "simulate.json").read_text())
+        cfg["ensemble"] = 3
+        cfg["trajectory"]["n_steps"] = 20000
+        out = tmp_path / "out"
+        assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
+                     "--out-dir", str(out)]) == 0
+        an = json.loads((CONFIGS / "analyze.json").read_text())
+        an["pipeline"]["bootstrap_resamples"] = 0
+        records = sorted(str(p) for p in out.glob("*.npy"))
+        assert main(["analyze", *records, "-c", write_config(tmp_path, "an.json", an),
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "witness_distribution.csv").read_text().splitlines()
+        rows = {r.split(",")[0]: dict(zip(lines[1].split(","), r.split(",")))
+                for r in lines[2:]}
+        assert float(rows["null_c.npy"]["nu_minus"]) < 0.5
+        for row in rows.values():
+            assert row["stderr_nu"] == row["stderr_duan"] == "nan"
+            assert row["entangled_ppt"] == row["entangled_duan"] == "False"
+        report = json.loads((out / "witness_report.json").read_text())
+        assert report["groups"]["NULL_C"]["entangled_ppt"] is False
+
     def test_csv_records_also_load(self, tmp_path):
         cfg = small_simulate_config(ensemble=1, fmt="csv")
         cfg["trajectory"]["n_steps"] = 5000
@@ -271,6 +295,17 @@ class TestConverge:
         assert -0.9 < summary["slope_duan"] < -0.1
         lines = (out / "converge.csv").read_text().splitlines()
         assert len(lines) == 2 + 4
+
+    @pytest.mark.parametrize("cells", [[], [{"T": 50.0, "B": 0.04}]])
+    def test_fewer_than_two_n_eff_is_validation_error(self, tmp_path, capsys, cells):
+        cfg_path = write_config(tmp_path, "conv.json", {
+            "params": small_simulate_config()["params"], "cells": cells,
+        })
+        out = tmp_path / "out"
+        assert main(["converge", "-c", cfg_path, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: convergence sweep needs cells at >= 2 distinct N_eff = T * B"]
+        assert not (out / "converge.csv").exists()
 
     def test_crossing_scan_gets_segment_statistic(self, tmp_path, monkeypatch):
         import colmode.cli as cli_mod
@@ -396,6 +431,18 @@ class TestExitCodes:
         assert main(["phase-diagram", "-c", cfg_path, "--out-dir", str(taken)]) == 2
         assert "error: cannot use output directory" in capsys.readouterr().err
         assert taken.read_text() == "not a directory"
+
+    def test_non_finite_covariance_is_validation_error(self, tmp_path, capsys):
+        # (2 n_eff + 1) overflows: the grid's covariances hold inf and NaN
+        cfg_path = write_config(tmp_path, "pd.json", {
+            "g_over_kappa": {"min": 0.0, "max": 0.4, "steps": 3},
+            "n_eff": {"min": 0.0, "max": 1e308, "steps": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "-c", cfg_path, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: covariance matrix has non-finite entries"]
+        assert not (out / "phase_diagram.csv").exists()
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, float("nan"), float("inf")])
     def test_bad_kappa_is_validation_error(self, tmp_path, capsys, kappa):

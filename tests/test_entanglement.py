@@ -62,6 +62,17 @@ class TestPartialTranspose:
         ok = np.stack([1e3 * np.eye(4), 0.5 * np.eye(4)])
         assert np.array_equal(_require_symmetric(ok, stacked=True), ok)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # inf - inf is NaN, which no symmetry tolerance can catch
+        V = np.eye(4)
+        V[0, 0] = V[2, 2] = bad
+        for fn in (partial_transpose, witness_report_from_covariance):
+            with pytest.raises(ValidationError, match="non-finite"):
+                fn(V)
+        with pytest.raises(ValidationError, match="non-finite"):
+            _require_symmetric(np.stack([np.eye(4), V]), stacked=True)
+
     def test_single_matrix_functions_reject_stacks(self):
         stack = np.stack([0.5 * np.eye(4), np.eye(4)])
         for fn in (partial_transpose, symplectic_eigenvalues, ppt_nu_minus,

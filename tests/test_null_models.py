@@ -22,7 +22,7 @@ from colmode.null_models import (
     matched_null_specs,
     mixture_state,
 )
-from colmode.trajectory import SourceTag, TrajectoryConfig
+from colmode.trajectory import SourceTag, TrajectoryConfig, _ar1_path
 
 
 BW = matched_bandwidth(1.0)
@@ -37,6 +37,35 @@ def spec_a(**kw):
 
 def second_moment(samples):
     return samples.T @ samples / samples.shape[0]
+
+
+def oracle_streams(rates, variances, total, rng, dt):
+    """The null streams' own stationary-OU draw, before they shared the
+    quantum sampler's _draw_path: one block of normals, R_0 = sigma z[0]."""
+    f = np.array([math.exp(-r * dt) for r in rates])
+    sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
+    z = rng.standard_normal((total, f.size))
+    drive = sigma * np.sqrt(np.clip(1.0 - f * f, 0.0, None))
+    return _ar1_path(np.diag(f), sigma * z[0], z[1:] * drive)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("rates, variances", [
+        ([0.5] * 4, [0.5] * 4),  # vacuum streams at kappa = 1
+        ([2 * math.pi * BW] * 6, [1.0] * 6),  # null model A's classical sources
+        (np.linspace(0.1, 3.0, 4), np.linspace(0.2, 2.0, 4)),
+        (np.linspace(0.1, 3.0, 6), np.linspace(0.2, 2.0, 6)),
+    ])
+    @pytest.mark.parametrize("total", [1, 2, 20_000])
+    def test_match_oracle_bit_for_bit(self, rates, variances, total):
+        want_rng = np.random.Generator(np.random.PCG64(17))
+        got_rng = np.random.Generator(np.random.PCG64(17))
+        want = oracle_streams(rates, variances, total, want_rng, 0.05)
+        got = null_models._streams(rates, variances, total, got_rng, 0.05)
+        assert got.shape == (total, len(rates))
+        assert np.array_equal(got, want)
+        # the draws after the streams (the vacuum streams) are unchanged too
+        assert np.array_equal(got_rng.standard_normal(8), want_rng.standard_normal(8))
 
 
 class TestEnforceClassicality:

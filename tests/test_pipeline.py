@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from colmode.entanglement import ppt_nu_minus
+from colmode import pipeline as pipeline_mod
+from colmode.entanglement import _duan_sum, _nu_minus, ppt_nu_minus
 from colmode.errors import (
     BandwidthExceedsNyquistError,
     ComplexRootError,
@@ -13,7 +14,7 @@ from colmode.errors import (
     TooFewSegmentsError,
     ValidationError,
 )
-from colmode.gaussian_core import closed_form_covariance, closed_form_dynamics
+from colmode.gaussian_core import closed_form_covariance, closed_form_dynamics, symmetrize
 from colmode.pipeline import (
     PipelineConfig,
     analyze_record,
@@ -31,6 +32,7 @@ from colmode.trajectory import (
     SourceTag,
     TrajectoryConfig,
     TrajectoryRecord,
+    derive_stream_seed,
     sample_ensemble,
     sample_exact_ou,
 )
@@ -51,6 +53,39 @@ def white_record(n_steps=200_000, seed=3, dt=1.0):
         seed=seed,
         meta={"kappa": 1.0},
     )
+
+
+def oracle_estimate(record, config):
+    """(V_hat, stderr, stderr_nu, stderr_duan) by the estimator's code before
+    one segment reduction served both: a V_hat line per statistic and, for
+    "mean", one np.cov call per bootstrap replicate."""
+    m = int(round(config.integration_time / record.dt))
+    n_seg = record.n_steps // m
+    X = record.samples[: n_seg * m].reshape(n_seg, m, 4)
+    cal = float(record.meta.get("bandlimit_cal", 1.0))
+    if config.segment_statistic == "second_moment":
+        stats = np.einsum("smi,smj->sij", X, X) / m
+        V_hat = symmetrize(stats.mean(axis=0)) / cal
+        atten = 1.0
+    else:
+        stats = X.mean(axis=1)
+        kappa = float(record.meta.get("kappa", 1.0))
+        atten = pipeline_mod._ou_mean_attenuation(kappa / 2.0, record.dt, m)
+        V_hat = symmetrize(np.cov(stats.T, ddof=1)) / (atten * cal)
+    resamples = config.bootstrap_resamples
+    rng = np.random.Generator(
+        np.random.PCG64(derive_stream_seed(record.seed, pipeline_mod._BOOT_STREAM))
+    )
+    idx = rng.integers(0, n_seg, size=(resamples, n_seg))
+    if config.segment_statistic == "second_moment":
+        boot = stats[idx].mean(axis=1) / cal
+    else:
+        boot = np.empty((resamples, 4, 4))
+        for b in range(resamples):
+            boot[b] = np.cov(stats[idx[b]].T, ddof=1) / (atten * cal)
+    stderr = boot.std(axis=0, ddof=1)
+    boot = symmetrize(boot)
+    return V_hat, stderr, float(_nu_minus(boot).std(ddof=1)), float(_duan_sum(boot).std(ddof=1))
 
 
 def filter_power_ratio(a: float, passes: int = 2, n_grid: int = 200_001) -> float:
@@ -213,6 +248,22 @@ class TestEstimateCovariance:
                               meta={"kappa": 1.0})
         assert estimate_covariance(rec, pc).n_segments == 5
 
+    @pytest.mark.parametrize("statistic", ["second_moment", "mean"])
+    @pytest.mark.parametrize("n_seg", [5, 8, 24, 333])
+    def test_one_reduction_matches_oracle_bit_for_bit(self, statistic, n_seg):
+        # 100 samples a segment plus a partial one; a non-unit calibration
+        base = quantum_record(n_steps=100 * n_seg + 37, seed=n_seg, dt=0.1)
+        rec = TrajectoryRecord(samples=base.samples, dt=base.dt, source=base.source,
+                               seed=base.seed, meta={"kappa": 1.3, "bandlimit_cal": 0.87})
+        pc = PipelineConfig(bandwidth=1.0, integration_time=10.0,
+                            bootstrap_resamples=200, segment_statistic=statistic)
+        est = estimate_covariance(rec, pc)
+        assert est.n_segments == n_seg
+        want = oracle_estimate(rec, pc)
+        got = (est.V_hat, est.stderr, est.stderr_nu, est.stderr_duan)
+        for w, g in zip(want, got):
+            assert np.array_equal(w, g, equal_nan=True)
+
     def test_n_eff_reported(self):
         rec = quantum_record(n_steps=10_000)
         est = estimate_covariance(rec, PipelineConfig(bandwidth=2.5, integration_time=4.0))
@@ -221,12 +272,18 @@ class TestEstimateCovariance:
 
 
 class TestWitnessSoundness:
-    def test_zero_resamples_means_zero_witness_stderr(self):
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_zero_resamples_give_nan_stderr_and_no_verdict(self, resamples):
+        # an entangled record (nu_minus ~ 0.17): without two replicates there
+        # is no standard error, so the 3-sigma rule must not certify it
         rec = quantum_record(n_steps=20_000)
         est = estimate_covariance(rec, PipelineConfig(bandwidth=1.0, integration_time=10.0,
-                                                      bootstrap_resamples=0))
+                                                      bootstrap_resamples=resamples))
+        assert np.isnan(est.stderr).all()
         rep = witness_from_estimate(est)
-        assert rep.stderr_nu == 0.0 and rep.stderr_duan == 0.0
+        assert math.isnan(rep.stderr_nu) and math.isnan(rep.stderr_duan)
+        assert rep.nu_minus < 0.5 and rep.duan_sum < 2.0
+        assert not rep.entangled_ppt and not rep.entangled_duan
 
     def test_no_real_root_point_estimate_raises(self):
         rec = quantum_record(n_steps=20_000)
@@ -321,6 +378,14 @@ class TestConvergence:
         assert -0.75 < out["slope_duan"] < -0.25
         neffs = [r["n_eff"] for r in out["rows"]]
         assert neffs == [2.0, 4.0, 8.0, 16.0, 32.0]
+
+    @pytest.mark.parametrize("cells", [
+        [], [(50.0, 0.04)], [(50.0, 0.04), (100.0, 0.02), (25.0, 0.08)],
+    ])
+    def test_needs_two_distinct_n_eff(self, cells):
+        A, D = closed_form_dynamics(0.25, 1.0, 0.0)
+        with pytest.raises(ValidationError, match="2 distinct N_eff"):
+            convergence_sweep(A, D, cells, runs_per_cell=2, segments_per_record=4)
 
     def test_crossing_scan_finds_boundary(self):
         # boundary for n = 0.5: 2G/kappa = 1/3, so g = G/kappa = 1/6
