@@ -21,6 +21,7 @@ import concurrent.futures
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -31,6 +32,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._fields import count, real
 from .entanglement import (
     _checked_witnesses,
     _require_positive_definite,
@@ -66,7 +68,6 @@ from .pipeline import (
 from .thresholds import (
     NoiseInputSpec,
     VminForm,
-    _positive,
     collective_occupation,
     cooperativity,
     n_eff_from_noise,
@@ -124,8 +125,21 @@ def write_csv(path, columns, rows, manifest_name: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a NaN or infinity is written as null, never as a bare NaN."""
+    text = json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _load_json(path, what: str) -> dict:
@@ -147,16 +161,21 @@ def _load_json(path, what: str) -> dict:
 _REQUIRED = object()
 
 
-def _field(section: dict, key: str, kind, default=_REQUIRED):
-    """section[key] converted by kind, or default when it is absent or null;
-    a missing or malformed field raises a ValidationError that names it."""
+def _field(section: dict, key: str, kind, default=_REQUIRED, **bounds):
+    """section[key] read by kind, or default when it is absent or null; a
+    missing or malformed field raises a ValidationError that names it.
+    real and count check the value under the field's own name, within bounds."""
     value = section.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ValidationError(f"missing field '{key}'")
         return default
+    if kind is real or kind is count:
+        return kind(value, key, **bounds)
     try:
         return kind(value)
+    except ValidationError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"field '{key}': {exc}") from exc
 
@@ -171,13 +190,6 @@ def _bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
-
-
-def _count(value) -> int:
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"must be at least 1, got {value!r}")
-    return n
 
 
 def _record_format(value) -> str:
@@ -221,9 +233,9 @@ def load_record(path) -> TrajectoryRecord:
             return load_record_csv(path)
         return TrajectoryRecord(
             samples=np.load(path, allow_pickle=False),
-            dt=_field(info, "dt", float),
+            dt=_field(info, "dt", real),
             source=_field(info, "source", SourceTag),
-            seed=_field(info, "seed", int),
+            seed=_field(info, "seed", count),
             meta=_field(info, "meta", _object, {}),
         )
     except (OSError, ValueError) as exc:
@@ -277,18 +289,15 @@ def _pmap(fn, items, threads: int):
 
 def _axis_values(axis: dict) -> np.ndarray:
     axis = _object(axis)
-    lo, hi = _field(axis, "min", float), _field(axis, "max", float)
-    steps = _field(axis, "steps", int)
-    if steps < 2:
-        raise ValidationError("axis needs at least 2 steps")
-    return np.linspace(lo, hi, steps)
+    lo, hi = _field(axis, "min", real), _field(axis, "max", real)
+    return np.linspace(lo, hi, _field(axis, "steps", count, at_least=2))
 
 
 def phase_diagram_rows(config: dict) -> list[dict]:
     """Witness grid over (g/kappa, n_eff), one coupling row at a time: each
     stable row takes one stacked solve, validation and witness evaluation."""
     preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
-    kappa = _positive("kappa", _field(config, "kappa", float, 1.0))
+    kappa = _field(config, "kappa", real, 1.0, above=0.0)
     g_values = _field(config, "g_over_kappa", _axis_values)
     n_values = _field(config, "n_eff", _axis_values)
     if preset is Preset.TMS_HAMILTONIAN:
@@ -367,13 +376,22 @@ def _simulate_member(args) -> list[str]:
 def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
     if seed is not None:
         config = dict(config)
-        config["trajectory"] = dict(_field(config, "trajectory", _object), master_seed=int(seed))
+        config["trajectory"] = dict(_field(config, "trajectory", _object), master_seed=seed)
     params = _field(config, "params", ModelParams.from_dict)
     traj = _field(config, "trajectory", TrajectoryConfig.from_dict)
     fmt = _field(config, "format", _record_format, "npy")
-    n_members = _field(config, "ensemble", _count, 1)
+    n_members = _field(config, "ensemble", count, 1, at_least=1)
     trio = _field(config, "null_trio", _object, {})
-    trio_enabled = _field(trio, "enabled", _bool, False)
+    specs = None
+    if _field(trio, "enabled", _bool, False):
+        # built before any record is written, so a bad trio field writes nothing
+        specs = matched_null_specs(
+            steady_state_covariance(params),
+            kappa=params.kappa_a,
+            seed=traj.master_seed,
+            correlation=_field(trio, "correlation", real, 0.7),
+            gain=_field(trio, "gain", real, None),
+        )
     name, manifest = make_manifest("simulate", config, config["trajectory"].get("master_seed"), threads)
     written: list[Path] = []
     members = [
@@ -383,15 +401,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
     for paths in _pmap(_simulate_member, members, threads):
         written.extend(Path(p) for p in paths)
 
-    if trio_enabled:
-        V_q = steady_state_covariance(params)
-        specs = matched_null_specs(
-            V_q,
-            kappa=params.kappa_a,
-            seed=traj.master_seed,
-            correlation=_field(trio, "correlation", float, 0.7),
-            gain=trio.get("gain"),
-        )
+    if specs:
         rec_a = gen_shared_noise(specs[NullKind.SHARED_NOISE], traj, kappa=params.kappa_a)
         rec_b = gen_classical_paramp(specs[NullKind.CLASSICAL_PARAMP], traj, kappa=params.kappa_a)
         rec_c, _ = gen_optimized_mixture(
@@ -466,14 +476,14 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
 # converge
 
 def _cells(cells) -> list[tuple[float, float]]:
-    return [(_field(_object(c), "T", float), _field(c, "B", float)) for c in cells]
+    return [(_field(_object(c), "T", real), _field(c, "B", real)) for c in cells]
 
 
 CONVERGE_COLUMNS = ["T", "B", "n_eff", "nu_mean", "nu_stderr", "duan_mean", "duan_stderr", "n_runs"]
 
 
 def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
-    master_seed = seed if seed is not None else _field(config, "master_seed", int, 0)
+    master_seed = seed if seed is not None else _field(config, "master_seed", count, 0)
     name, manifest = make_manifest("converge", config, master_seed, threads)
     params = _field(config, "params", ModelParams.from_dict)
     A, D = steady_dynamics(params)
@@ -483,8 +493,8 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         A,
         D,
         cells,
-        runs_per_cell=_field(config, "runs_per_cell", int, 16),
-        segments_per_record=_field(config, "segments_per_record", int, 24),
+        runs_per_cell=_field(config, "runs_per_cell", count, 16),
+        segments_per_record=_field(config, "segments_per_record", count, 24),
         master_seed=master_seed,
         segment_statistic=segment_statistic,
     )
@@ -503,11 +513,11 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         crossing = _field(config, "crossing", _object)
         rows = crossing_scan(
             kappa=params.kappa_a,
-            n=_field(crossing, "n", float),
-            g_values=_field(crossing, "g_values", lambda gs: [float(g) for g in gs]),
+            n=_field(crossing, "n", real),
+            g_values=_field(crossing, "g_values", list),
             cells=_field(crossing, "cells", _cells),
-            runs_per_cell=_field(crossing, "runs_per_cell", int, 12),
-            segments_per_record=_field(crossing, "segments_per_record", int, 24),
+            runs_per_cell=_field(crossing, "runs_per_cell", count, 12),
+            segments_per_record=_field(crossing, "segments_per_record", count, 24),
             master_seed=master_seed,
             segment_statistic=segment_statistic,
         )
@@ -528,12 +538,17 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
 # thresholds
 
 def _threshold_report(config: dict) -> dict:
-    kappa = _field(config, "kappa", float, None)
-    if kappa is None and "ringdown_time" in config:
-        kappa = 1.0 / _positive("ringdown_time", _field(config, "ringdown_time", float))
+    for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col")):
+        if all(config.get(key) is not None for key in pair):
+            raise ValidationError("give '{}' or '{}', not both".format(*pair))
+    kappa = _field(config, "kappa", real, None, above=0.0)
+    kappa_formula = "given"
+    if config.get("ringdown_time") is not None:
+        kappa = 1.0 / _field(config, "ringdown_time", real, above=0.0)
+        kappa_formula = "1/ringdown_time"
     omega = config.get("omega_col")
-    if omega is None and "f_col" in config:
-        omega = 2.0 * np.pi * _field(config, "f_col", float)
+    if config.get("f_col") is not None:
+        omega = 2.0 * np.pi * _field(config, "f_col", real)
     spec = NoiseInputSpec(
         B=config.get("B"),
         C_eff=config.get("C_eff"),
@@ -545,7 +560,7 @@ def _threshold_report(config: dict) -> dict:
     )
     report: dict = {"inputs": spec.to_dict()}
     if kappa is not None:
-        report["kappa"] = {"value": kappa, "formula": "1/ringdown_time"}
+        report["kappa"] = {"value": kappa, "formula": kappa_formula}
 
     n_eff, clamped = n_eff_from_noise(spec)
     report["n_eff"] = {
@@ -555,7 +570,7 @@ def _threshold_report(config: dict) -> dict:
     }
 
     c_corr = None
-    g_over_kappa = _field(config, "G_over_kappa", float, None)
+    g_over_kappa = _field(config, "G_over_kappa", real, None)
     if g_over_kappa is not None and kappa is not None and n_eff > 0:
         c_corr = cooperativity(g_over_kappa * kappa, kappa, n_eff)
         report["cooperativity"] = {
@@ -563,7 +578,7 @@ def _threshold_report(config: dict) -> dict:
             "formula": "(2G/kappa)*(n_eff+1)/n_eff",
         }
     if c_corr is None:
-        c_corr = _field(config, "C_corr", float, None)
+        c_corr = _field(config, "C_corr", real, None)
 
     vmin: dict = {}
     if c_corr is not None:
@@ -586,12 +601,12 @@ def _threshold_report(config: dict) -> dict:
     if vmin:
         report["v_min"] = vmin
 
-    v_col = _field(config, "V_col", float, None)
+    v_col = _field(config, "V_col", real, None)
     if v_col is not None:
         n_col = collective_occupation(v_col, spec.C_eff, spec.omega_col)
         report["N_col"] = {"value": n_col, "formula": "C_eff*V_col^2/(2*hbar*omega_col)"}
         if kappa is not None:
-            t_int = _field(config, "T_int", float, 1.0)
+            t_int = _field(config, "T_int", real, 1.0)
             d_phi, sigma2 = phase_diffusion(kappa, n_eff, n_col, t_int)
             report["phase_diffusion"] = {
                 "D_phi": d_phi,

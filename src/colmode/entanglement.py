@@ -69,22 +69,6 @@ class WitnessReport:
             "stderr_duan": self.stderr_duan,
         }
 
-    @staticmethod
-    def csv_header() -> str:
-        return "nu_minus,duan_sum,entangled_ppt,entangled_duan,stderr_nu,stderr_duan"
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                repr(self.nu_minus),
-                repr(self.duan_sum),
-                str(self.entangled_ppt),
-                str(self.entangled_duan),
-                repr(self.stderr_nu),
-                repr(self.stderr_duan),
-            ]
-        )
-
 
 _VERDICT_EPS = 1e-12  # rounding floor so exact boundary states never flip
 _DISC_TOL = 1e-10  # most negative PT discriminant still read as a real root

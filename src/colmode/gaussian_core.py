@@ -29,14 +29,13 @@ Two first-class steady-state constructions are provided:
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from ._fields import ConfigFields, real
 from .errors import (
     NegativeTimeError,
     SingularSolveError,
@@ -60,8 +59,6 @@ __all__ = [
     "check_physicality",
     "infer_diffusion",
     "symmetrize",
-    "mat_to_list",
-    "mat_from_list",
 ]
 
 #: Fixed symplectic form for R = (X_a, P_a, X_b, P_b).
@@ -84,12 +81,21 @@ class Preset(str, enum.Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+#: Each ModelParams rate and occupancy with its bound: damping rates are
+#: positive, coupling and occupancies nonnegative, detunings any real.
+_PARAM_BOUNDS = {
+    "G": {"at_least": 0.0},
+    "kappa_a": {"above": 0.0},
+    "kappa_b": {"above": 0.0},
+    "n_a": {"at_least": 0.0},
+    "n_b": {"at_least": 0.0},
+    "delta_a": {},
+    "delta_b": {},
+}
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(ConfigFields):
     """Reduced open-system parameter set; the single source of truth for dynamics.
 
     Rates are in arbitrary consistent units (typically kappa = 1).  The noise
@@ -106,18 +112,9 @@ class ModelParams:
     preset: Preset = Preset.TMS_HAMILTONIAN
 
     def __post_init__(self):
-        for name in ("G", "kappa_a", "kappa_b", "n_a", "n_b", "delta_a", "delta_b"):
-            v = getattr(self, name)
-            if not _finite(v):
-                raise ValidationError(f"non-finite parameter {name}={v!r}")
-            object.__setattr__(self, name, float(v))
+        for name, bound in _PARAM_BOUNDS.items():
+            object.__setattr__(self, name, real(getattr(self, name), name, **bound))
         object.__setattr__(self, "preset", Preset(self.preset))
-        if self.kappa_a <= 0 or self.kappa_b <= 0:
-            raise ValidationError("damping rates must be positive")
-        if self.n_a < 0 or self.n_b < 0:
-            raise ValidationError("noise occupancies must be nonnegative")
-        if self.G < 0:
-            raise ValidationError("coupling rate must be nonnegative")
         if self.preset is Preset.CLOSED_FORM and not self.symmetric_resonant:
             raise ValidationError(
                 "CLOSED_FORM preset requires kappa_a = kappa_b, n_a = n_b, zero detunings"
@@ -132,55 +129,10 @@ class ModelParams:
             and self.delta_b == 0.0
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "G": self.G,
-            "kappa_a": self.kappa_a,
-            "kappa_b": self.kappa_b,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "delta_a": self.delta_a,
-            "delta_b": self.delta_b,
-            "preset": self.preset.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelParams":
-        known = {"G", "kappa_a", "kappa_b", "n_a", "n_b", "delta_a", "delta_b", "preset"}
-        extra = set(d) - known
-        if extra:
-            raise ValidationError(f"unknown ModelParams fields: {sorted(extra)}")
-        missing = {"G", "kappa_a", "kappa_b", "n_a", "n_b"} - set(d)
-        if missing:
-            raise ValidationError(f"missing ModelParams fields: {sorted(missing)}")
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ModelParams":
-        return cls.from_dict(json.loads(s))
-
-    def digest(self) -> str:
-        """Short stable hash of the parameter set, for record provenance."""
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
-
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix or of each matrix in a (..., n, n) stack."""
     return 0.5 * (M + M.swapaxes(-1, -2))
-
-
-def mat_to_list(M: np.ndarray) -> list:
-    """Row-major 16-element list, the JSON wire format for 4x4 matrices."""
-    return [float(x) for x in np.asarray(M, dtype=float).reshape(16)]
-
-def mat_from_list(vals) -> np.ndarray:
-    arr = np.asarray(list(vals), dtype=float)
-    if arr.shape != (16,):
-        raise ValidationError("matrix wire format must have exactly 16 entries")
-    return arr.reshape(4, 4)
 
 
 def build_drift(params: ModelParams) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import ConfigFields, count, real
 from .entanglement import _require_symmetric, witness_report_from_covariance
 from .errors import NotPsdError, UnstableGainError, ValidationError
 from .gaussian_core import ModelParams, build_drift, solve_steady_lyapunov
@@ -66,7 +67,7 @@ def matched_bandwidth(kappa: float) -> float:
 
 
 @dataclass(frozen=True)
-class NullModelSpec:
+class NullModelSpec(ConfigFields):
     """Parameters of one classical dataset.
 
     target_bandwidth is the Lorentzian half-width of the classical
@@ -86,34 +87,16 @@ class NullModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", NullKind(self.kind))
-        for name in ("target_bandwidth", "target_power", "correlation", "gain"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValidationError(f"non-finite {name}={v!r}")
-            object.__setattr__(self, name, float(v))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.target_bandwidth <= 0:
-            raise ValidationError("target_bandwidth must be positive")
-        if self.target_power <= 0:
-            raise ValidationError("target_power must be positive")
-        if not 0.0 <= self.correlation <= 1.0:
+        for name, bound in (
+            ("target_bandwidth", {"above": 0.0}),
+            ("target_power", {"above": 0.0}),
+            ("correlation", {"at_least": 0.0}),
+            ("gain", {"at_least": 0.0}),
+        ):
+            object.__setattr__(self, name, real(getattr(self, name), name, **bound))
+        object.__setattr__(self, "seed", count(self.seed, "seed"))
+        if self.correlation > 1.0:
             raise ValidationError("correlation must lie in [0, 1]")
-        if self.gain < 0:
-            raise ValidationError("gain must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "target_bandwidth": self.target_bandwidth,
-            "target_power": self.target_power,
-            "correlation": self.correlation,
-            "gain": self.gain,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NullModelSpec":
-        return cls(**d)
 
 
 def enforce_classicality(V_cl: np.ndarray, tol: float = 1e-10) -> np.ndarray:

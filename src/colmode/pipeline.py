@@ -24,8 +24,6 @@ scored: see witness_from_estimate.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +31,7 @@ import numpy as np
 from scipy.integrate import trapezoid
 from scipy.signal import filtfilt
 
+from ._fields import ConfigFields, count, real
 from .errors import (
     BandwidthExceedsNyquistError,
     InsufficientEnsembleError,
@@ -67,7 +66,7 @@ MIN_MEAN_SEGMENTS = 5
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(ConfigFields):
     """Fixed-before-data analysis settings.
 
     bandwidth and demod_frequency are in cycles per unit time of the record;
@@ -83,40 +82,20 @@ class PipelineConfig:
     segment_statistic: str = "second_moment"
 
     def __post_init__(self):
-        for name in ("bandwidth", "integration_time", "demod_frequency"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValidationError(f"non-finite {name}={v!r}")
-            object.__setattr__(self, name, float(v))
-        object.__setattr__(self, "bootstrap_resamples", int(self.bootstrap_resamples))
-        if self.bandwidth <= 0:
-            raise ValidationError("bandwidth must be positive")
-        if self.integration_time <= 0:
-            raise ValidationError("integration_time must be positive")
+        object.__setattr__(self, "bandwidth", real(self.bandwidth, "bandwidth", above=0.0))
+        object.__setattr__(
+            self, "integration_time", real(self.integration_time, "integration_time", above=0.0)
+        )
+        object.__setattr__(self, "demod_frequency", real(self.demod_frequency, "demod_frequency"))
+        object.__setattr__(
+            self,
+            "bootstrap_resamples",
+            count(self.bootstrap_resamples, "bootstrap_resamples", at_least=0),
+        )
         if self.integration_time * self.bandwidth < 1.0:
             raise ValidationError("need integration_time * bandwidth >= 1")
-        if self.bootstrap_resamples < 0:
-            raise ValidationError("bootstrap_resamples must be >= 0")
         if self.segment_statistic not in ("second_moment", "mean"):
             raise ValidationError("segment_statistic must be 'second_moment' or 'mean'")
-
-    def to_dict(self) -> dict:
-        return {
-            "bandwidth": self.bandwidth,
-            "integration_time": self.integration_time,
-            "demod_frequency": self.demod_frequency,
-            "bootstrap_resamples": self.bootstrap_resamples,
-            "segment_statistic": self.segment_statistic,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(**d)
-
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()[:12]
 
 
 @dataclass
@@ -144,6 +123,11 @@ class EstimatedCovariance:
     source: str
     config_hash: str
     meta: dict = field(default_factory=dict)
+
+
+def _record_kappa(record: TrajectoryRecord) -> float:
+    """The mode linewidth a record carries in its metadata, 1.0 if it has none."""
+    return real(record.meta.get("kappa", 1.0), "kappa", above=0.0)
 
 
 def filter_pole_coefficient(B: float, dt: float) -> float:
@@ -181,8 +165,7 @@ def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     vacuum-reference variance transfer of the applied filter accumulates in
     the record metadata so covariance estimates can be calibrated.
     """
-    if not (isinstance(B, (int, float)) and math.isfinite(B) and B > 0):
-        raise ValidationError(f"bandwidth must be positive and finite, got {B!r}")
+    B = real(B, "bandwidth", above=0.0)
     nyquist = 1.0 / (2.0 * record.dt)
     if B > nyquist:
         raise BandwidthExceedsNyquistError(
@@ -194,9 +177,10 @@ def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     padlen = int(min(n - 1, max(6, 10.0 * tau)))
     filtered = filtfilt([1.0 - a], [1.0, -a], record.samples, axis=0, padlen=padlen)
     meta = dict(record.meta)
-    meta["bandlimit"] = meta.get("bandlimit", []) + [float(B)]
-    kappa = float(meta.get("kappa", 1.0))
-    meta["bandlimit_cal"] = meta.get("bandlimit_cal", 1.0) * vacuum_transfer(B, record.dt, kappa)
+    meta["bandlimit"] = meta.get("bandlimit", []) + [B]
+    meta["bandlimit_cal"] = meta.get("bandlimit_cal", 1.0) * vacuum_transfer(
+        B, record.dt, _record_kappa(record)
+    )
     return TrajectoryRecord(
         samples=filtered, dt=record.dt, source=record.source, seed=record.seed, meta=meta
     )
@@ -208,8 +192,7 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     f0 = 0 is the exact identity; simulator output is already in the
     rotating frame.
     """
-    if not (isinstance(f0, (int, float)) and math.isfinite(f0)):
-        raise ValidationError(f"demodulation frequency must be finite, got {f0!r}")
+    f0 = real(f0, "demodulation frequency")
     if f0 == 0.0:
         return record
     theta = -2.0 * math.pi * f0 * record.times()
@@ -221,7 +204,7 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     out[:, 2] = c * X[:, 2] - s * X[:, 3]
     out[:, 3] = s * X[:, 2] + c * X[:, 3]
     meta = dict(record.meta)
-    meta["demod"] = meta.get("demod", 0.0) + float(f0)
+    meta["demod"] = meta.get("demod", 0.0) + f0
     return TrajectoryRecord(
         samples=out, dt=record.dt, source=record.source, seed=record.seed, meta=meta
     )
@@ -281,8 +264,7 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
         reduce, atten = (lambda s: s.mean(axis=-3)), 1.0
     else:
         stats = X.mean(axis=1)
-        kappa = float(record.meta.get("kappa", 1.0))
-        reduce, atten = _cov_of_means, _ou_mean_attenuation(kappa / 2.0, dt, m)
+        reduce, atten = _cov_of_means, _ou_mean_attenuation(_record_kappa(record) / 2.0, dt, m)
     V_hat = symmetrize(reduce(stats)) / (atten * cal)
 
     resamples = config.bootstrap_resamples
@@ -353,6 +335,11 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
     return estimate_covariance(processed, config)
 
 
+def _checked_cells(cells) -> list[tuple[float, float]]:
+    """(T, B) pairs of positive reals."""
+    return [(real(T, "T", above=0.0), real(B, "B", above=0.0)) for T, B in cells]
+
+
 def _cell_witness(
     A, D, T, B, runs, segments_per_record, seed, segment_statistic
 ) -> WitnessReport:
@@ -392,10 +379,9 @@ def convergence_sweep(
     standard error scales as N_eff^(-1/2).  The slope needs cells at two or
     more distinct N_eff values.
     """
-    if runs_per_cell < 2:
-        raise ValidationError("runs_per_cell must be >= 2")
-    cells = list(cells)
-    if len({float(T) * float(B) for T, B in cells}) < 2:
+    runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
+    cells = _checked_cells(cells)
+    if len({T * B for T, B in cells}) < 2:
         raise ValidationError("convergence sweep needs cells at >= 2 distinct N_eff = T * B")
     rows = []
     for i, (T, B) in enumerate(cells):
@@ -405,9 +391,9 @@ def convergence_sweep(
         )
         rows.append(
             {
-                "T": float(T),
-                "B": float(B),
-                "n_eff": float(T) * float(B),
+                "T": T,
+                "B": B,
+                "n_eff": T * B,
                 "nu_mean": rep.nu_minus,
                 "nu_stderr": rep.stderr_nu,
                 "duan_mean": rep.duan_sum,
@@ -438,9 +424,9 @@ def crossing_scan(
     interpolates the crossing of the 1/2 bound.  The crossing location is a
     state property; within uncertainty it must not depend on T or B.
     """
-    g_values = sorted(float(g) for g in g_values)
+    g_values = sorted(real(g, "g_values") for g in g_values)
     rows = []
-    for ci, (T, B) in enumerate(cells):
+    for ci, (T, B) in enumerate(_checked_cells(cells)):
         means, errs = [], []
         for gi, g in enumerate(g_values):
             A, D = closed_form_dynamics(g * kappa, kappa, n)
@@ -457,5 +443,5 @@ def crossing_scan(
                 g_cross = g_values[j - 1] + (0.5 - means[j - 1]) / slope
                 sigma = 0.5 * (errs[j - 1] + errs[j]) / abs(slope)
                 break
-        rows.append({"T": float(T), "B": float(B), "g_cross": g_cross, "sigma": sigma})
+        rows.append({"T": T, "B": B, "g_cross": g_cross, "sigma": sigma})
     return rows

@@ -10,12 +10,14 @@ G(d).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import ConfigFields, real
 from .errors import (
     MissingNoiseInputError,
     OutOfRangeError,
@@ -56,18 +58,8 @@ class VminForm(str, enum.Enum):
     CONSERVATIVE = "CONSERVATIVE"
 
 
-def _positive(name, v, allow_none=False):
-    if v is None:
-        if allow_none:
-            return None
-        raise ValidationError(f"{name} is required")
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-        raise ValidationError(f"{name} must be positive and finite, got {v!r}")
-    return float(v)
-
-
 @dataclass(frozen=True)
-class NoiseInputSpec:
+class NoiseInputSpec(ConfigFields):
     """Measured inputs around the collective envelope band.
 
     S_V0 (V^2/Hz) may be omitted when it can be supplied by R_eff via the
@@ -83,12 +75,10 @@ class NoiseInputSpec:
     Re_Y_eff: float | None = None  # real part of effective admittance, S
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _positive("B", self.B))
-        object.__setattr__(self, "C_eff", _positive("C_eff", self.C_eff))
-        object.__setattr__(self, "omega_col", _positive("omega_col", self.omega_col))
-        object.__setattr__(self, "T_amb", _positive("T_amb", self.T_amb))
-        for name in ("S_V0", "R_eff", "Re_Y_eff"):
-            object.__setattr__(self, name, _positive(name, getattr(self, name), allow_none=True))
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if v is not None or f.default is dataclasses.MISSING:
+                object.__setattr__(self, f.name, real(v, f.name, above=0.0))
 
     def resolved_S_V0(self) -> float:
         """S_V(0), taken directly or supplied by R_eff or Re_Y_eff."""
@@ -99,21 +89,6 @@ class NoiseInputSpec:
         if self.Re_Y_eff is not None:
             return 4.0 * K_B * self.T_amb / self.Re_Y_eff
         raise MissingNoiseInputError("need one of S_V0, R_eff, Re_Y_eff")
-
-    def to_dict(self) -> dict:
-        return {
-            "B": self.B,
-            "C_eff": self.C_eff,
-            "omega_col": self.omega_col,
-            "T_amb": self.T_amb,
-            "S_V0": self.S_V0,
-            "R_eff": self.R_eff,
-            "Re_Y_eff": self.Re_Y_eff,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseInputSpec":
-        return cls(**d)
 
 
 def n_eff_from_noise(spec: NoiseInputSpec) -> tuple[float, bool]:
@@ -138,12 +113,11 @@ def cooperativity(G: float, kappa: float, n_eff: float) -> float:
     separability boundary 2G/kappa = n_eff/(n_eff + 1); C > 1 is equivalent
     to entanglement of the symmetric closed-form steady state.
     """
-    if not all(map(math.isfinite, (G, kappa, n_eff))):
-        raise ValidationError("non-finite arguments")
-    if kappa <= 0 or G < 0 or 2.0 * G >= kappa:
-        raise ValidationError("domain requires kappa > 0 and 0 <= 2G < kappa")
-    if n_eff < 0:
-        raise ValidationError("n_eff must be nonnegative")
+    G = real(G, "G", at_least=0.0)
+    kappa = real(kappa, "kappa", above=0.0)
+    n_eff = real(n_eff, "n_eff", at_least=0.0)
+    if 2.0 * G >= kappa:
+        raise ValidationError("domain requires 2G < kappa")
     if n_eff == 0:
         raise ZeroOccupancyError(
             "boundary degenerates at n_eff = 0; use the PT eigenvalue criterion directly"
@@ -167,21 +141,21 @@ def v_min(
     if spec is None:
         raise ValidationError("a NoiseInputSpec is required")
     if form is VminForm.GENERAL:
-        C_corr = _positive("C_corr", C_corr)
+        C_corr = real(C_corr, "C_corr", above=0.0)
         return math.sqrt(spec.resolved_S_V0() * spec.B / C_corr)
     if form is VminForm.THERMAL:
-        C_corr = _positive("C_corr", C_corr)
-        R = _positive("R_eff", spec.R_eff)
+        C_corr = real(C_corr, "C_corr", above=0.0)
+        R = real(spec.R_eff, "R_eff", above=0.0)
         return math.sqrt(4.0 * K_B * spec.T_amb * R * spec.B / C_corr)
-    kappa = _positive("kappa", kappa)
+    kappa = real(kappa, "kappa", above=0.0)
     return math.sqrt(2.0 * K_B * spec.T_amb * spec.B / (spec.C_eff * kappa))
 
 
 def collective_occupation(V_col: float, C_eff: float, omega_col: float) -> float:
     """N_col = E_col / (hbar omega_col) with E_col = (1/2) C_eff V_col^2."""
-    V_col = _positive("V_col", V_col)
-    C_eff = _positive("C_eff", C_eff)
-    omega_col = _positive("omega_col", omega_col)
+    V_col = real(V_col, "V_col", above=0.0)
+    C_eff = real(C_eff, "C_eff", above=0.0)
+    omega_col = real(omega_col, "omega_col", above=0.0)
     return 0.5 * C_eff * V_col**2 / (HBAR * omega_col)
 
 
@@ -191,12 +165,10 @@ def phase_diffusion(kappa: float, n_eff: float, N_col: float, T_int: float):
     Returns (D_phi, sigma2_phi) with sigma2_phi = 2 D_phi T_int.  Large
     collective occupation slows diffusion but never stops it.
     """
-    kappa = _positive("kappa", kappa)
-    N_col = _positive("N_col", N_col)
-    if not (math.isfinite(n_eff) and n_eff >= 0):
-        raise ValidationError("n_eff must be nonnegative")
-    if not (math.isfinite(T_int) and T_int >= 0):
-        raise ValidationError("T_int must be nonnegative")
+    kappa = real(kappa, "kappa", above=0.0)
+    N_col = real(N_col, "N_col", above=0.0)
+    n_eff = real(n_eff, "n_eff", at_least=0.0)
+    T_int = real(T_int, "T_int", at_least=0.0)
     d_phi = kappa * (2.0 * n_eff + 1.0) / (4.0 * N_col)
     return d_phi, 2.0 * d_phi * T_int
 
@@ -229,8 +201,7 @@ class CouplingCurve:
 
 def coupling_at(curve: CouplingCurve, d: float) -> float:
     """G(d) by linear interpolation; out-of-range queries raise."""
-    if not (isinstance(d, (int, float)) and math.isfinite(d)):
-        raise ValidationError(f"distance must be finite, got {d!r}")
+    d = real(d, "distance")
     lo, hi = curve.distances[0], curve.distances[-1]
     if d < lo or d > hi:
         raise OutOfRangeError(f"distance {d:g} outside tabulated range [{lo:g}, {hi:g}]")
@@ -246,7 +217,7 @@ def max_entangled_distance(
     None when even the closest tabulated distance fails the condition, and
     clamps to the last knot rather than extrapolating.
     """
-    kappa = _positive("kappa", kappa)
+    kappa = real(kappa, "kappa", above=0.0)
     if n_eff <= 0:
         raise ZeroOccupancyError("distance solver needs n_eff > 0")
     g = np.asarray(curve.couplings)

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import lfilter
 
+from ._fields import ConfigFields, count, real
 from .errors import StepTooLargeError, ValidationError
 from .gaussian_core import is_stable, solve_steady_lyapunov, symmetrize
 
@@ -78,7 +79,7 @@ def derive_stream_seed(master_seed: int, task_index: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrajectoryConfig:
+class TrajectoryConfig(ConfigFields):
     """Sampling plan: step dt (units 1/kappa), record length, scheme, seeding."""
 
     dt: float
@@ -88,30 +89,11 @@ class TrajectoryConfig:
     burn_in: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive and finite, got {self.dt!r}")
-        if int(self.n_steps) <= 0:
-            raise ValidationError("n_steps must be positive")
-        if int(self.burn_in) < 0:
-            raise ValidationError("burn_in must be nonnegative")
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        object.__setattr__(self, "burn_in", int(self.burn_in))
+        object.__setattr__(self, "dt", real(self.dt, "dt", above=0.0))
+        object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps", at_least=1))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "n_steps": self.n_steps,
-            "scheme": self.scheme.value,
-            "master_seed": self.master_seed,
-            "burn_in": self.burn_in,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrajectoryConfig":
-        return cls(**d)
+        object.__setattr__(self, "master_seed", count(self.master_seed, "master_seed"))
+        object.__setattr__(self, "burn_in", count(self.burn_in, "burn_in", at_least=0))
 
 
 @dataclass
@@ -125,6 +107,8 @@ class TrajectoryRecord:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.dt = real(self.dt, "dt", above=0.0)
+        self.seed = count(self.seed, "seed")
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 2 or self.samples.shape[1] != 4:
             raise ValidationError("samples must have shape (n_steps, 4)")

@@ -538,3 +538,137 @@ class TestExitCodes:
         })
         assert main(["phase-diagram", "-c", cfg_path]) == 0
         assert (tmp_path / "envout" / "phase_diagram.csv").exists()
+
+
+def _small_phase_config():
+    return {
+        "kappa": 1.0,
+        "g_over_kappa": {"min": 0.0, "max": 0.4, "steps": 5},
+        "n_eff": {"min": 0.0, "max": 1.0, "steps": 4},
+    }
+
+
+#: (command, dotted path of the edited field, value outside the number
+#: policy: a bool, a string or a fraction where a count belongs, or a record
+#: dt that is not positive).  analyze edits the record's sidecar.
+NUMBER_HOLES = [
+    ("simulate", "ensemble", 2.7),
+    ("simulate", "ensemble", True),
+    ("simulate", "trajectory.dt", True),
+    ("simulate", "params.G", True),
+    ("simulate", "trajectory.n_steps", "2000"),
+    ("simulate", "trajectory.n_steps", 2000.7),
+    ("simulate", "trajectory.master_seed", 1.9),
+    ("simulate", "null_trio.correlation", "0.5"),
+    ("simulate", "null_trio.gain", "0.2"),
+    ("thresholds", "f_col", "1e9"),
+    ("thresholds", "B", True),
+    ("phase-diagram", "kappa", True),
+    ("phase-diagram", "g_over_kappa.steps", 4.9),
+    ("phase-diagram", "n_eff.min", "0"),
+    ("analyze", "dt", 0),
+    ("analyze", "dt", -0.01),
+    ("analyze", "dt", "0.01"),
+    ("analyze", "dt", True),
+]
+
+
+class TestNumberPolicy:
+    def _assert_refused(self, capsys, argv, out, field):
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert f"{field} must be" in err[0], err[0]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, path, value", NUMBER_HOLES)
+    def test_non_number_exits_2_naming_the_field(self, tmp_path, capsys, command, path, value):
+        *parents, field = path.split(".")
+        if command == "analyze":
+            rec = TrajectoryRecord(samples=np.random.default_rng(2).standard_normal((2000, 4)),
+                                   dt=0.1, source=SourceTag.QUANTUM, seed=2, meta={"kappa": 1.0})
+            npy, side = save_record(rec, tmp_path / "rec", "npy", "m")
+            side.write_text(json.dumps(dict(json.loads(side.read_text()), dt=value)))
+            cfg = json.loads((CONFIGS / "analyze.json").read_text())
+            argv = ["analyze", str(npy)]
+        else:
+            cfg = {
+                "simulate": lambda: small_simulate_config(ensemble=2, null_trio=True),
+                "thresholds": lambda: json.loads(
+                    (CONFIGS / "thresholds_room_temperature.json").read_text()),
+                "phase-diagram": _small_phase_config,
+            }[command]()
+            section = cfg
+            for key in parents:
+                section = section[key]
+            section[field] = value
+            argv = [command]
+        argv += ["-c", write_config(tmp_path, "cfg.json", cfg)]
+        self._assert_refused(capsys, argv, tmp_path / "out", field)
+
+    def test_csv_record_with_zero_dt_exits_2(self, tmp_path, capsys):
+        rec = TrajectoryRecord(samples=np.random.default_rng(3).standard_normal((2000, 4)),
+                               dt=0.1, source=SourceTag.QUANTUM, seed=3, meta={"kappa": 1.0})
+        (path,) = save_record(rec, tmp_path / "rec", "csv", "m")
+        path.write_text(path.read_text().replace("dt=0.1", "dt=0", 1))
+        argv = ["analyze", str(path), "-c", str(CONFIGS / "analyze.json")]
+        self._assert_refused(capsys, argv, tmp_path / "out", "dt")
+
+    def test_json_outputs_are_strict(self, tmp_path):
+        # without bootstrap replicates the standard errors are NaN, which
+        # strict JSON cannot hold: they are written as null
+        cfg = small_simulate_config(ensemble=1, null_trio=True)
+        cfg["trajectory"]["n_steps"] = 4000
+        records = tmp_path / "records"
+        assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
+                     "--out-dir", str(records)]) == 0
+        an = json.loads((CONFIGS / "analyze.json").read_text())
+        an["pipeline"]["bootstrap_resamples"] = 0
+        out = tmp_path / "out"
+        assert main(["analyze", str(records / "null_c.npy"), str(records / "quantum_0000.npy"),
+                     "-c", write_config(tmp_path, "an.json", an), "--out-dir", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        written = sorted(out.glob("*.json")) + sorted(records.glob("*.json"))
+        docs = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in written}
+        for group in docs["witness_report.json"]["groups"].values():
+            assert group["stderr_nu"] is None and group["stderr_duan"] is None
+
+
+class TestThresholdSources:
+    @pytest.mark.parametrize("extra, pair", [
+        ({"kappa": 5e4}, ("kappa", "ringdown_time")),
+        ({"omega_col": 6.28e9}, ("omega_col", "f_col")),
+    ])
+    def test_two_sources_for_one_rate_exit_2(self, tmp_path, capsys, extra, pair):
+        cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())
+        out = tmp_path / "out"
+        argv = ["thresholds", "-c", write_config(tmp_path, "thr.json", dict(cfg, **extra)),
+                "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: give '{}' or '{}', not both".format(*pair)]
+        assert not any(out.iterdir())
+
+    def test_kappa_given_directly_is_labelled_given(self, tmp_path):
+        cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())
+        del cfg["ringdown_time"]
+        cfg["kappa"] = 5e4
+        out = tmp_path / "out"
+        assert main(["thresholds", "-c", write_config(tmp_path, "thr.json", cfg),
+                     "--out-dir", str(out)]) == 0
+        report = json.loads((out / "thresholds.json").read_text())
+        assert report["kappa"] == {"value": 5e4, "formula": "given"}
+
+
+@pytest.mark.parametrize("command, config, outputs", [
+    ("phase-diagram", "phase_diagram.json", {"phase_diagram.csv": 2 + 50 * 50}),
+    ("converge", "converge.json", {"converge.csv": 2 + 6, "crossing.csv": 2 + 2}),
+])
+def test_shipped_config_runs(tmp_path, command, config, outputs):
+    out = tmp_path / "out"
+    assert main([command, "-c", str(CONFIGS / config), "--out-dir", str(out)]) == 0
+    for name, n_lines in outputs.items():
+        assert len((out / name).read_text().splitlines()) == n_lines

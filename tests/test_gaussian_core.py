@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import time
 
 import numpy as np
@@ -19,8 +21,6 @@ from colmode.gaussian_core import (
     evolve_covariance,
     infer_diffusion,
     is_stable,
-    mat_from_list,
-    mat_to_list,
     solve_steady_lyapunov,
     steady_dynamics,
 )
@@ -358,9 +358,26 @@ class TestSymmetryAndSerialization:
             assert np.max(np.abs(P @ V @ P.T - V)) < 1e-12
 
     def test_params_json_round_trip(self):
-        p = ModelParams(G=0.2, kappa_a=1.0, kappa_b=1.5, n_a=0.3, n_b=0.1,
-                        delta_a=0.05, delta_b=-0.02)
-        assert ModelParams.from_json(p.to_json()) == p
+        from colmode.null_models import NullKind, NullModelSpec
+        from colmode.pipeline import PipelineConfig
+        from colmode.thresholds import NoiseInputSpec
+        from colmode.trajectory import Scheme, TrajectoryConfig
+
+        configs = [
+            ModelParams(G=0.2, kappa_a=1.0, kappa_b=1.5, n_a=0.3, n_b=0.1,
+                        delta_a=0.05, delta_b=-0.02),
+            TrajectoryConfig(dt=0.05, n_steps=100, scheme=Scheme.EULER_MARUYAMA,
+                             master_seed=7, burn_in=3),
+            PipelineConfig(bandwidth=1.0, integration_time=10.0, demod_frequency=0.1,
+                           bootstrap_resamples=20, segment_statistic="mean"),
+            NullModelSpec(kind=NullKind.CLASSICAL_PARAMP, target_bandwidth=0.08,
+                          target_power=0.5, correlation=0.3, gain=0.2, seed=5),
+            NoiseInputSpec(B=1e5, C_eff=1e-12, omega_col=6e9, T_amb=300.0, R_eff=50.0),
+        ]
+        for c in configs:
+            d = c.to_dict()
+            assert type(c).from_dict(json.loads(json.dumps(d))) == c
+            assert list(d) == [f.name for f in dataclasses.fields(c)]
 
     def test_closed_form_preset_requires_symmetry(self):
         with pytest.raises(ValidationError):
@@ -371,10 +388,6 @@ class TestSymmetryAndSerialization:
         with pytest.raises(ValidationError):
             ModelParams.from_dict({"G": 0.1, "kappa_a": 1, "kappa_b": 1,
                                    "n_a": 0, "n_b": 0, "bogus": 1})
-
-    def test_matrix_wire_format_round_trip(self):
-        V = closed_form_covariance(0.2, 1.0, 0.4)
-        assert np.array_equal(mat_from_list(mat_to_list(V)), V)
 
     def test_steady_dynamics_dispatch(self):
         p_tms = sym_params(G=0.2)
