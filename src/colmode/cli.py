@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import datetime
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import sys
@@ -274,13 +276,37 @@ def finish_manifest(out_dir: Path, name: str, body: dict, outputs: list[Path]) -
     write_json(out_dir / name, body)
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread_for_children():
+    """os.environ with one BLAS thread, restored on exit.  Only processes
+    started inside see it: this process's BLAS pool already exists."""
+    saved = {key: os.environ.get(key) for key in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
 def _pmap(fn, items, threads: int):
     """Order-preserving map, optionally across processes; results never
-    depend on scheduling because each item owns its derived seed."""
+    depend on scheduling because each item owns its derived seed.  Workers
+    are spawned, so each starts a BLAS of one thread and `threads` workers
+    use `threads` cores instead of one BLAS pool per core each."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with _one_blas_thread_for_children(), concurrent.futures.ProcessPoolExecutor(
+        max_workers=threads, mp_context=spawn
+    ) as pool:
         return list(pool.map(fn, items))
 
 

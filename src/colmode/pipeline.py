@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.signal import filtfilt
+from scipy.linalg.lapack import dpttrs
 
 from ._fields import ConfigFields, count, real
 from .errors import (
@@ -130,6 +129,19 @@ def _record_kappa(record: TrajectoryRecord) -> float:
     return real(record.meta.get("kappa", 1.0), "kappa", above=0.0)
 
 
+def _record_calibration(record: TrajectoryRecord) -> float:
+    """The accumulated band-limit transfer in a record's metadata, 1.0 if none."""
+    return real(record.meta.get("bandlimit_cal", 1.0), "bandlimit_cal", above=0.0)
+
+
+def _record_bands(record: TrajectoryRecord) -> list[float]:
+    """The bandwidths already applied to a record, in order."""
+    bands = record.meta.get("bandlimit", [])
+    if not isinstance(bands, list):
+        raise ValidationError(f"bandlimit must be a list of bandwidths, got {bands!r}")
+    return [real(b, "bandlimit", above=0.0) for b in bands]
+
+
 def filter_pole_coefficient(B: float, dt: float) -> float:
     """AR(1) pole of the single-pass low-pass whose two-pass -3 dB point is B/2."""
     fc = (B / 2.0) / math.sqrt(math.sqrt(2.0) - 1.0)
@@ -154,7 +166,44 @@ def vacuum_transfer(B: float, dt: float, kappa: float, n_grid: int = 4096) -> fl
     cw = np.cos(w)
     spec = (1.0 - r * r) / (1.0 - 2.0 * r * cw + r * r)
     gain = ((1.0 - a) ** 2 / (1.0 - 2.0 * a * cw + a * a)) ** 2
-    return float(trapezoid(spec * gain, w) / trapezoid(spec, w))
+    dw = np.diff(w)
+
+    def trapezoid(y):
+        # scipy.integrate.trapezoid's order of operations, bit for bit
+        return np.sum(dw * (y[1:] + y[:-1]) / 2.0)
+
+    return float(trapezoid(spec * gain) / trapezoid(spec))
+
+
+def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
+    """The single pole 1 - a over 1 - a z^-1 run forward and backward over
+    the columns of x, after odd extension by padlen samples at each end.
+
+    Each pass starts from the filter's steady state for its first input, so
+    this is scipy.signal.filtfilt([1 - a], [1, -a], x, axis=0, padlen=padlen)
+    up to rounding.  The forward pass is the unit lower bidiagonal L with
+    subdiagonal -a, the backward pass its transpose, so both are one
+    symmetric tridiagonal solve of L diag(d) L^T: the forward steady state
+    zi x_0 enters row 0 of the input, and d[-1] = b0 / (zi + b0) starts the
+    backward pass from its steady state zi y_last.
+    """
+    b0 = 1.0 - a
+    zi = a * b0 / (1.0 - a)  # scipy.signal.lfilter_zi's value, computed as it computes it
+    # one channel per row, so ext.T is the column-major right-hand side LAPACK solves in place
+    xt = x.T
+    ext = np.concatenate(
+        (2 * xt[:, :1] - xt[:, padlen:0:-1], xt, 2 * xt[:, -1:] - xt[:, -2 : -(padlen + 2) : -1]),
+        axis=1,
+    )
+    first = zi * ext[:, 0]
+    ext *= b0
+    ext[:, 0] += first
+    d = np.ones(ext.shape[1])
+    d[-1] = b0 / (zi + b0)
+    # the LAPACK wrapper refuses an empty e, so a one-sample record gets one unread entry
+    e = np.full(max(ext.shape[1] - 1, 1), -a)
+    y, _ = dpttrs(d, e, ext.T, overwrite_b=True)
+    return np.multiply(y[padlen : padlen + x.shape[0]], b0, order="C")
 
 
 def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
@@ -175,12 +224,12 @@ def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     n = record.n_steps
     tau = -1.0 / math.log(a) if a > 0 else 1.0
     padlen = int(min(n - 1, max(6, 10.0 * tau)))
-    filtered = filtfilt([1.0 - a], [1.0, -a], record.samples, axis=0, padlen=padlen)
     meta = dict(record.meta)
-    meta["bandlimit"] = meta.get("bandlimit", []) + [B]
-    meta["bandlimit_cal"] = meta.get("bandlimit_cal", 1.0) * vacuum_transfer(
+    meta["bandlimit"] = _record_bands(record) + [B]
+    meta["bandlimit_cal"] = _record_calibration(record) * vacuum_transfer(
         B, record.dt, _record_kappa(record)
     )
+    filtered = _zero_phase_lowpass(record.samples, a, padlen)
     return TrajectoryRecord(
         samples=filtered, dt=record.dt, source=record.source, seed=record.seed, meta=meta
     )
@@ -193,6 +242,7 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     rotating frame.
     """
     f0 = real(f0, "demodulation frequency")
+    demod = real(record.meta.get("demod", 0.0), "demod")
     if f0 == 0.0:
         return record
     theta = -2.0 * math.pi * f0 * record.times()
@@ -204,7 +254,7 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     out[:, 2] = c * X[:, 2] - s * X[:, 3]
     out[:, 3] = s * X[:, 2] + c * X[:, 3]
     meta = dict(record.meta)
-    meta["demod"] = meta.get("demod", 0.0) + f0
+    meta["demod"] = demod + f0
     return TrajectoryRecord(
         samples=out, dt=record.dt, source=record.source, seed=record.seed, meta=meta
     )
@@ -257,7 +307,7 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
             f"full-rank covariance, record holds {n_seg} segments of {m} samples"
         )
     X = record.samples[: n_seg * m].reshape(n_seg, m, 4)
-    cal = float(record.meta.get("bandlimit_cal", 1.0))
+    cal = _record_calibration(record)
 
     if config.segment_statistic == "second_moment":
         stats = np.einsum("smi,smj->sij", X, X) / m

@@ -6,7 +6,10 @@ The primary scheme is the exact Ornstein-Uhlenbeck discretization
     Q = Vinf - F Vinf F^T,
 
 which is statistically exact for any step size; Euler-Maruyama is kept as a
-cross-validation scheme.  Every trajectory owns an independent RNG stream
+cross-validation scheme.  Both iterate the same linear recurrence, evaluated
+in blocks of 16 steps: the steps inside a block are one block-Toeplitz
+matrix product, and the states that cross block ends follow the same
+recurrence with F^16.  Every trajectory owns an independent RNG stream
 (numpy PCG64) whose seed is derived deterministically from a master seed, so
 ensembles are reproducible sample-for-sample regardless of scheduling.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import lfilter
+from scipy.linalg.blas import dgemm
 
 from ._fields import ConfigFields, count, real
 from .errors import StepTooLargeError, ValidationError
@@ -42,6 +45,9 @@ RNG_ALGORITHM = "pcg64"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# steps per block of _linear_recurrence
+_BLOCK = 16
 
 
 class Scheme(str, enum.Enum):
@@ -140,31 +146,37 @@ def _psd_factor(Q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _ar1_path(F: np.ndarray, r0: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Iterate R_{k+1} = F R_k + w_k; returns (len(w)+1, n) including R_0.
+def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_0 = x_0, y_k = F y_{k-1} + x_k over the rows of x (m, n).
 
-    Works in the complex Schur basis F = Z T Z^H of any n x n F: Z is
-    unitary, so the change of basis is well conditioned even for defective
-    F.  The triangular recursion u_{k+1} = T u_k + Z^H w_k is solved one
-    channel at a time, last channel first, each as one C-level IIR filter
-    driven by the already computed later channels delayed by one step.
-    Real T and Z (scalar or diagonal F) keep the arithmetic real.
+    Works in the original basis for any n x n F, defective or unstable.
+    Within each block of _BLOCK rows, y is the block's own response, one
+    block-Toeplitz product with F^0 .. F^(_BLOCK-1), plus the response
+    F^1 .. F^_BLOCK to the state carried in from the previous block.  The
+    carried states are the block-end values, which obey the same recurrence
+    with F^_BLOCK, so each level of recursion shortens the series _BLOCK-fold.
     """
-    T, Z = scipy.linalg.schur(F, output="complex")
-    if not (T.imag.any() or Z.imag.any()):
-        T, Z = T.real, Z.real
-    n = F.shape[0]
-    # x feeds u_k = T_jj u_{k-1} + x_k with x_0 = u_0 (zero initial filter state)
-    x = np.empty((w.shape[0] + 1, n), dtype=T.dtype)
-    x[0] = Z.conj().T @ r0
-    x[1:] = w @ Z.conj()
-    u = np.empty_like(x)
-    for j in reversed(range(n)):
-        coupling = T[j, j + 1 :]
-        if coupling.any():
-            x[1:, j] += u[:-1, j + 1 :] @ coupling
-        u[:, j] = lfilter([1.0], [1.0, -T[j, j]], x[:, j])
-    return (u @ Z.T).real
+    m, n = x.shape
+    # a series shorter than a block is one block: no power of F beyond its span
+    b = min(m, _BLOCK)
+    nb = -(-m // b)
+    powers = [np.eye(n)]
+    for _ in range(b):
+        powers.append(F @ powers[-1])
+    # block (i, j) is F^(j-i) for j >= i, else 0; rows are states, so each
+    # power acts on the right as its transpose
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    blocks = np.stack(powers[:b]).transpose(0, 2, 1)[np.maximum(-lag, 0)]
+    blocks[lag > 0] = 0.0
+    toeplitz = blocks.transpose(0, 2, 1, 3).reshape(b * n, b * n)
+    if m % b:
+        x = np.concatenate((x, np.zeros((nb * b - m, n))))
+    y = x.reshape(nb, b * n) @ toeplitz
+    if nb > 1:
+        carried = _linear_recurrence(powers[b], y[:-1, -n:])
+        # y[1:] += carried @ [F^1 .. F^b]^T, accumulated in place: y[1:].T is column-major
+        dgemm(1.0, np.vstack(powers[1:]), carried.T, beta=1.0, c=y[1:].T, overwrite_c=True)
+    return y.reshape(nb * b, n)[:m]
 
 
 def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
@@ -177,12 +189,15 @@ def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
 
 def _draw_path(F, Lnoise, L0, total: int, rng, r0=None) -> np.ndarray:
     """total samples of R_{k+1} = F R_k + Lnoise z_k from R_0 = r0, else L0 z
-    (the origin if L0 is None); R_0's normals are drawn from rng first."""
+    (the origin if L0 is None); R_0's normals are drawn from rng first.
+    This is the one AR(1) stream of every sampler."""
     n = F.shape[0]
     if r0 is None:
         r0 = L0 @ rng.standard_normal(n) if L0 is not None else np.zeros(n)
-    w = rng.standard_normal((total - 1, n)) @ Lnoise.T
-    return _ar1_path(F, r0, w)
+    x = np.empty((total, n))
+    x[0] = r0
+    np.matmul(rng.standard_normal((total - 1, n)), Lnoise.T, out=x[1:])
+    return _linear_recurrence(F, x)
 
 
 def _records(F, Lnoise, L0, config, scheme, source, meta, members, r0=None):

@@ -1,12 +1,17 @@
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import colmode
 from colmode.cli import (
+    _pmap,
     load_record,
     main,
     phase_diagram_rows,
@@ -178,6 +183,14 @@ class TestSimulate:
         main(["simulate", "-c", cfg_path, "--out-dir", str(seq), "--threads", "1"])
         main(["simulate", "-c", cfg_path, "--out-dir", str(par), "--threads", "3"])
         assert output_digests(seq) == output_digests(par)
+
+    def test_workers_start_with_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        assert _pmap(os.getenv, names, threads=2) == ["1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_seed_flag_changes_streams(self, tmp_path):
         cfg_path = write_config(tmp_path, "sim.json", small_simulate_config(ensemble=2))
@@ -550,7 +563,8 @@ def _small_phase_config():
 
 #: (command, dotted path of the edited field, value outside the number
 #: policy: a bool, a string or a fraction where a count belongs, or a record
-#: dt that is not positive).  analyze edits the record's sidecar.
+#: dt that is not positive).  analyze edits the record's sidecar, whose
+#: meta may carry the pipeline's own bookkeeping from an earlier pass.
 NUMBER_HOLES = [
     ("simulate", "ensemble", 2.7),
     ("simulate", "ensemble", True),
@@ -570,6 +584,11 @@ NUMBER_HOLES = [
     ("analyze", "dt", -0.01),
     ("analyze", "dt", "0.01"),
     ("analyze", "dt", True),
+    ("analyze", "meta.bandlimit_cal", "x"),
+    ("analyze", "meta.bandlimit_cal", 0.0),
+    ("analyze", "meta.bandlimit", "abc"),
+    ("analyze", "meta.bandlimit", [1.0, 0.0]),
+    ("analyze", "meta.demod", "q"),
 ]
 
 
@@ -588,21 +607,23 @@ class TestNumberPolicy:
             rec = TrajectoryRecord(samples=np.random.default_rng(2).standard_normal((2000, 4)),
                                    dt=0.1, source=SourceTag.QUANTUM, seed=2, meta={"kappa": 1.0})
             npy, side = save_record(rec, tmp_path / "rec", "npy", "m")
-            side.write_text(json.dumps(dict(json.loads(side.read_text()), dt=value)))
+            doc = json.loads(side.read_text())
             cfg = json.loads((CONFIGS / "analyze.json").read_text())
             argv = ["analyze", str(npy)]
         else:
-            cfg = {
+            doc = cfg = {
                 "simulate": lambda: small_simulate_config(ensemble=2, null_trio=True),
                 "thresholds": lambda: json.loads(
                     (CONFIGS / "thresholds_room_temperature.json").read_text()),
                 "phase-diagram": _small_phase_config,
             }[command]()
-            section = cfg
-            for key in parents:
-                section = section[key]
-            section[field] = value
             argv = [command]
+        section = doc
+        for key in parents:
+            section = section[key]
+        section[field] = value
+        if command == "analyze":
+            side.write_text(json.dumps(doc))
         argv += ["-c", write_config(tmp_path, "cfg.json", cfg)]
         self._assert_refused(capsys, argv, tmp_path / "out", field)
 
@@ -672,3 +693,19 @@ def test_shipped_config_runs(tmp_path, command, config, outputs):
     assert main([command, "-c", str(CONFIGS / config), "--out-dir", str(out)]) == 0
     for name, n_lines in outputs.items():
         assert len((out / name).read_text().splitlines()) == n_lines
+
+
+def test_cli_imports_no_scipy_signal_integrate_or_stats():
+    """Every command pays for colmode.cli's imports at start-up; scipy.linalg
+    is the only part of scipy the runtime needs."""
+    probe = (
+        "import sys, colmode.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.stats') "
+        "if m in sys.modules))"
+    )
+    src = str(Path(colmode.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

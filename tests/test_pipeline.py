@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.signal import filtfilt
 
 from colmode import pipeline as pipeline_mod
 from colmode.entanglement import _duan_sum, _nu_minus, ppt_nu_minus
@@ -134,6 +135,38 @@ class TestBandlimit:
     def test_length_preserved(self):
         rec = white_record(n_steps=777)
         assert bandlimit(rec, 0.3).n_steps == 777
+
+    @pytest.mark.parametrize("n, a, padlen", [
+        (40, 0.95, 39),  # padding as long as the record allows
+        (5000, 0.087, 6),  # small a: B at the Nyquist limit, the minimum padding
+        (5000, 0.6, 20),
+        (5000, 0.9995, 4999),  # a near 1: the padding spans the record
+        (1, 0.5, 0),
+    ])
+    def test_zero_phase_filter_matches_filtfilt(self, n, a, padlen):
+        x = np.random.default_rng(n).standard_normal((n, 4))
+        want = filtfilt([1.0 - a], [1.0, -a], x, axis=0, padlen=padlen)
+        got = pipeline_mod._zero_phase_lowpass(x, a, padlen)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_short_record_is_padded_by_its_length(self):
+        rec = white_record(n_steps=50, dt=0.1)
+        a = filter_pole_coefficient(0.05, rec.dt)  # ten time constants exceed 49 samples
+        want = filtfilt([1.0 - a], [1.0, -a], rec.samples, axis=0, padlen=49)
+        got = bandlimit(rec, 0.05).samples
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("B, dt, kappa", [(2.0, 0.1, 1.0), (0.3, 0.01, 2.5), (40.0, 0.0125, 0.7)])
+    def test_vacuum_transfer_is_scipy_trapezoid(self, B, dt, kappa):
+        """The inline trapezoid rule keeps scipy's order of operations, so
+        bandlimit_cal is bit for bit what scipy.integrate.trapezoid gives."""
+        r = math.exp(-0.5 * kappa * dt)
+        a = filter_pole_coefficient(B, dt)
+        w = np.linspace(0.0, math.pi, 4096)
+        cw = np.cos(w)
+        spec = (1.0 - r * r) / (1.0 - 2.0 * r * cw + r * r)
+        gain = ((1.0 - a) ** 2 / (1.0 - 2.0 * a * cw + a * a)) ** 2
+        assert vacuum_transfer(B, dt, kappa) == float(trapezoid(spec * gain, w) / trapezoid(spec, w))
 
     def test_vacuum_transfer_accumulates(self):
         rec = quantum_record(n_steps=1000)

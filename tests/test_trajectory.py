@@ -24,7 +24,7 @@ from colmode.trajectory import (
     sample_euler_maruyama,
     sample_exact_ou,
     save_record_csv,
-    _ar1_path,
+    _linear_recurrence,
 )
 
 from conftest import random_stable_params
@@ -144,25 +144,37 @@ def _tms_step(G=0.25, kappa_b=1.0, delta_a=0.0, delta_b=0.0, dt=0.05):
     return scipy.linalg.expm(build_drift(p) * dt)
 
 
+def _rotation_step(theta=0.1):
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.array([[c, -s], [s, c]])
+    return scipy.linalg.block_diag(R, R.T @ R.T)
+
+
 AR1_DRIFTS = {
     "closed_form": lambda: scipy.linalg.expm(closed_form_dynamics(0.25, 1.0, 0.0)[0] * 0.05),
     "tms_resonant": lambda: _tms_step(),
     "tms_detuned": lambda: _tms_step(G=0.2, kappa_b=0.6, delta_a=0.3, delta_b=-0.2),
+    # unstable: just past the 2G = kappa threshold, growing ~1e23-fold over 1e5 steps
+    "tms_unstable": lambda: _tms_step(G=0.51),
     # defective: one eigenvalue with a single Jordan chain
     "jordan": lambda: scipy.linalg.expm((-0.5 * np.eye(4) + np.eye(4, k=1)) * 0.05),
+    # orthogonal: unit-modulus complex eigenvalues, nothing decays
+    "rotation": _rotation_step,
 }
 
 
 class TestAr1Kernel:
+    # the recurrence runs in blocks of 16 steps: 1 + n rows put the series
+    # one short of, on and one past block ends; 1e5 rows recurse four levels deep
     @pytest.mark.parametrize("drift", sorted(AR1_DRIFTS))
-    @pytest.mark.parametrize("n", [0, 1, 254, 255, 20000])
+    @pytest.mark.parametrize("n", [0, 1, 14, 15, 30, 31, 82, 254, 255, 20000, 99999])
     def test_matches_plain_loop(self, drift, n):
         F = AR1_DRIFTS[drift]()
         rng = np.random.default_rng(n)
         r0 = rng.standard_normal(4)
         w = rng.standard_normal((n, 4))
         want = loop_ar1(F, r0, w)
-        got = _ar1_path(F, r0, w)
+        got = _linear_recurrence(F, np.vstack([r0, w]))
         assert got.shape == (n + 1, 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -175,7 +187,8 @@ class TestAr1Kernel:
         want = np.column_stack(
             [lfilter([1.0], [1.0, -f[j]], np.r_[r0[j], w[:, j]]) for j in range(width)]
         )
-        assert np.array_equal(_ar1_path(np.diag(f), r0, w), want)
+        got = _linear_recurrence(np.diag(f), np.vstack([r0, w]))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestEulerMaruyama:
