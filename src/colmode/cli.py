@@ -244,6 +244,16 @@ def load_record(path) -> TrajectoryRecord:
         raise ValidationError(f"cannot load record {path}: {exc}") from exc
 
 
+def _blas() -> dict:
+    """Name and version of the BLAS numpy was built with; None where numpy
+    cannot tell (show_config has mode="dicts" from numpy 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict | None = None):
     name = f"manifest_{command.replace('-', '_')}_{config_digest(config)}.json"
     body = {
@@ -259,6 +269,8 @@ def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict |
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": _blas(),
+            "blas_threads_env": dict(_BLAS_ENV_AT_START),
         },
         "config": config,
         "config_sha256": sha256_bytes(canonical_json(config).encode()),
@@ -277,6 +289,12 @@ def finish_manifest(out_dir: Path, name: str, body: dict, outputs: list[Path]) -
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+# BLAS sizes its thread pool from these when numpy loads, so the manifest
+# records them as the process started (_pmap sets them only for its workers)
+_BLAS_ENV_AT_START = {
+    key: os.environ.get(key) for key in (*_BLAS_THREAD_VARS, "MKL_NUM_THREADS")
+}
 
 
 @contextlib.contextmanager
@@ -460,13 +478,18 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
 
     rows = []
     groups: dict[str, list] = {}
+    factors = {"default_kappa": [], "per_file": {}}
     for path in record_paths:
+        fname = Path(path).name
         record = load_record(path)
         est = analyze_record(record, pconf)
         rep = witness_from_estimate(est)
+        if "kappa" not in record.meta:
+            factors["default_kappa"].append(fname)
+        factors["per_file"][fname] = {"calibration": est.calibration, "attenuation": est.attenuation}
         rows.append(
             {
-                "file": Path(path).name,
+                "file": fname,
                 "source": est.source,
                 "nu_minus": rep.nu_minus,
                 "duan_sum": rep.duan_sum,
@@ -493,6 +516,8 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
     json_path = out_dir / "witness_report.json"
     write_csv(csv_path, ANALYZE_COLUMNS, rows, name)
     write_json(json_path, summary)
+    factors["default_kappa"].sort()
+    manifest["factors"] = factors
     finish_manifest(out_dir, name, manifest, [csv_path, json_path])
     print(f"analyzed {len(rows)} records into {csv_path} / {json_path}")
     return 0

@@ -189,7 +189,7 @@ def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
     """
     b0 = 1.0 - a
     zi = a * b0 / (1.0 - a)  # scipy.signal.lfilter_zi's value, computed as it computes it
-    # one channel per row, so ext.T is the column-major right-hand side LAPACK solves in place
+    # one channel per row: LAPACK solves the column-major ext.T in place, so y is channel-major
     xt = x.T
     ext = np.concatenate(
         (2 * xt[:, :1] - xt[:, padlen:0:-1], xt, 2 * xt[:, -1:] - xt[:, -2 : -(padlen + 2) : -1]),
@@ -202,8 +202,8 @@ def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
     d[-1] = b0 / (zi + b0)
     # the LAPACK wrapper refuses an empty e, so a one-sample record gets one unread entry
     e = np.full(max(ext.shape[1] - 1, 1), -a)
-    y, _ = dpttrs(d, e, ext.T, overwrite_b=True)
-    return np.multiply(y[padlen : padlen + x.shape[0]], b0, order="C")
+    y = dpttrs(d, e, ext.T, overwrite_b=True)[0][padlen : padlen + x.shape[0]]
+    return np.multiply(y, b0, out=y)
 
 
 def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
@@ -283,9 +283,9 @@ def _cov_of_means(stats: np.ndarray) -> np.ndarray:
 def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> EstimatedCovariance:
     """Segmented covariance estimate with bootstrap uncertainties.
 
-    The record is split into floor(duration / T) non-overlapping segments of
-    length T = config.integration_time.  Each segment contributes one
-    statistic (second-moment matrix by default), and one reduction of the
+    The record, row- or channel-major, is split into floor(duration / T)
+    non-overlapping segment views of length T = config.integration_time, each
+    giving one statistic (second moments by default), and one reduction of the
     segment statistics gives both the covariance estimate and each
     segment-level bootstrap replicate, whose spread gives the per-entry and
     the witness standard errors.  N_eff = T * B is reported alongside.  The
@@ -306,11 +306,11 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
             f"the 'mean' statistic needs >= {MIN_MEAN_SEGMENTS} segments for a "
             f"full-rank covariance, record holds {n_seg} segments of {m} samples"
         )
-    X = record.samples[: n_seg * m].reshape(n_seg, m, 4)
+    X = record.samples[: n_seg * m].T.reshape(4, n_seg, m).transpose(1, 2, 0)
     cal = _record_calibration(record)
 
     if config.segment_statistic == "second_moment":
-        stats = np.einsum("smi,smj->sij", X, X) / m
+        stats = X.swapaxes(1, 2) @ X / m
         reduce, atten = (lambda s: s.mean(axis=-3)), 1.0
     else:
         stats = X.mean(axis=1)

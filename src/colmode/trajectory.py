@@ -115,7 +115,10 @@ class TrajectoryRecord:
     def __post_init__(self):
         self.dt = real(self.dt, "dt", above=0.0)
         self.seed = count(self.seed, "seed")
-        self.samples = np.asarray(self.samples, dtype=float)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "iuf":  # not bool, complex, text or objects
+            raise ValidationError(f"samples must be integer or real numbers, got {samples.dtype}")
+        self.samples = samples.astype(float, copy=False)
         if self.samples.ndim != 2 or self.samples.shape[1] != 4:
             raise ValidationError("samples must have shape (n_steps, 4)")
         if not np.all(np.isfinite(self.samples)):

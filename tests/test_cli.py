@@ -26,6 +26,7 @@ from colmode.gaussian_core import (
     solve_steady_lyapunov,
     steady_state_covariance,
 )
+from colmode.pipeline import _ou_mean_attenuation, vacuum_transfer
 from colmode.trajectory import SourceTag, TrajectoryRecord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -100,7 +101,8 @@ class TestPhaseDiagram:
         assert len(text) == 2 + 30
         manifest = json.loads(next(out.glob("manifest_*.json")).read_text())
         assert manifest["schema"] == "colmode.manifest/1"
-        assert manifest["environment"] == {
+        env = manifest["environment"]
+        assert {key: env[key] for key in ("python", "numpy", "scipy")} == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
@@ -279,6 +281,28 @@ class TestAnalyze:
             assert row["entangled_ppt"] == row["entangled_duan"] == "False"
         report = json.loads((out / "witness_report.json").read_text())
         assert report["groups"]["NULL_C"]["entangled_ppt"] is False
+
+    def test_manifest_lists_factors_and_default_kappa(self, tmp_path):
+        rng = np.random.default_rng(4)
+        out = tmp_path / "out"
+        paths = []
+        for name, meta in (("given", {"kappa": 2.0}), ("defaulted", {})):
+            rec = TrajectoryRecord(samples=rng.standard_normal((2000, 4)), dt=0.1,
+                                   source=SourceTag.QUANTUM, seed=4, meta=meta)
+            paths.append(str(save_record(rec, tmp_path / name, "npy", "m")[0]))
+        an = json.loads((CONFIGS / "analyze.json").read_text())
+        an["pipeline"].update(segment_statistic="mean", bootstrap_resamples=10)
+        assert main(["analyze", *paths, "-c", write_config(tmp_path, "an.json", an),
+                     "--out-dir", str(out)]) == 0
+        factors = json.loads(next(out.glob("manifest_*.json")).read_text())["factors"]
+        assert factors["default_kappa"] == ["defaulted.npy"]
+        for name, kappa in (("given.npy", 2.0), ("defaulted.npy", 1.0)):
+            assert factors["per_file"][name] == {
+                "calibration": vacuum_transfer(1.0, 0.1, kappa),
+                "attenuation": _ou_mean_attenuation(kappa / 2.0, 0.1, 100),
+            }
+        for data in ("witness_distribution.csv", "witness_report.json"):
+            assert "factors" not in (out / data).read_text()
 
     def test_csv_records_also_load(self, tmp_path):
         cfg = small_simulate_config(ensemble=1, fmt="csv")
@@ -627,6 +651,30 @@ class TestNumberPolicy:
         argv += ["-c", write_config(tmp_path, "cfg.json", cfg)]
         self._assert_refused(capsys, argv, tmp_path / "out", field)
 
+    @pytest.mark.parametrize("samples", [
+        np.random.default_rng(5).standard_normal((2000, 4)) * (1 + 1j),  # imaginary part dropped
+        np.tile(np.array(["1", "2", "3", "4"]), (2000, 1)),  # text parsed as numbers
+        np.random.default_rng(5).integers(0, 2, (2000, 4)).astype(bool),  # read as 0/1
+    ], ids=["complex", "text", "bool"])
+    def test_non_real_samples_exit_2(self, tmp_path, capsys, samples):
+        rec = TrajectoryRecord(samples=np.zeros((2000, 4)), dt=0.1, source=SourceTag.QUANTUM,
+                               seed=5, meta={"kappa": 1.0})
+        npy, _ = save_record(rec, tmp_path / "rec", "npy", "m")
+        np.save(npy, samples, allow_pickle=False)
+        argv = ["analyze", str(npy), "-c", str(CONFIGS / "analyze.json")]
+        self._assert_refused(capsys, argv, tmp_path / "out", "samples")
+
+    def test_integer_samples_load(self, tmp_path):
+        samples = np.random.default_rng(6).integers(-5, 6, (2000, 4))
+        rec = TrajectoryRecord(samples=samples, dt=0.1, source=SourceTag.QUANTUM,
+                               seed=6, meta={"kappa": 1.0})
+        npy, _ = save_record(rec, tmp_path / "rec", "npy", "m")
+        np.save(npy, samples, allow_pickle=False)
+        assert np.array_equal(load_record(npy).samples, samples.astype(float))
+        out = tmp_path / "out"
+        assert main(["analyze", str(npy), "-c", str(CONFIGS / "analyze.json"),
+                     "--out-dir", str(out)]) == 0
+
     def test_csv_record_with_zero_dt_exits_2(self, tmp_path, capsys):
         rec = TrajectoryRecord(samples=np.random.default_rng(3).standard_normal((2000, 4)),
                                dt=0.1, source=SourceTag.QUANTUM, seed=3, meta={"kappa": 1.0})
@@ -695,6 +743,30 @@ def test_shipped_config_runs(tmp_path, command, config, outputs):
         assert len((out / name).read_text().splitlines()) == n_lines
 
 
+def _run_python(args, env):
+    """A fresh interpreter that imports colmode from this source tree."""
+    src = str(Path(colmode.__file__).resolve().parents[1])
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+
+
+def test_manifest_records_blas_and_its_thread_variables(tmp_path):
+    """The environment names the BLAS build and the thread variables the
+    process started with, read in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "MKL_NUM_THREADS"}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="2")
+    out = tmp_path / "out"
+    _run_python(["-m", "colmode.cli", "thresholds", "-c",
+              str(CONFIGS / "thresholds_room_temperature.json"), "--out-dir", str(out)], env)
+    environment = json.loads(next(out.glob("manifest_*.json")).read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert environment["blas_threads_env"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+    }
+
+
 def test_cli_imports_no_scipy_signal_integrate_or_stats():
     """Every command pays for colmode.cli's imports at start-up; scipy.linalg
     is the only part of scipy the runtime needs."""
@@ -703,9 +775,4 @@ def test_cli_imports_no_scipy_signal_integrate_or_stats():
         "print(sorted(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.stats') "
         "if m in sys.modules))"
     )
-    src = str(Path(colmode.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _run_python(["-c", probe], os.environ).stdout.strip() == "[]"

@@ -156,6 +156,17 @@ class TestBandlimit:
         got = bandlimit(rec, 0.05).samples
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("B", [0.05, 1.0, 4.9])
+    def test_bandlimited_record_is_channel_major_filtfilt(self, B):
+        """bandlimit scales LAPACK's solution in place and keeps its layout."""
+        rec = white_record(n_steps=3000, dt=0.1)
+        a = filter_pole_coefficient(B, rec.dt)
+        padlen = int(min(rec.n_steps - 1, max(6, 10.0 * (-1.0 / math.log(a)))))  # bandlimit's
+        want = filtfilt([1.0 - a], [1.0, -a], rec.samples, axis=0, padlen=padlen)
+        got = bandlimit(rec, B).samples
+        assert got.strides[0] == got.itemsize
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("B, dt, kappa", [(2.0, 0.1, 1.0), (0.3, 0.01, 2.5), (40.0, 0.0125, 0.7)])
     def test_vacuum_transfer_is_scipy_trapezoid(self, B, dt, kappa):
         """The inline trapezoid rule keeps scipy's order of operations, so
@@ -281,21 +292,53 @@ class TestEstimateCovariance:
                               meta={"kappa": 1.0})
         assert estimate_covariance(rec, pc).n_segments == 5
 
-    @pytest.mark.parametrize("statistic", ["second_moment", "mean"])
-    @pytest.mark.parametrize("n_seg", [5, 8, 24, 333])
-    def test_one_reduction_matches_oracle_bit_for_bit(self, statistic, n_seg):
+    @staticmethod
+    def _segmented(n_seg, statistic):
         # 100 samples a segment plus a partial one; a non-unit calibration
         base = quantum_record(n_steps=100 * n_seg + 37, seed=n_seg, dt=0.1)
         rec = TrajectoryRecord(samples=base.samples, dt=base.dt, source=base.source,
                                seed=base.seed, meta={"kappa": 1.3, "bandlimit_cal": 0.87})
         pc = PipelineConfig(bandwidth=1.0, integration_time=10.0,
                             bootstrap_resamples=200, segment_statistic=statistic)
+        return rec, pc
+
+    @staticmethod
+    def _outputs(est):
+        return est.V_hat, est.stderr, est.stderr_nu, est.stderr_duan
+
+    @pytest.mark.parametrize("statistic", ["mean"])
+    @pytest.mark.parametrize("n_seg", [5, 8, 24, 333])
+    def test_one_reduction_matches_oracle_bit_for_bit(self, statistic, n_seg):
+        rec, pc = self._segmented(n_seg, statistic)
         est = estimate_covariance(rec, pc)
         assert est.n_segments == n_seg
-        want = oracle_estimate(rec, pc)
-        got = (est.V_hat, est.stderr, est.stderr_nu, est.stderr_duan)
-        for w, g in zip(want, got):
+        for w, g in zip(oracle_estimate(rec, pc), self._outputs(est)):
             assert np.array_equal(w, g, equal_nan=True)
+
+    @pytest.mark.parametrize("n_seg", [5, 8, 24, 333])
+    def test_second_moments_match_einsum_oracle(self, n_seg):
+        """One batched BLAS product per record sums each segment in another
+        order than the oracle's einsum: equal within 1e-13 relative."""
+        rec, pc = self._segmented(n_seg, "second_moment")
+        est = estimate_covariance(rec, pc)
+        assert est.n_segments == n_seg
+        for w, g in zip(oracle_estimate(rec, pc), self._outputs(est)):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("statistic", ["second_moment", "mean"])
+    @pytest.mark.parametrize("n_seg", [5, 24, 333])
+    def test_row_and_channel_major_records_agree(self, statistic, n_seg):
+        """Band-limited records are channel-major; the estimator reads both
+        layouts through one view."""
+        rec, pc = self._segmented(n_seg, statistic)
+        fortran = dataclasses.replace(rec, samples=np.asfortranarray(rec.samples))
+        row, col = estimate_covariance(rec, pc), estimate_covariance(fortran, pc)
+        for w, g in zip(self._outputs(row), self._outputs(col)):
+            w, g = np.atleast_1d(w), np.atleast_1d(g)
+            assert np.array_equal(np.isnan(w), np.isnan(g))
+            ok = ~np.isnan(w)  # a replicate with no real PT root, in both layouts
+            err, scale = np.abs(g - w)[ok], np.abs(w)[ok]
+            assert np.max(err, initial=0.0) <= 1e-14 * np.max(scale, initial=0.0)
 
     def test_n_eff_reported(self):
         rec = quantum_record(n_steps=10_000)
