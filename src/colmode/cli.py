@@ -36,10 +36,11 @@ import scipy
 from . import __version__
 from ._fields import count, real
 from .entanglement import (
+    PPT_BOUND,
     _checked_witnesses,
     _require_positive_definite,
+    _violates,
     analytic_nu_minus,
-    make_report,
 )
 from .errors import NumericalError, ValidationError
 from .gaussian_core import (
@@ -120,10 +121,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, columns, rows, manifest_name: str) -> None:
-    lines = [f"# manifest={manifest_name}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+def text_columns(names, rows) -> dict[str, list[str]]:
+    """The named fields of each row as CSV text, one list per column."""
+    return {name: [_fmt(row[name]) for row in rows] for name in names}
+
+
+def write_csv(path, columns: dict[str, list[str]], manifest_name: str) -> None:
+    """A CSV of text columns of equal length under a manifest comment."""
+    rows = map(",".join, zip(*columns.values()))
+    lines = [f"# manifest={manifest_name}", ",".join(columns), *rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -334,12 +340,22 @@ def _pmap(fn, items, threads: int):
 def _axis_values(axis: dict) -> np.ndarray:
     axis = _object(axis)
     lo, hi = _field(axis, "min", real), _field(axis, "max", real)
-    return np.linspace(lo, hi, _field(axis, "steps", count, at_least=2))
+    steps = _field(axis, "steps", count, at_least=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(lo, hi, steps)
+    if not np.isfinite(values).all():
+        raise ValueError(f"steps from {lo!r} to {hi!r} leave the float range")
+    return values
 
 
-def phase_diagram_rows(config: dict) -> list[dict]:
-    """Witness grid over (g/kappa, n_eff), one coupling row at a time: each
-    stable row takes one stacked solve, validation and witness evaluation."""
+def phase_diagram_columns(config: dict) -> dict[str, list[str]]:
+    """The phase-diagram CSV as text columns, its cells in (g/kappa, n_eff) order.
+
+    Each stable coupling row (2G < kappa) takes one stacked Lyapunov solve or
+    closed-form stack, and one validation and witness evaluation; verdicts
+    and the analytic column are array expressions over the whole grid.  Rows
+    at or beyond 2G = kappa are UNSTABLE, with empty witness cells.
+    """
     preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
     kappa = _field(config, "kappa", real, 1.0, above=0.0)
     g_values = _field(config, "g_over_kappa", _axis_values)
@@ -350,53 +366,53 @@ def phase_diagram_rows(config: dict) -> list[dict]:
             build_diffusion(ModelParams(G=0.0, kappa_a=kappa, kappa_b=kappa, n_a=n, n_b=n))
             for n in n_values
         ])
-    rows = []
-    for g in g_values:
-        G = g * kappa
-        unstable = 2.0 * G >= kappa
-        if not unstable:
-            if preset is Preset.CLOSED_FORM:
-                # an n_eff that overflows leaves non-finite entries, refused below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    V = np.stack([closed_form_covariance(G, kappa, n) for n in n_values])
-            else:
-                params = ModelParams(G=G, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
-                V = solve_steady_lyapunov(build_drift(params), D)
-            nu, duan = _checked_witnesses(_require_positive_definite(V, stacked=True))
-        for k, n in enumerate(n_values):
-            row = {"g_over_kappa": float(g), "n_eff": float(n)}
-            if unstable:
-                row.update(
-                    nu_minus=None, duan_sum=None, entangled_ppt=None,
-                    analytic_nu_minus=None, boundary_flag="UNSTABLE",
-                )
-            else:
-                rep = make_report(nu[k], duan[k])
-                row.update(
-                    nu_minus=rep.nu_minus,
-                    duan_sum=rep.duan_sum,
-                    entangled_ppt=rep.entangled_ppt,
-                    analytic_nu_minus=analytic_nu_minus(G, kappa, n),
-                    boundary_flag="STABLE",
-                )
-            rows.append(row)
-    rows.sort(key=lambda r: (r["g_over_kappa"], r["n_eff"]))
-    return rows
+    G = g_values * kappa
+    stable = 2.0 * G < kappa
+    nu = np.full((g_values.size, n_values.size), np.nan)
+    duan = np.full_like(nu, np.nan)
+    for i in np.flatnonzero(stable):
+        if preset is Preset.CLOSED_FORM:
+            # an n_eff that overflows leaves non-finite entries, refused below
+            with np.errstate(over="ignore", invalid="ignore"):
+                V = closed_form_covariance(G[i], kappa, n_values)
+        else:
+            params = ModelParams(G=G[i], kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
+            V = solve_steady_lyapunov(build_drift(params), D)
+        nu[i], duan[i] = _checked_witnesses(_require_positive_definite(V, stacked=True))
 
+    # a stable sort of the flattened grid keeps tied cells in grid order
+    order = np.lexsort((np.tile(n_values, g_values.size), np.repeat(g_values, n_values.size)))
+    g_index, n_index = np.divmod(order, n_values.size)
+    # stability only falls as g grows, so the stable cells lead the order
+    n_stable = np.count_nonzero(stable) * n_values.size
+    first, blank = order[:n_stable], [""] * (order.size - n_stable)
+    nu, duan = nu.ravel()[first], duan.ravel()[first]
+    analytic = analytic_nu_minus(G[g_index[:n_stable]], kappa, n_values[n_index[:n_stable]])
 
-PHASE_COLUMNS = [
-    "g_over_kappa", "n_eff", "nu_minus", "duan_sum",
-    "entangled_ppt", "analytic_nu_minus", "boundary_flag",
-]
+    def text(values) -> list[str]:
+        return list(map(repr, values.tolist())) + blank
+
+    def axis_text(values, index) -> list[str]:
+        return np.array(list(map(repr, values.tolist())), dtype=object)[index].tolist()
+
+    return {
+        "g_over_kappa": axis_text(g_values, g_index),
+        "n_eff": axis_text(n_values, n_index),
+        "nu_minus": text(nu),
+        "duan_sum": text(duan),
+        "entangled_ppt": text(_violates(nu, PPT_BOUND)),
+        "analytic_nu_minus": text(analytic),
+        "boundary_flag": ["STABLE"] * n_stable + ["UNSTABLE"] * len(blank),
+    }
 
 
 def cmd_phase_diagram(config: dict, out_dir: Path, seed, threads: int) -> int:
     name, manifest = make_manifest("phase-diagram", config, seed, threads)
-    rows = phase_diagram_rows(config)
+    columns = phase_diagram_columns(config)
     out = out_dir / "phase_diagram.csv"
-    write_csv(out, PHASE_COLUMNS, rows, name)
+    write_csv(out, columns, name)
     finish_manifest(out_dir, name, manifest, [out])
-    print(f"wrote {out} ({len(rows)} cells) and {name}")
+    print(f"wrote {out} ({len(columns['boundary_flag'])} cells) and {name}")
     return 0
 
 
@@ -470,9 +486,15 @@ ANALYZE_COLUMNS = [
 
 def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -> int:
     pconf = _field(config, "pipeline", PipelineConfig.from_dict)
+    path_of: dict[str, str] = {}
     for path in record_paths:
         if not Path(path).is_file():
             raise ValidationError(f"record file not found: {path}")
+        # the outputs name each record by its base name, so no two may share one
+        fname = Path(path).name
+        if fname in path_of:
+            raise ValidationError(f"records {path_of[fname]} and {path} share the name {fname}")
+        path_of[fname] = path
     inputs = {Path(p).name: sha256_file(p) for p in record_paths}
     name, manifest = make_manifest("analyze", config, seed, threads, inputs=inputs)
 
@@ -514,7 +536,7 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
     rows.sort(key=lambda r: r["file"])
     csv_path = out_dir / "witness_distribution.csv"
     json_path = out_dir / "witness_report.json"
-    write_csv(csv_path, ANALYZE_COLUMNS, rows, name)
+    write_csv(csv_path, text_columns(ANALYZE_COLUMNS, rows), name)
     write_json(json_path, summary)
     factors["default_kappa"].sort()
     manifest["factors"] = factors
@@ -548,9 +570,10 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         segments_per_record=_field(config, "segments_per_record", count, 24),
         master_seed=master_seed,
         segment_statistic=segment_statistic,
+        kappa=params.kappa_a,
     )
     csv_path = out_dir / "converge.csv"
-    write_csv(csv_path, CONVERGE_COLUMNS, result["rows"], name)
+    write_csv(csv_path, text_columns(CONVERGE_COLUMNS, result["rows"]), name)
     summary = {
         "manifest": name,
         "slope_nu": result["slope_nu"],
@@ -573,7 +596,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
             segment_statistic=segment_statistic,
         )
         cross_path = out_dir / "crossing.csv"
-        write_csv(cross_path, ["T", "B", "g_cross", "sigma"], rows, name)
+        write_csv(cross_path, text_columns(["T", "B", "g_cross", "sigma"], rows), name)
         outputs.append(cross_path)
         summary["crossing_cells"] = len(rows)
 

@@ -74,13 +74,19 @@ _VERDICT_EPS = 1e-12  # rounding floor so exact boundary states never flip
 _DISC_TOL = 1e-10  # most negative PT discriminant still read as a real root
 
 
+def _violates(witness, bound, stderr=0.0):
+    """The 3-sigma decision rule: True where a witness value falls below its
+    bound by more than three standard errors; elementwise over arrays."""
+    return witness < bound - 3.0 * stderr - _VERDICT_EPS
+
+
 def make_report(nu_minus, duan_sum, stderr_nu=0.0, stderr_duan=0.0) -> WitnessReport:
     """Apply the 3-sigma decision rule to witness values."""
     return WitnessReport(
         nu_minus=float(nu_minus),
         duan_sum=float(duan_sum),
-        entangled_ppt=bool(nu_minus < PPT_BOUND - 3.0 * stderr_nu - _VERDICT_EPS),
-        entangled_duan=bool(duan_sum < DUAN_BOUND - 3.0 * stderr_duan - _VERDICT_EPS),
+        entangled_ppt=bool(_violates(nu_minus, PPT_BOUND, stderr_nu)),
+        entangled_duan=bool(_violates(duan_sum, DUAN_BOUND, stderr_duan)),
         stderr_nu=float(stderr_nu),
         stderr_duan=float(stderr_duan),
     )
@@ -194,14 +200,19 @@ def duan_witness(V: np.ndarray) -> float:
     return float(_duan_sum(_require_positive_definite(V)))
 
 
-def analytic_nu_minus(G: float, kappa: float, n: float) -> float:
+def analytic_nu_minus(G, kappa, n):
     """Closed-form smallest PT symplectic eigenvalue of the symmetric state:
-    (2n+1)(kappa - 2G) / (2 (kappa + 2G)), valid for 0 <= 2G < kappa."""
-    if not all(map(math.isfinite, (G, kappa, n))):
+    (2n+1)(kappa - 2G) / (2 (kappa + 2G)), valid for 0 <= 2G < kappa.
+
+    The arguments broadcast: arrays give an array, each entry bit for bit
+    the value of its scalar arguments, and scalars give a float."""
+    G, kappa, n = (np.asarray(x, dtype=float) for x in (G, kappa, n))
+    if not all(np.isfinite(x).all() for x in (G, kappa, n)):
         raise ValidationError("non-finite arguments")
-    if kappa <= 0 or n < 0 or G < 0 or 2.0 * G >= kappa:
+    if np.any((kappa <= 0) | (n < 0) | (G < 0) | (2.0 * G >= kappa)):
         raise ValidationError("domain requires kappa > 0, n >= 0, 0 <= 2G < kappa")
-    return 0.5 * (2.0 * n + 1.0) * (kappa - 2.0 * G) / (kappa + 2.0 * G)
+    nu = 0.5 * (2.0 * n + 1.0) * (kappa - 2.0 * G) / (kappa + 2.0 * G)
+    return nu if nu.ndim else float(nu)
 
 
 def analytic_boundary(n: float) -> float:

@@ -229,27 +229,32 @@ def evolve_covariance(V0: np.ndarray, A: np.ndarray, D: np.ndarray, t: float) ->
     return symmetrize(F @ V0 @ F.T + Q)
 
 
-def closed_form_covariance(G: float, kappa: float, n: float) -> np.ndarray:
+def closed_form_covariance(G, kappa: float, n) -> np.ndarray:
     """Symmetric two-mode squeezed thermal covariance in closed form.
 
     a = (2n+1)/2 (k^2+4G^2)/(k^2-4G^2), c = (2n+1)/2 4kG/(k^2-4G^2),
     assembled as blocks A = B = a I2, C = diag(c, -c).  Its smallest PT
     symplectic eigenvalue is a - c = (2n+1)(k-2G)/(2(k+2G)) and
-    det V = ((2n+1)/2)^4 for every admissible (G, kappa, n).
+    det V = ((2n+1)/2)^4 for every admissible (G, kappa, n).  G and n
+    broadcast: scalars give one 4x4 covariance, arrays a (..., 4, 4) stack
+    whose every entry is bit for bit the covariance of its scalar arguments.
     """
-    if not all(map(math.isfinite, (G, kappa, n))):
+    if not (np.isfinite(G).all() and math.isfinite(kappa) and np.isfinite(n).all()):
         raise ValidationError("non-finite closed-form arguments")
-    if kappa <= 0 or n < 0 or G < 0:
+    if kappa <= 0 or np.any(n < 0) or np.any(G < 0):
         raise ValidationError("need kappa > 0, n >= 0, G >= 0")
-    if 2.0 * G >= kappa:
+    if np.any(2.0 * G >= kappa):
         raise UnstableDriftError("closed form requires 2G < kappa")
     s = (2.0 * n + 1.0) / 2.0
     denom = kappa**2 - 4.0 * G**2
-    a = s * (kappa**2 + 4.0 * G**2) / denom
-    c = s * 4.0 * kappa * G / denom
-    V = np.diag([a, a, a, a])
-    V[0, 2] = V[2, 0] = c
-    V[1, 3] = V[3, 1] = -c
+    a, c = np.broadcast_arrays(
+        s * (kappa**2 + 4.0 * G**2) / denom, s * 4.0 * kappa * G / denom
+    )
+    V = np.zeros(a.shape + (4, 4))
+    for i in range(4):
+        V[..., i, i] = a
+    V[..., 0, 2] = V[..., 2, 0] = c
+    V[..., 1, 3] = V[..., 3, 1] = -c
     return V
 
 

@@ -391,10 +391,12 @@ def _checked_cells(cells) -> list[tuple[float, float]]:
 
 
 def _cell_witness(
-    A, D, T, B, runs, segments_per_record, seed, segment_statistic
+    A, D, kappa, T, B, runs, segments_per_record, seed, segment_statistic
 ) -> WitnessReport:
     """Ensemble witness of one (T, B) cell over `runs` fresh records of
     segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)).
+    The records carry the mode linewidth kappa, which calibrates the
+    band-limit filter and the "mean" statistic's attenuation.
     PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long.
     No bootstrap: the ensemble witness reads only each record's V_hat."""
     pconf = PipelineConfig(
@@ -407,7 +409,7 @@ def _cell_witness(
     m = int(round(pconf.integration_time / dt))
     cfg = TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
     return witness_with_uncertainty(
-        analyze_record(r, pconf) for r in sample_ensemble(A, D, cfg, runs)
+        analyze_record(r, pconf) for r in sample_ensemble(A, D, cfg, runs, meta={"kappa": kappa})
     )
 
 
@@ -419,6 +421,7 @@ def convergence_sweep(
     segments_per_record: int = 24,
     master_seed: int = 0,
     segment_statistic: str = "second_moment",
+    kappa: float = 1.0,
 ) -> dict:
     """Witness mean and standard error versus N_eff = T * B.
 
@@ -427,16 +430,18 @@ def convergence_sweep(
     log(stderr) against log(N_eff) is returned along with the per-cell rows.
     With the number of runs and segments held fixed across cells, the
     standard error scales as N_eff^(-1/2).  The slope needs cells at two or
-    more distinct N_eff values.
+    more distinct N_eff values.  kappa is the mode linewidth of the dynamics
+    (A, D), which every sampled record carries, as simulate's records do.
     """
     runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
+    kappa = real(kappa, "kappa", above=0.0)
     cells = _checked_cells(cells)
     if len({T * B for T, B in cells}) < 2:
         raise ValidationError("convergence sweep needs cells at >= 2 distinct N_eff = T * B")
     rows = []
     for i, (T, B) in enumerate(cells):
         rep = _cell_witness(
-            A, D, T, B, runs_per_cell, segments_per_record,
+            A, D, kappa, T, B, runs_per_cell, segments_per_record,
             derive_stream_seed(master_seed, 1000 + i), segment_statistic,
         )
         rows.append(
@@ -481,7 +486,7 @@ def crossing_scan(
         for gi, g in enumerate(g_values):
             A, D = closed_form_dynamics(g * kappa, kappa, n)
             rep = _cell_witness(
-                A, D, T, B, runs_per_cell, segments_per_record,
+                A, D, kappa, T, B, runs_per_cell, segments_per_record,
                 derive_stream_seed(master_seed, 10000 + 100 * ci + gi), segment_statistic,
             )
             means.append(rep.nu_minus)

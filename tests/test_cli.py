@@ -10,19 +10,31 @@ import pytest
 import scipy
 
 import colmode
+from colmode._fields import real
 from colmode.cli import (
+    _axis_values,
+    _field,
     _pmap,
     load_record,
     main,
-    phase_diagram_rows,
+    phase_diagram_columns,
     save_record,
     sha256_file,
 )
-from colmode.entanglement import witness_report_from_covariance
+from colmode.entanglement import (
+    _checked_witnesses,
+    _require_positive_definite,
+    analytic_nu_minus,
+    make_report,
+    witness_report_from_covariance,
+)
+from colmode.errors import ValidationError
 from colmode.gaussian_core import (
     ModelParams,
+    Preset,
     build_diffusion,
     build_drift,
+    closed_form_covariance,
     solve_steady_lyapunov,
     steady_state_covariance,
 )
@@ -52,6 +64,20 @@ def small_simulate_config(seed=11, ensemble=4, null_trio=False, fmt="npy"):
     }
 
 
+def phase_rows(config: dict) -> list[dict]:
+    """phase_diagram_columns' cells read back as rows: floats, bools, and
+    None for an empty cell (repr round-trips every float exactly)."""
+    columns = phase_diagram_columns(config)
+    parse = {"entangled_ppt": {"True": True, "False": False}.__getitem__, "boundary_flag": str}
+    rows = []
+    for cells in zip(*columns.values()):
+        row = {}
+        for name, text in zip(columns, cells):
+            row[name] = parse.get(name, float)(text) if text else None
+        rows.append(row)
+    return rows
+
+
 def output_digests(out_dir: Path) -> dict:
     return {
         p.name: sha256_file(p)
@@ -68,7 +94,7 @@ class TestPhaseDiagram:
             "g_over_kappa": {"min": 0.0, "max": 0.5, "steps": 26},
             "n_eff": {"min": 0.0, "max": 2.0, "steps": 9},
         }
-        rows = phase_diagram_rows(cfg)
+        rows = phase_rows(cfg)
         assert len(rows) == 26 * 9
         unstable = [r for r in rows if r["boundary_flag"] == "UNSTABLE"]
         assert {r["g_over_kappa"] for r in unstable} == {0.5}
@@ -128,7 +154,7 @@ class TestPhaseDiagram:
             "g_over_kappa": {"min": 0.7, "max": 0.0, "steps": 9},
             "n_eff": {"min": 0.0, "max": 3.0, "steps": 7},
         }
-        rows = phase_diagram_rows(cfg)
+        rows = phase_rows(cfg)
         assert len(rows) == 9 * 7
         unstable = {r["g_over_kappa"] for r in rows if r["boundary_flag"] == "UNSTABLE"}
         stable = {r["g_over_kappa"] for r in rows if r["boundary_flag"] == "STABLE"}
@@ -153,7 +179,7 @@ class TestPhaseDiagram:
             "g_over_kappa": {"min": 0.0, "max": 0.5, "steps": 7},
             "n_eff": {"min": 0.0, "max": 2.0, "steps": 6},
         }
-        rows = phase_diagram_rows(cfg)
+        rows = phase_rows(cfg)
         shuffled = rows[:]
         random.Random(4).shuffle(shuffled)
         shuffled.sort(key=lambda r: (r["g_over_kappa"], r["n_eff"]))
@@ -168,6 +194,138 @@ class TestPhaseDiagram:
         main(["phase-diagram", "-c", cfg_path, "--out-dir", str(out1)])
         main(["phase-diagram", "-c", cfg_path, "--out-dir", str(out2)])
         assert output_digests(out1) == output_digests(out2)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise oracle for phase-diagram: one dict per cell, sorted as dicts, one
+# _fmt call per CSV field.  The columnar command must write its bytes.
+
+def _oracle_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def oracle_phase_csv(config: dict, manifest_name: str) -> str:
+    preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
+    kappa = _field(config, "kappa", real, 1.0, above=0.0)
+    g_values = _field(config, "g_over_kappa", _axis_values)
+    n_values = _field(config, "n_eff", _axis_values)
+    if preset is Preset.TMS_HAMILTONIAN:
+        D = np.stack([
+            build_diffusion(ModelParams(G=0.0, kappa_a=kappa, kappa_b=kappa, n_a=n, n_b=n))
+            for n in n_values
+        ])
+    rows = []
+    for g in g_values:
+        G = g * kappa
+        unstable = 2.0 * G >= kappa
+        if not unstable:
+            if preset is Preset.CLOSED_FORM:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    V = np.stack([closed_form_covariance(G, kappa, n) for n in n_values])
+            else:
+                params = ModelParams(G=G, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
+                V = solve_steady_lyapunov(build_drift(params), D)
+            nu, duan = _checked_witnesses(_require_positive_definite(V, stacked=True))
+        for k, n in enumerate(n_values):
+            row = {"g_over_kappa": float(g), "n_eff": float(n)}
+            if unstable:
+                row.update(
+                    nu_minus=None, duan_sum=None, entangled_ppt=None,
+                    analytic_nu_minus=None, boundary_flag="UNSTABLE",
+                )
+            else:
+                rep = make_report(nu[k], duan[k])
+                row.update(
+                    nu_minus=rep.nu_minus,
+                    duan_sum=rep.duan_sum,
+                    entangled_ppt=rep.entangled_ppt,
+                    analytic_nu_minus=analytic_nu_minus(G, kappa, n),
+                    boundary_flag="STABLE",
+                )
+            rows.append(row)
+    rows.sort(key=lambda r: (r["g_over_kappa"], r["n_eff"]))
+    columns = [
+        "g_over_kappa", "n_eff", "nu_minus", "duan_sum",
+        "entangled_ppt", "analytic_nu_minus", "boundary_flag",
+    ]
+    lines = [f"# manifest={manifest_name}", ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_oracle_fmt(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _grid(preset, kappa, g, n):
+    return {"preset": preset, "kappa": kappa,
+            "g_over_kappa": dict(zip(("min", "max", "steps"), g)),
+            "n_eff": dict(zip(("min", "max", "steps"), n))}
+
+
+ORACLE_GRIDS = {
+    "closed_form_ascending": _grid("CLOSED_FORM", 1.0, (0.0, 0.55, 23), (0.0, 3.0, 17)),
+    "closed_form_descending": _grid("CLOSED_FORM", 0.7, (0.6, 0.0, 13), (2.0, 0.0, 11)),
+    "tms_ascending": _grid("TMS_HAMILTONIAN", 1.37, (0.0, 0.55, 21), (0.0, 3.5, 19)),
+    "tms_descending": _grid("TMS_HAMILTONIAN", 1.3, (0.7, 0.0, 9), (3.0, 0.0, 7)),
+    "closed_form_all_unstable": _grid("CLOSED_FORM", 1.0, (0.5, 0.9, 5), (0.0, 1.0, 4)),
+    "tms_all_unstable": _grid("TMS_HAMILTONIAN", 2.0, (0.9, 0.5, 5), (1.0, 0.0, 4)),
+    "closed_form_one_g": _grid("CLOSED_FORM", 1.0, (0.2, 0.2, 3), (0.0, 1.0, 4)),
+    "tms_one_n": _grid("TMS_HAMILTONIAN", 2.0, (0.0, 0.4, 5), (0.7, 0.7, 3)),
+    # 0.0 and -0.0 tie in the sort but print apart
+    "closed_form_signed_zero_g": _grid("CLOSED_FORM", 1.0, (0.0, -0.0, 3), (0.0, 1.0, 3)),
+    "tms_signed_zero_n": _grid("TMS_HAMILTONIAN", 1.0, (0.1, -0.0, 3), (1.0, -0.0, 3)),
+    "shipped": json.loads((CONFIGS / "phase_diagram.json").read_text()),
+}
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_phase_diagram_csv_matches_row_wise_oracle(tmp_path, grid):
+    config = ORACLE_GRIDS[grid]
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "-c", write_config(tmp_path, "pd.json", config),
+                 "--out-dir", str(out)]) == 0
+    text = (out / "phase_diagram.csv").read_text()
+    manifest_name = text.splitlines()[0].removeprefix("# manifest=")
+    assert (out / manifest_name).is_file()
+    assert text == oracle_phase_csv(config, manifest_name)
+
+
+ORACLE_FAILURES = {
+    # (2 n_eff + 1) overflows: the grid's covariances hold inf and NaN
+    "closed_form_overflow": _grid("CLOSED_FORM", 1.0, (0.0, 0.4, 3), (0.0, 1e308, 2)),
+    "closed_form_negative_n": _grid("CLOSED_FORM", 1.0, (0.0, 0.4, 3), (-1.0, 1.0, 3)),
+    "closed_form_negative_g": _grid("CLOSED_FORM", 1.0, (0.3, -0.1, 5), (0.0, 1.0, 3)),
+    "tms_negative_n": _grid("TMS_HAMILTONIAN", 1.0, (0.6, 0.9, 3), (-1.0, 1.0, 3)),
+    "tms_negative_g": _grid("TMS_HAMILTONIAN", 1.0, (-0.1, 0.3, 5), (0.0, 1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("grid", ORACLE_FAILURES)
+def test_phase_diagram_refuses_what_the_oracle_refuses(tmp_path, capsys, grid):
+    config = ORACLE_FAILURES[grid]
+    with pytest.raises(ValidationError) as refused:
+        oracle_phase_csv(config, "m")
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "-c", write_config(tmp_path, "pd.json", config),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {refused.value}"]
+    assert not any(out.iterdir())
+
+
+def test_phase_axis_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # every g is UNSTABLE, so no n_eff is ever validated by a solve; the
+    # linspace steps of this axis are inf and NaN, which no row may carry
+    config = _grid("CLOSED_FORM", 1.0, (0.5, 0.9, 3), (-1e308, 1e308, 5))
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "-c", write_config(tmp_path, "pd.json", config),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: field 'n_eff': steps from -1e+308 to 1e+308 leave the float range"]
+    assert not any(out.iterdir())
 
 
 class TestSimulate:
@@ -304,6 +462,22 @@ class TestAnalyze:
         for data in ("witness_distribution.csv", "witness_report.json"):
             assert "factors" not in (out / data).read_text()
 
+    def test_records_sharing_a_name_exit_2_before_any_output(self, tmp_path, capsys):
+        # the CSV rows and the manifest's inputs and factors are keyed by base name
+        rng = np.random.default_rng(8)
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            rec = TrajectoryRecord(samples=rng.standard_normal((2000, 4)), dt=0.1,
+                                   source=SourceTag.QUANTUM, seed=8, meta={"kappa": 1.0})
+            paths.append(str(save_record(rec, tmp_path / folder / "rec", "npy", "m")[0]))
+        out = tmp_path / "out"
+        assert main(["analyze", *paths, "-c", str(CONFIGS / "analyze.json"),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: records {paths[0]} and {paths[1]} share the name rec.npy"]
+        assert not any(out.iterdir())
+
     def test_csv_records_also_load(self, tmp_path):
         cfg = small_simulate_config(ensemble=1, fmt="csv")
         cfg["trajectory"]["n_steps"] = 5000
@@ -332,6 +506,37 @@ class TestConverge:
         assert -0.9 < summary["slope_duan"] < -0.1
         lines = (out / "converge.csv").read_text().splitlines()
         assert len(lines) == 2 + 4
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0])
+    def test_records_are_calibrated_at_the_model_linewidth(self, tmp_path, kappa):
+        """converge and its crossing scan calibrate the band-limit filter at
+        the model's kappa, not at 1.  CLOSED_FORM state at G = kappa / 4,
+        n = 0 (true nu_minus 1/6); crossing at n = 1/2 (true g* = 1/6).
+        Criterion, on each of seeds 0-4: both cells' nu_mean within 0.02 of
+        1/6, and a crossing found within 0.02 of 1/6.  Calibrated at 1, the
+        cells read 0.21-0.24 (kappa 0.5) and 0.10-0.11 (kappa 2) and no
+        crossing falls inside the scanned g range."""
+        seen = []
+        for seed in range(5):
+            cfg_path = write_config(tmp_path, f"conv{seed}.json", {
+                "params": {"G": 0.25 * kappa, "kappa_a": kappa, "kappa_b": kappa,
+                           "n_a": 0.0, "n_b": 0.0, "preset": "CLOSED_FORM"},
+                "master_seed": seed,
+                "cells": [{"T": 100.0, "B": 0.16}, {"T": 50.0, "B": 0.16}],
+                "runs_per_cell": 8,
+                "segments_per_record": 24,
+                "crossing": {"n": 0.5, "g_values": [0.10, 0.14, 0.18, 0.22],
+                             "cells": [{"T": 100.0, "B": 0.16}], "runs_per_cell": 8},
+            })
+            out = tmp_path / f"out{seed}"
+            assert main(["converge", "-c", cfg_path, "--out-dir", str(out)]) == 0
+            lines = (out / "converge.csv").read_text().splitlines()[2:]
+            nus = [float(line.split(",")[3]) for line in lines]
+            cross = (out / "crossing.csv").read_text().splitlines()[2].split(",")[2]
+            seen.append((seed, nus, float(cross) if cross else None))
+        for seed, nus, g_cross in seen:
+            assert all(abs(nu - 1 / 6) <= 0.02 for nu in nus), seen
+            assert g_cross is not None and abs(g_cross - 1 / 6) <= 0.02, seen
 
     @pytest.mark.parametrize("cells", [[], [{"T": 50.0, "B": 0.04}]])
     def test_fewer_than_two_n_eff_is_validation_error(self, tmp_path, capsys, cells):
@@ -424,7 +629,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise NumericalError("synthetic numerical failure")
 
-        monkeypatch.setattr(cli_mod, "phase_diagram_rows", boom)
+        monkeypatch.setattr(cli_mod, "phase_diagram_columns", boom)
         cfg_path = write_config(tmp_path, "pd.json", {
             "g_over_kappa": {"min": 0.0, "max": 0.4, "steps": 3},
             "n_eff": {"min": 0.0, "max": 1.0, "steps": 2},

@@ -5,11 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from colmode.entanglement import (
+    DUAN_BOUND,
     LAMBDA_PT,
+    PPT_BOUND,
     _duan_sum,
     _nu_minus,
     _require_positive_definite,
     _require_symmetric,
+    _violates,
     analytic_boundary,
     analytic_nu_minus,
     duan_witness,
@@ -226,6 +229,18 @@ class TestAnalyticForms:
             with pytest.raises(ValidationError):
                 analytic_nu_minus(*args)
 
+    def test_array_form_is_bit_identical_to_scalars(self, rng):
+        G = rng.uniform(0.0, 0.6, 9)
+        n = rng.uniform(0.0, 5.0, 13)
+        kappa = 1.37
+        nu = analytic_nu_minus(G[:, None], kappa, n)
+        assert nu.shape == (9, 13)
+        for i, j in np.ndindex(nu.shape):
+            scalar = analytic_nu_minus(G[i], kappa, n[j])
+            assert type(scalar) is float and nu[i, j] == scalar
+        with pytest.raises(ValidationError):
+            analytic_nu_minus(np.array([0.1, 0.7]), kappa, 0.0)
+
     def test_boundary_values(self):
         assert analytic_boundary(0.0) == 0.0
         assert analytic_boundary(1.0) == pytest.approx(0.5, abs=0)
@@ -263,6 +278,18 @@ class TestWitnessReport:
         assert not rep.entangled_duan  # 1.9 > 2.0 - 0.15
         rep = make_report(0.40, 1.7, stderr_nu=0.02, stderr_duan=0.05)
         assert rep.entangled_ppt and rep.entangled_duan
+
+    def test_verdict_rule_is_elementwise(self, rng):
+        nu = rng.uniform(0.3, 0.7, 50)
+        err = rng.uniform(0.0, 0.05, 50)
+        nu[:2], err[:2] = 0.5 - 1e-12, 0.0  # the rounding floor
+        duan = 4.0 * nu
+        verdicts = _violates(nu, PPT_BOUND, err)
+        assert verdicts.dtype == bool
+        for k in range(50):
+            rep = make_report(nu[k], duan[k], err[k], err[k])
+            assert rep.entangled_ppt == verdicts[k]
+            assert rep.entangled_duan == _violates(duan[k], DUAN_BOUND, err[k])
 
     def test_serialization_round_trip(self):
         rep = make_report(0.25, 1.1, 0.01, 0.02)

@@ -285,6 +285,25 @@ class TestClosedForm:
         with pytest.raises(UnstableDriftError):
             closed_form_covariance(0.5, 1.0, 0.0)
 
+    def test_stack_is_bit_identical_to_scalar_calls(self, rng):
+        G = rng.uniform(0.0, 0.35, 7)
+        n = np.concatenate(([0.0], rng.uniform(0.0, 9.0, 10)))
+        kappa = 0.73
+        V = closed_form_covariance(G[:, None], kappa, n)
+        assert V.shape == (7, 11, 4, 4)
+        for i, j in np.ndindex(7, 11):
+            assert np.array_equal(V[i, j], closed_form_covariance(G[i], kappa, n[j]))
+        row = closed_form_covariance(G[3], kappa, n)
+        assert np.array_equal(row, V[3])
+
+    def test_stack_refuses_any_bad_entry(self):
+        with pytest.raises(UnstableDriftError):
+            closed_form_covariance(np.array([0.1, 0.5]), 1.0, 0.0)
+        with pytest.raises(ValidationError, match="n >= 0"):
+            closed_form_covariance(0.1, 1.0, np.array([0.0, -1.0]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            closed_form_covariance(0.1, 1.0, np.array([0.0, np.nan]))
+
     def test_dynamics_realization(self):
         # damping into a correlated reservoir holds the closed form steady
         A, D = closed_form_dynamics(0.25, 1.0, 0.5)
