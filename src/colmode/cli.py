@@ -49,6 +49,7 @@ from .gaussian_core import (
     build_drift,
     build_diffusion,
     closed_form_covariance,
+    is_stable,
     solve_steady_lyapunov,
     steady_dynamics,
     steady_state_covariance,
@@ -354,7 +355,8 @@ def phase_diagram_columns(config: dict) -> dict[str, list[str]]:
     Each stable coupling row (2G < kappa) takes one stacked Lyapunov solve or
     closed-form stack, and one validation and witness evaluation; verdicts
     and the analytic column are array expressions over the whole grid.  Rows
-    at or beyond 2G = kappa are UNSTABLE, with empty witness cells.
+    at or beyond 2G = kappa are UNSTABLE, with empty witness cells, and so is
+    a TMS row whose drift fails the Hurwitz test solve_steady_lyapunov applies.
     """
     preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
     kappa = _field(config, "kappa", real, 1.0, above=0.0)
@@ -377,13 +379,19 @@ def phase_diagram_columns(config: dict) -> dict[str, list[str]]:
                 V = closed_form_covariance(G[i], kappa, n_values)
         else:
             params = ModelParams(G=G[i], kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0)
-            V = solve_steady_lyapunov(build_drift(params), D)
+            A = build_drift(params)
+            if not is_stable(A):
+                # within the solver's stability margin of 2G = kappa: flagged, not refused
+                stable[i] = False
+                continue
+            V = solve_steady_lyapunov(A, D)
         nu[i], duan[i] = _checked_witnesses(_require_positive_definite(V, stacked=True))
 
     # a stable sort of the flattened grid keeps tied cells in grid order
     order = np.lexsort((np.tile(n_values, g_values.size), np.repeat(g_values, n_values.size)))
     g_index, n_index = np.divmod(order, n_values.size)
-    # stability only falls as g grows, so the stable cells lead the order
+    # stability only falls as g grows (the drift's largest real part is G - kappa/2),
+    # so the stable cells lead the order
     n_stable = np.count_nonzero(stable) * n_values.size
     first, blank = order[:n_stable], [""] * (order.size - n_stable)
     nu, duan = nu.ravel()[first], duan.ravel()[first]
@@ -462,13 +470,21 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
         written.extend(Path(p) for p in paths)
 
     if specs:
-        rec_a = gen_shared_noise(specs[NullKind.SHARED_NOISE], traj, kappa=params.kappa_a)
-        rec_b = gen_classical_paramp(specs[NullKind.CLASSICAL_PARAMP], traj, kappa=params.kappa_a)
-        rec_c, _ = gen_optimized_mixture(
-            specs[NullKind.OPTIMIZED_MIXTURE], config=traj, kappa=params.kappa_a
-        )
-        for tag, rec in (("null_a", rec_a), ("null_b", rec_b), ("null_c", rec_c)):
-            written.extend(save_record(rec, out_dir / tag, fmt, name))
+        # each null record is saved before the next is drawn, and no name holds
+        # it, so one is alive at a time
+        kappa = params.kappa_a
+        written.extend(save_record(
+            gen_shared_noise(specs[NullKind.SHARED_NOISE], traj, kappa=kappa),
+            out_dir / "null_a", fmt, name,
+        ))
+        written.extend(save_record(
+            gen_classical_paramp(specs[NullKind.CLASSICAL_PARAMP], traj, kappa=kappa),
+            out_dir / "null_b", fmt, name,
+        ))
+        written.extend(save_record(
+            gen_optimized_mixture(specs[NullKind.OPTIMIZED_MIXTURE], config=traj, kappa=kappa)[0],
+            out_dir / "null_c", fmt, name,
+        ))
 
     finish_manifest(out_dir, name, manifest, written)
     print(f"wrote {len(written)} record files and {name}")
@@ -508,6 +524,7 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
         rep = witness_from_estimate(est)
         if "kappa" not in record.meta:
             factors["default_kappa"].append(fname)
+        del record  # let go before the next file is read: one record at a time
         factors["per_file"][fname] = {"calibration": est.calibration, "attenuation": est.attenuation}
         rows.append(
             {

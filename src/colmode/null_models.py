@@ -34,7 +34,7 @@ from .trajectory import (
     SourceTag,
     TrajectoryConfig,
     TrajectoryRecord,
-    _draw_path,
+    _draw_paths,
     derive_stream_seed,
     sample_exact_ou,
 )
@@ -116,7 +116,7 @@ def _streams(rates, variances, total: int, rng, dt: float) -> np.ndarray:
     f = np.array([math.exp(-r * dt) for r in rates])
     sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
     drive = sigma * np.sqrt(np.clip(1.0 - f * f, 0.0, None))
-    return _draw_path(np.diag(f), np.diag(drive), np.diag(sigma), total, rng)
+    return next(_draw_paths(np.diag(f), np.diag(drive), np.diag(sigma), total, [rng]))
 
 
 _SOURCE = {

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg.lapack import dpttrs
@@ -39,12 +40,7 @@ from .errors import (
 )
 from .entanglement import WitnessReport, _checked_witnesses, _duan_sum, _nu_minus, make_report
 from .gaussian_core import closed_form_dynamics, symmetrize
-from .trajectory import (
-    TrajectoryConfig,
-    TrajectoryRecord,
-    derive_stream_seed,
-    sample_ensemble,
-)
+from .trajectory import TrajectoryConfig, TrajectoryRecord, _ensemble, derive_stream_seed
 
 __all__ = [
     "PipelineConfig",
@@ -273,11 +269,35 @@ def _ou_mean_attenuation(gamma: float, dt: float, m: int) -> float:
     return float(1.0 / m + (2.0 / m**2) * np.sum((m - j) * r**j))
 
 
-def _cov_of_means(stats: np.ndarray) -> np.ndarray:
-    """Sample covariance (ddof 1) of (..., n_seg, 4) segment means, with
-    numpy's own order of operations, so one matrix matches numpy bit for bit."""
+def _cov_of_means(stats: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    """Sample covariance (ddof 1) of (n_seg, 4) segment means, or of each row
+    of (..., n_seg) draws idx of them, with numpy's own order of operations,
+    so one matrix matches numpy bit for bit.  Without idx the product reads
+    stats in its own layout, which its rounding follows."""
+    if idx is not None:
+        stats = stats[idx]
     d = stats - stats.mean(axis=-2, keepdims=True)
     return d.swapaxes(-1, -2) @ d * (1.0 / (stats.shape[-2] - 1))
+
+
+def _mean_of_moments(stats: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    """stats[idx].mean(axis=-3) for the (..., n_seg) draws idx of (n_seg, 4, 4)
+    second moments (every segment once if idx is None), without the
+    (..., n_seg, 4, 4) gather.
+
+    numpy sums an outer axis in index order, and so does this, one draw
+    column at a time into one accumulator, so the two agree bit for bit.
+    take writes into `drawn` directly only in a mode other than "raise";
+    "clip" changes no draw of rng.integers(0, n_seg).
+    """
+    if idx is None:
+        idx = np.arange(stats.shape[0])
+    total = np.take(stats, idx[..., 0], axis=0)
+    drawn = np.empty_like(total)
+    for j in range(1, idx.shape[-1]):
+        total += np.take(stats, idx[..., j], axis=0, out=drawn, mode="clip")
+    total /= idx.shape[-1]
+    return total
 
 
 def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> EstimatedCovariance:
@@ -288,9 +308,11 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     giving one statistic (second moments by default), and one reduction of the
     segment statistics gives both the covariance estimate and each
     segment-level bootstrap replicate, whose spread gives the per-entry and
-    the witness standard errors.  N_eff = T * B is reported alongside.  The
-    sample covariance of k segment means in 4-D has rank <= k - 1, so the
-    "mean" statistic needs MIN_MEAN_SEGMENTS segments.
+    the witness standard errors.  Second-moment replicates are summed draw by
+    draw, so the bootstrap holds no (resamples, n_seg, 4, 4) array.  N_eff =
+    T * B is reported alongside.  The sample covariance of k segment means in
+    4-D has rank <= k - 1, so the "mean" statistic needs MIN_MEAN_SEGMENTS
+    segments.
     """
     dt = record.dt
     m = int(round(config.integration_time / dt))
@@ -311,7 +333,7 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
 
     if config.segment_statistic == "second_moment":
         stats = X.swapaxes(1, 2) @ X / m
-        reduce, atten = (lambda s: s.mean(axis=-3)), 1.0
+        reduce, atten = _mean_of_moments, 1.0
     else:
         stats = X.mean(axis=1)
         reduce, atten = _cov_of_means, _ou_mean_attenuation(_record_kappa(record) / 2.0, dt, m)
@@ -323,7 +345,7 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
             np.random.PCG64(derive_stream_seed(record.seed, _BOOT_STREAM))
         )
         idx = rng.integers(0, n_seg, size=(resamples, n_seg))
-        boot = reduce(stats[idx]) / (atten * cal)
+        boot = reduce(stats, idx) / (atten * cal)
         stderr = boot.std(axis=0, ddof=1)
         boot = symmetrize(boot)
         stderr_nu = float(_nu_minus(boot).std(ddof=1))
@@ -398,7 +420,9 @@ def _cell_witness(
     The records carry the mode linewidth kappa, which calibrates the
     band-limit filter and the "mean" statistic's attenuation.
     PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long.
-    No bootstrap: the ensemble witness reads only each record's V_hat."""
+    No bootstrap: the ensemble witness reads only each record's V_hat.
+    Records are drawn one at a time and map lets go of each once it is
+    estimated, so one record is alive however many runs the cell has."""
     pconf = PipelineConfig(
         bandwidth=B,
         integration_time=T,
@@ -408,9 +432,8 @@ def _cell_witness(
     dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
     m = int(round(pconf.integration_time / dt))
     cfg = TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
-    return witness_with_uncertainty(
-        analyze_record(r, pconf) for r in sample_ensemble(A, D, cfg, runs, meta={"kappa": kappa})
-    )
+    records = _ensemble(A, D, cfg, runs, meta={"kappa": kappa})
+    return witness_with_uncertainty(map(partial(analyze_record, config=pconf), records))
 
 
 def convergence_sweep(

@@ -190,29 +190,38 @@ def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
     return F, _psd_factor(Q), _psd_factor(Vinf)
 
 
-def _draw_path(F, Lnoise, L0, total: int, rng, r0=None) -> np.ndarray:
-    """total samples of R_{k+1} = F R_k + Lnoise z_k from R_0 = r0, else L0 z
-    (the origin if L0 is None); R_0's normals are drawn from rng first.
+def _draw_paths(F, Lnoise, L0, total: int, rngs, r0=None):
+    """For each rng, yield total samples of R_{k+1} = F R_k + Lnoise z_k from
+    R_0 = r0, else L0 z (the origin if L0 is None); R_0's normals are drawn
+    from rng first.  Every path builds the recurrence's input in the same
+    buffer, whose pages are touched once however many paths are drawn; the
+    normals are freed before the recurrence allocates the path's samples.
     This is the one AR(1) stream of every sampler."""
     n = F.shape[0]
-    if r0 is None:
-        r0 = L0 @ rng.standard_normal(n) if L0 is not None else np.zeros(n)
     x = np.empty((total, n))
-    x[0] = r0
-    np.matmul(rng.standard_normal((total - 1, n)), Lnoise.T, out=x[1:])
-    return _linear_recurrence(F, x)
+    for rng in rngs:
+        if r0 is not None:
+            x[0] = r0
+        elif L0 is not None:
+            x[0] = L0 @ rng.standard_normal(n)
+        else:
+            x[0] = 0.0
+        np.matmul(rng.standard_normal((total - 1, n)), Lnoise.T, out=x[1:])
+        yield _linear_recurrence(F, x)
 
 
 def _records(F, Lnoise, L0, config, scheme, source, meta, members, r0=None):
-    """One record of _draw_path per (seed, extra meta) member, burn-in dropped."""
+    """Yield one record of _draw_paths per (seed, extra meta) member, burn-in
+    dropped.  Nothing here refers to a record once it is yielded, so a consumer
+    that lets go of each record holds one at a time."""
     total = config.burn_in + config.n_steps
     base = {"scheme": scheme.value, "burn_in": config.burn_in, **(meta or {})}
-    records = []
+    rngs = (np.random.Generator(np.random.PCG64(seed)) for seed, _ in members)
+    paths = _draw_paths(F, Lnoise, L0, total, rngs, r0)
     for seed, extra in members:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        samples = _draw_path(F, Lnoise, L0, total, rng, r0)[config.burn_in :]
-        records.append(TrajectoryRecord(samples, config.dt, source, seed, {**base, **extra}))
-    return records
+        yield TrajectoryRecord(
+            next(paths)[config.burn_in :], config.dt, source, seed, {**base, **extra}
+        )
 
 
 def sample_exact_ou(
@@ -229,7 +238,7 @@ def sample_exact_ou(
     """
     F, Lq, Linf = _steady_prep(A, D, config.dt)
     members = [(config.master_seed, {})]
-    return _records(F, Lq, Linf, config, Scheme.EXACT_OU, source, meta, members)[0]
+    return next(_records(F, Lq, Linf, config, Scheme.EXACT_OU, source, meta, members))
 
 
 def sample_euler_maruyama(
@@ -264,7 +273,9 @@ def sample_euler_maruyama(
     elif is_stable(A) and np.max(np.abs(D)) > 0:
         Linf = _psd_factor(solve_steady_lyapunov(A, D))
     members = [(config.master_seed, {})]
-    return _records(F, Lnoise, Linf, config, Scheme.EULER_MARUYAMA, source, meta, members, r0)[0]
+    return next(
+        _records(F, Lnoise, Linf, config, Scheme.EULER_MARUYAMA, source, meta, members, r0)
+    )
 
 
 def sample_ensemble(
@@ -281,6 +292,12 @@ def sample_ensemble(
     per-member samples depend only on (A, D, config, k), never on execution
     order, so parallel and sequential runs agree sample-for-sample.
     """
+    return list(_ensemble(A, D, config, n_members, source, meta))
+
+
+def _ensemble(A, D, config, n_members, source=SourceTag.QUANTUM, meta=None):
+    """sample_ensemble's members as an iterator that draws each one on demand,
+    after one shared _steady_prep; the arguments are checked before it returns."""
     if n_members <= 0:
         raise ValidationError("ensemble size must be positive")
     F, Lq, Linf = _steady_prep(A, D, config.dt)

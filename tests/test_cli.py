@@ -35,6 +35,7 @@ from colmode.gaussian_core import (
     build_diffusion,
     build_drift,
     closed_form_covariance,
+    is_stable,
     solve_steady_lyapunov,
     steady_state_covariance,
 )
@@ -172,6 +173,29 @@ class TestPhaseDiagram:
             assert r["nu_minus"] == rep.nu_minus
             assert r["duan_sum"] == rep.duan_sum
             assert r["entangled_ppt"] == rep.entangled_ppt
+
+    def test_row_within_the_hurwitz_margin_is_unstable(self, tmp_path):
+        """A TMS row whose 2G comes within the solver's stability margin of
+        kappa from below fails the Hurwitz test solve_steady_lyapunov applies:
+        it is UNSTABLE with empty witness cells, and the grid is written."""
+        kappa = 1.0
+        cfg = _grid("TMS_HAMILTONIAN", kappa, (0.3, 0.49999999999, 3), (0.0, 1.0, 2))
+        out = tmp_path / "out"
+        assert main(["phase-diagram", "-c", write_config(tmp_path, "pd.json", cfg),
+                     "--out-dir", str(out)]) == 0
+        rows = phase_rows(cfg)
+        assert [r["boundary_flag"] for r in rows] == ["STABLE"] * 4 + ["UNSTABLE"] * 2
+        for r in rows:
+            p = ModelParams(G=r["g_over_kappa"] * kappa, kappa_a=kappa, kappa_b=kappa,
+                            n_a=r["n_eff"], n_b=r["n_eff"])
+            A = build_drift(p)
+            assert 2.0 * p.G < kappa
+            assert (r["boundary_flag"] == "STABLE") == is_stable(A)
+            if r["boundary_flag"] == "UNSTABLE":
+                assert r["nu_minus"] is None and r["entangled_ppt"] is None
+                continue
+            rep = witness_report_from_covariance(solve_steady_lyapunov(A, build_diffusion(p)))
+            assert (r["nu_minus"], r["duan_sum"]) == (rep.nu_minus, rep.duan_sum)
 
     def test_rows_are_canonically_sorted(self):
         import random
@@ -358,6 +382,28 @@ class TestSimulate:
         main(["simulate", "-c", cfg_path, "--out-dir", str(a)])
         main(["simulate", "-c", cfg_path, "--out-dir", str(b), "--seed", "999"])
         assert output_digests(a) != output_digests(b)
+
+    def test_each_null_record_is_written_before_the_next_is_drawn(self, tmp_path, monkeypatch):
+        import colmode.cli as cli_mod
+
+        out = tmp_path / "out"
+        on_disk = []
+
+        def after(tag, generate):
+            def wrapped(*args, **kwargs):
+                on_disk.append((tag, (out / f"{tag}.npy").is_file()))
+                return generate(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli_mod, "gen_classical_paramp",
+                            after("null_a", cli_mod.gen_classical_paramp))
+        monkeypatch.setattr(cli_mod, "gen_optimized_mixture",
+                            after("null_b", cli_mod.gen_optimized_mixture))
+        cfg = small_simulate_config(ensemble=1, null_trio=True)
+        cfg["trajectory"]["n_steps"] = 2000
+        assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
+                     "--out-dir", str(out)]) == 0
+        assert on_disk == [("null_a", True), ("null_b", True)]
 
     def test_null_trio_power_matched(self, tmp_path):
         cfg = small_simulate_config(ensemble=1, null_trio=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,37 @@ def oracle_estimate(record, config):
         boot = np.empty((resamples, 4, 4))
         for b in range(resamples):
             boot[b] = np.cov(stats[idx[b]].T, ddof=1) / (atten * cal)
+    stderr = boot.std(axis=0, ddof=1)
+    boot = symmetrize(boot)
+    return V_hat, stderr, float(_nu_minus(boot).std(ddof=1)), float(_duan_sum(boot).std(ddof=1))
+
+
+def gathered_estimate(record, config):
+    """(V_hat, stderr, stderr_nu, stderr_duan) by the estimator's code before
+    its bootstrap summed second moments draw by draw: each statistic's one
+    reduction of the whole (resamples, n_seg, ...) gather stats[idx]."""
+    m = int(round(config.integration_time / record.dt))
+    n_seg = record.n_steps // m
+    X = record.samples[: n_seg * m].T.reshape(4, n_seg, m).transpose(1, 2, 0)
+    cal = float(record.meta.get("bandlimit_cal", 1.0))
+    if config.segment_statistic == "second_moment":
+        stats = X.swapaxes(1, 2) @ X / m
+        reduce, atten = (lambda s: s.mean(axis=-3)), 1.0
+    else:
+        stats = X.mean(axis=1)
+
+        def reduce(s):
+            d = s - s.mean(axis=-2, keepdims=True)
+            return d.swapaxes(-1, -2) @ d * (1.0 / (s.shape[-2] - 1))
+
+        kappa = float(record.meta.get("kappa", 1.0))
+        atten = pipeline_mod._ou_mean_attenuation(kappa / 2.0, record.dt, m)
+    V_hat = symmetrize(reduce(stats)) / (atten * cal)
+    rng = np.random.Generator(
+        np.random.PCG64(derive_stream_seed(record.seed, pipeline_mod._BOOT_STREAM))
+    )
+    idx = rng.integers(0, n_seg, size=(config.bootstrap_resamples, n_seg))
+    boot = reduce(stats[idx]) / (atten * cal)
     stderr = boot.std(axis=0, ddof=1)
     boot = symmetrize(boot)
     return V_hat, stderr, float(_nu_minus(boot).std(ddof=1)), float(_duan_sum(boot).std(ddof=1))
@@ -347,6 +379,51 @@ class TestEstimateCovariance:
         assert est.n_segments == 10_000 // int(round(4.0 / rec.dt))
 
 
+class TestGatherFreeBootstrap:
+    """Second-moment replicates are summed one draw column at a time."""
+
+    @staticmethod
+    def _record(n_seg, seed, layout):
+        # 10 samples a segment plus a partial one; a non-unit calibration
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal((10 * n_seg + 3, 4)) @ rng.standard_normal((4, 4))
+        samples = np.asfortranarray(samples) if layout == "F" else samples
+        return TrajectoryRecord(samples=samples, dt=0.1, source=SourceTag.QUANTUM, seed=seed,
+                                meta={"kappa": 1.3, "bandlimit_cal": 0.87})
+
+    @pytest.mark.parametrize("statistic, n_seg, resamples", [
+        ("second_moment", 2, 2), ("second_moment", 2, 64), ("second_moment", 7, 2),
+        ("second_moment", 24, 200), ("second_moment", 333, 40),
+        ("mean", 5, 2), ("mean", 5, 64), ("mean", 24, 200), ("mean", 333, 40),
+    ])
+    def test_matches_gathered_oracle_bit_for_bit(self, statistic, n_seg, resamples):
+        pc = PipelineConfig(bandwidth=1.0, integration_time=1.0,
+                            bootstrap_resamples=resamples, segment_statistic=statistic)
+        for seed in (0, 1, 2, 3):
+            for layout in ("C", "F"):
+                rec = self._record(n_seg, seed, layout)
+                est = estimate_covariance(rec, pc)
+                assert est.n_segments == n_seg
+                got = (est.V_hat, est.stderr, est.stderr_nu, est.stderr_duan)
+                for w, g in zip(gathered_estimate(rec, pc), got):
+                    assert np.array_equal(w, g, equal_nan=True), (seed, layout)
+
+    def test_peak_memory_stays_far_below_the_gather(self):
+        """The gather alone is resamples * n_seg * 128 bytes; the draws are an
+        eighth of that and nothing else grows with their number."""
+        n_seg, resamples = 4000, 100
+        rec = white_record(n_steps=4 * n_seg, dt=0.25)
+        pc = PipelineConfig(bandwidth=1.0, integration_time=1.0, bootstrap_resamples=resamples)
+        tracemalloc.start()
+        try:
+            est = estimate_covariance(rec, pc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_segments == n_seg
+        assert peak < resamples * n_seg * 128 / 8
+
+
 class TestWitnessSoundness:
     @pytest.mark.parametrize("resamples", [0, 1])
     def test_zero_resamples_give_nan_stderr_and_no_verdict(self, resamples):
@@ -462,6 +539,62 @@ class TestConvergence:
         A, D = closed_form_dynamics(0.25, 1.0, 0.0)
         with pytest.raises(ValidationError, match="2 distinct N_eff"):
             convergence_sweep(A, D, cells, runs_per_cell=2, segments_per_record=4)
+
+    @staticmethod
+    def _list_path_witness(A, D, kappa, T, B, runs, segments, seed, statistic):
+        """One cell's ensemble witness with the whole ensemble held as a list."""
+        pc = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0,
+                            segment_statistic=statistic)
+        dt = min(0.1, 1.0 / (8.0 * B))
+        cfg = TrajectoryConfig(dt=dt, n_steps=segments * int(round(T / dt)), master_seed=seed)
+        records = sample_ensemble(A, D, cfg, runs, meta={"kappa": kappa})
+        return witness_with_uncertainty([analyze_record(r, pc) for r in records])
+
+    @pytest.mark.parametrize("statistic", ["second_moment", "mean"])
+    def test_streamed_sweep_equals_list_path(self, statistic):
+        kappa = 1.3
+        A, D = closed_form_dynamics(0.25 * kappa, kappa, 0.0)
+        cells = [(20.0, 0.1), (40.0, 0.2)]
+        out = convergence_sweep(A, D, cells, runs_per_cell=5, segments_per_record=12,
+                                master_seed=9, segment_statistic=statistic, kappa=kappa)
+        for i, ((T, B), row) in enumerate(zip(cells, out["rows"])):
+            rep = self._list_path_witness(A, D, kappa, T, B, 5, 12,
+                                          derive_stream_seed(9, 1000 + i), statistic)
+            assert (row["nu_mean"], row["nu_stderr"], row["duan_mean"], row["duan_stderr"]) == (
+                rep.nu_minus, rep.stderr_nu, rep.duan_sum, rep.stderr_duan)
+
+    def test_streamed_crossing_equals_list_path(self):
+        g_values, cells = [0.10, 0.14, 0.18, 0.22], [(8.0, 1.0), (16.0, 2.0)]
+        rows = crossing_scan(kappa=1.0, n=0.5, g_values=g_values, cells=cells,
+                             runs_per_cell=8, segments_per_record=16, master_seed=2)
+        for ci, ((T, B), row) in enumerate(zip(cells, rows)):
+            reps = [
+                self._list_path_witness(*closed_form_dynamics(g, 1.0, 0.5), 1.0, T, B, 8, 16,
+                                        derive_stream_seed(2, 10000 + 100 * ci + gi),
+                                        "second_moment")
+                for gi, g in enumerate(g_values)
+            ]
+            j = next(j for j in range(1, len(reps))
+                     if reps[j - 1].nu_minus >= 0.5 > reps[j].nu_minus)
+            slope = (reps[j].nu_minus - reps[j - 1].nu_minus) / (g_values[j] - g_values[j - 1])
+            assert row["g_cross"] == g_values[j - 1] + (0.5 - reps[j - 1].nu_minus) / slope
+            assert row["sigma"] == 0.5 * (reps[j - 1].stderr_nu + reps[j].stderr_nu) / abs(slope)
+
+    def test_sweep_memory_does_not_grow_with_runs(self):
+        """One record is alive at a time, so 16 runs a cell peak within a
+        quarter of 4 runs; a held ensemble would peak near four times as high."""
+        A, D = closed_form_dynamics(0.25, 1.0, 0.0)
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                convergence_sweep(A, D, [(50.0, 0.08), (100.0, 0.08)], runs_per_cell=runs,
+                                  segments_per_record=24, master_seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16) <= 1.25 * peak(4)
 
     def test_crossing_scan_finds_boundary(self):
         # boundary for n = 0.5: 2G/kappa = 1/3, so g = G/kappa = 1/6
