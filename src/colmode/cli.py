@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import ctypes
 import datetime
 import hashlib
 import json
@@ -278,6 +279,7 @@ def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict |
             "scipy": scipy.__version__,
             "blas": _blas(),
             "blas_threads_env": dict(_BLAS_ENV_AT_START),
+            "allocator": _fix_heap_thresholds(),
         },
         "config": config,
         "config_sha256": sha256_bytes(canonical_json(config).encode()),
@@ -320,17 +322,56 @@ def _one_blas_thread_for_children():
                 os.environ[key] = value
 
 
+# glibc reads these when the process starts; a user who set any of them
+# chose the heap's behaviour, and the CLI leaves it alone
+_USER_HEAP_ENV_AT_START = any(
+    key in os.environ
+    for key in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+) or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+
+# mallopt parameter numbers (malloc.h) and the values the CLI fixes.  Fixed
+# thresholds also switch off glibc's dynamic ones, which return a freed
+# record's pages to the kernel so that the next record faults them in again.
+# Below 4 MiB, freed blocks stay in the heap for the next record: the heap
+# never grows past its own peak, so keeping its pages adds almost no peak
+# memory.  Blocks of 4 MiB and more still come fresh from mmap, because
+# numpy asks for huge pages (madvise MADV_HUGEPAGE) on exactly those sizes.
+_HEAP_THRESHOLDS = {"M_TRIM_THRESHOLD": (-1, 1 << 30), "M_MMAP_THRESHOLD": (-3, 4 << 20)}
+
+
+def _fix_heap_thresholds():
+    """Fix glibc's heap thresholds for this process; a second call changes
+    nothing.  Returns the thresholds applied, or why none were
+    ("not_glibc", "user_env").  Only the CLI and its workers call this;
+    importing colmode leaves the allocator alone."""
+    if _USER_HEAP_ENV_AT_START:
+        return "user_env"
+    if not sys.platform.startswith("linux"):
+        return "not_glibc"
+    libc = ctypes.CDLL(None)
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return "not_glibc"
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    return {
+        name: value
+        for name, (param, value) in _HEAP_THRESHOLDS.items()
+        if libc.mallopt(param, value) == 1
+    }
+
+
 def _pmap(fn, items, threads: int):
     """Order-preserving map, optionally across processes; results never
     depend on scheduling because each item owns its derived seed.  Workers
     are spawned, so each starts a BLAS of one thread and `threads` workers
-    use `threads` cores instead of one BLAS pool per core each."""
+    use `threads` cores instead of one BLAS pool per core each.  Each fixes
+    its heap thresholds as the CLI process does."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     spawn = multiprocessing.get_context("spawn")
     with _one_blas_thread_for_children(), concurrent.futures.ProcessPoolExecutor(
-        max_workers=threads, mp_context=spawn
+        max_workers=threads, mp_context=spawn, initializer=_fix_heap_thresholds
     ) as pool:
         return list(pool.map(fn, items))
 
@@ -755,6 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _fix_heap_thresholds()
     args = build_parser().parse_args(argv)
     try:
         out_dir = Path(args.out_dir or os.environ.get("COLMODE_OUT_DIR", "out"))

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import platform
@@ -1002,11 +1003,25 @@ def _run_python(args, env):
                           text=True, timeout=120, check=True)
 
 
+GLIBC = platform.libc_ver()[0] == "glibc"
+glibc_only = pytest.mark.skipif(not GLIBC, reason="the CLI fixes heap thresholds on glibc only")
+FIXED_HEAP = {"M_MMAP_THRESHOLD": 4 << 20, "M_TRIM_THRESHOLD": 1 << 30}
+USER_HEAP_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+                 "GLIBC_TUNABLES")
+
+
+def _heap_env(**extra):
+    """os.environ without the user's glibc heap settings, BLAS pinned."""
+    env = {k: v for k, v in os.environ.items() if k not in USER_HEAP_ENV}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", **extra)
+    return env
+
+
 def test_manifest_records_blas_and_its_thread_variables(tmp_path):
     """The environment names the BLAS build and the thread variables the
     process started with, read in a fresh interpreter."""
-    env = {k: v for k, v in os.environ.items() if k != "MKL_NUM_THREADS"}
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="2")
+    env = {k: v for k, v in _heap_env().items() if k != "MKL_NUM_THREADS"}
+    env.update(OMP_NUM_THREADS="2")
     out = tmp_path / "out"
     _run_python(["-m", "colmode.cli", "thresholds", "-c",
               str(CONFIGS / "thresholds_room_temperature.json"), "--out-dir", str(out)], env)
@@ -1016,6 +1031,7 @@ def test_manifest_records_blas_and_its_thread_variables(tmp_path):
     assert environment["blas_threads_env"] == {
         "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
     }
+    assert environment["allocator"] == (FIXED_HEAP if GLIBC else "not_glibc")
 
 
 def test_cli_imports_no_scipy_signal_integrate_or_stats():
@@ -1027,3 +1043,105 @@ def test_cli_imports_no_scipy_signal_integrate_or_stats():
         "if m in sys.modules))"
     )
     assert _run_python(["-c", probe], os.environ).stdout.strip() == "[]"
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def _mmaps(nbytes: int) -> bool:
+    """Whether glibc serves a fresh block of nbytes from its own mmap
+    (mallinfo2's hblkhd grows) instead of from the heap."""
+    libc = ctypes.CDLL(None)
+    libc.mallinfo2.restype = _Mallinfo2
+    before = libc.mallinfo2().hblkhd
+    block = np.empty(nbytes, np.uint8)
+    return libc.mallinfo2().hblkhd - before >= block.nbytes
+
+
+has_mallinfo2 = pytest.mark.skipif(
+    not (GLIBC and hasattr(ctypes.CDLL(None), "mallinfo2")), reason="needs glibc >= 2.33"
+)
+
+# just below the 4 MiB threshold, far above glibc's initial 128 KiB one
+BELOW_THRESHOLD = (4 << 20) - (512 << 10)
+
+
+class TestHeapThresholds:
+    """The CLI and its workers keep freed record pages in the heap; the
+    numbers never see it."""
+
+    def converge(self, tmp_path, name, runs, env):
+        """converge in a fresh interpreter; (minor page faults during
+        cli.main, output directory).  Records are 24 segments of 4000 steps
+        (96 000 x 4 samples, 750 pages)."""
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "params": {"G": 0.25, "kappa_a": 1.0, "kappa_b": 1.0,
+                       "n_a": 0.0, "n_b": 0.0, "preset": "CLOSED_FORM"},
+            "master_seed": 7,
+            "cells": [{"T": 200.0, "B": 0.08}, {"T": 400.0, "B": 0.08}],
+            "runs_per_cell": runs,
+            "segments_per_record": 24,
+        })
+        probe = (
+            "import resource, sys\n"
+            "from colmode import cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        out = tmp_path / name
+        stdout = _run_python(["-c", probe, "converge", "-c", cfg, "--out-dir", str(out)], env).stdout
+        return int(stdout.split()[-1]), out
+
+    @glibc_only
+    def test_converge_does_not_refault_each_record(self, tmp_path):
+        """12 more records cost 16 000 more minor faults (about 1 400 per
+        record) with glibc's dynamic thresholds, and 3 with fixed ones."""
+        few, _ = self.converge(tmp_path, "few", 2, _heap_env())
+        many, _ = self.converge(tmp_path, "many", 8, _heap_env())
+        assert many - few < 1000, (few, many)
+
+    def test_user_heap_setting_is_left_alone_and_never_reaches_the_numbers(self, tmp_path):
+        _, fixed = self.converge(tmp_path, "fixed", 2, _heap_env())
+        _, user = self.converge(tmp_path, "user", 2, _heap_env(MALLOC_MMAP_THRESHOLD_="131072"))
+        assert output_digests(fixed) == output_digests(user)
+
+        def allocator(out):
+            manifest = json.loads(next(out.glob("manifest_*.json")).read_text())
+            return manifest["environment"]["allocator"]
+
+        assert allocator(fixed) == (FIXED_HEAP if GLIBC else "not_glibc")
+        assert allocator(user) == "user_env"
+
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_TOP_PAD_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_every_user_heap_setting_is_respected(self, tmp_path, name, value):
+        out = tmp_path / "out"
+        _run_python(["-m", "colmode.cli", "thresholds", "-c",
+                     str(CONFIGS / "thresholds_room_temperature.json"), "--out-dir", str(out)],
+                    _heap_env(**{name: value}))
+        manifest = json.loads(next(out.glob("manifest_*.json")).read_text())
+        assert manifest["environment"]["allocator"] == "user_env"
+
+    def test_not_glibc(self, monkeypatch):
+        from colmode.cli import _fix_heap_thresholds
+
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert _fix_heap_thresholds() == "not_glibc"
+
+    @has_mallinfo2
+    def test_importing_colmode_leaves_the_allocator_alone(self):
+        probe = f"import colmode, colmode.cli, test_cli; print(test_cli._mmaps({BELOW_THRESHOLD}))"
+        tests = str(Path(__file__).resolve().parent)
+        assert _run_python(["-c", probe], _heap_env(PYTHONPATH=tests)).stdout.strip() == "True"
+
+    @has_mallinfo2
+    def test_workers_fix_their_heap(self):
+        assert _pmap(_mmaps, [BELOW_THRESHOLD] * 2, threads=2) == [False, False]
