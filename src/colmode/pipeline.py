@@ -2,9 +2,9 @@
 
 Records are band-limited, demodulated into the rotating frame, segmented,
 and reduced to an empirical covariance matrix from which both witnesses are
-computed.  There is no branching on the record's provenance tag anywhere in
-this module: quantum and classical null datasets flow through literally the
-same code.
+computed; the filter's closed-form vacuum transfer calibrates it.  No code
+in this module branches on the record's provenance tag: quantum and
+classical null datasets flow through literally the same code.
 
 Estimator.  The default segment statistic is the per-segment second-moment
 matrix S_i = mean_k R_k R_k^T over segment i (records are zero-mean by
@@ -138,37 +138,34 @@ def _record_bands(record: TrajectoryRecord) -> list[float]:
     return [real(b, "bandlimit", above=0.0) for b in bands]
 
 
+def _pole_decay(B: float, dt: float) -> float:
+    """2 pi f_c dt, minus the log of filter_pole_coefficient(B, dt)."""
+    return 2.0 * math.pi * ((B / 2.0) / math.sqrt(math.sqrt(2.0) - 1.0)) * dt
+
+
 def filter_pole_coefficient(B: float, dt: float) -> float:
     """AR(1) pole of the single-pass low-pass whose two-pass -3 dB point is B/2."""
-    fc = (B / 2.0) / math.sqrt(math.sqrt(2.0) - 1.0)
-    return math.exp(-2.0 * math.pi * fc * dt)
+    return math.exp(-_pole_decay(B, dt))
 
 
-def vacuum_transfer(B: float, dt: float, kappa: float, n_grid: int = 4096) -> float:
+def vacuum_transfer(B: float, dt: float, kappa: float) -> float:
     """Variance transfer of the band-limit filter on the vacuum reference.
 
-    Ratio of filtered to unfiltered variance for a sampled Lorentzian
-    process at the mode linewidth (amplitude decay kappa/2), computed from
-    the discrete AR(1) spectrum and the zero-phase filter's power response.
-    Dividing estimated covariances by this factor restores the vacuum floor
-    to exactly 1/2, i.e. the usual shot-noise normalization; it is exact for
-    records whose every component shares the mode linewidth, and it keeps
-    classical records classical (the rescaled state is still a PSD matrix
-    plus the vacuum floor), so the bounds cannot be crossed by filtering.
+    (1/pi) int_0^pi S(w) |H(w)|^4 dw for the unit-variance AR(1) spectrum S
+    of a sampled Lorentzian at the mode linewidth, pole r = exp(-kappa dt/2),
+    and the filter H at pole a = filter_pole_coefficient(B, dt).  Its exact
+    residue sum g ((1 + a^2)(1 + ar) / (1 + a)^2 + 2 ar g), with
+    g = (1 - a) / ((1 + a)(1 - ar)), adds positive terms only, 1 - a and
+    1 - r taken from expm1.  Dividing estimated covariances by it restores
+    the vacuum floor to exactly 1/2 for records whose every component shares
+    the mode linewidth, and keeps classical records classical (a PSD matrix
+    plus the vacuum floor), so filtering cannot cross the bounds.
     """
-    r = math.exp(-0.5 * kappa * dt)
-    a = filter_pole_coefficient(B, dt)
-    w = np.linspace(0.0, math.pi, n_grid)
-    cw = np.cos(w)
-    spec = (1.0 - r * r) / (1.0 - 2.0 * r * cw + r * r)
-    gain = ((1.0 - a) ** 2 / (1.0 - 2.0 * a * cw + a * a)) ** 2
-    dw = np.diff(w)
-
-    def trapezoid(y):
-        # scipy.integrate.trapezoid's order of operations, bit for bit
-        return np.sum(dw * (y[1:] + y[:-1]) / 2.0)
-
-    return float(trapezoid(spec * gain) / trapezoid(spec))
+    x, y = _pole_decay(B, dt), 0.5 * kappa * dt
+    a, r = math.exp(-x), math.exp(-y)
+    u, v = -math.expm1(-x), -math.expm1(-y)  # 1 - a and 1 - r
+    g = u / ((1.0 + a) * (u + a * v))
+    return g * ((1.0 + a * a) * (1.0 + a * r) / (1.0 + a) ** 2 + 2.0 * a * r * g)
 
 
 def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
@@ -205,10 +202,12 @@ def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
 def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     """Zero-phase low-pass with -3 dB point at B/2 (cycles per unit time).
 
-    A single-pole filter run forward and backward; length preserving.  Not
-    idempotent: filtering twice cascades the transfer function.  The
-    vacuum-reference variance transfer of the applied filter accumulates in
-    the record metadata so covariance estimates can be calibrated.
+    A single-pole filter run forward and backward; length preserving.  Its
+    vacuum-reference variance transfer accumulates in the record metadata to
+    calibrate covariance estimates.  Not idempotent: for a cascade the product
+    of transfers is a lower bound (each |H|^4 falls with frequency; Chebyshev's
+    sum inequality), so a twice-filtered estimate reads high and can withhold
+    a verdict, never make one.
     """
     B = real(B, "bandwidth", above=0.0)
     nyquist = 1.0 / (2.0 * record.dt)
@@ -217,8 +216,10 @@ def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
             f"bandwidth {B:g} exceeds record Nyquist {nyquist:g}"
         )
     a = filter_pole_coefficient(B, record.dt)
+    if a == 1.0:
+        raise ValidationError(f"bandwidth {B:g} is too small for dt {record.dt:g}: pole rounds to 1")
     n = record.n_steps
-    tau = -1.0 / math.log(a) if a > 0 else 1.0
+    tau = -1.0 / math.log(a)
     padlen = int(min(n - 1, max(6, 10.0 * tau)))
     meta = dict(record.meta)
     meta["bandlimit"] = _record_bands(record) + [B]
@@ -263,8 +264,6 @@ def _ou_mean_attenuation(gamma: float, dt: float, m: int) -> float:
     covariance of a single-rate record is c times its true covariance.
     """
     r = math.exp(-gamma * dt)
-    if m == 1:
-        return 1.0
     j = np.arange(1, m)
     return float(1.0 / m + (2.0 / m**2) * np.sum((m - j) * r**j))
 

@@ -701,6 +701,20 @@ class TestExitCodes:
         assert not (out / "witness_distribution.csv").exists()
         assert not (out / "witness_report.json").exists()
 
+    def test_bandwidth_whose_pole_rounds_to_one_is_validation_error(self, tmp_path, capsys):
+        rec = TrajectoryRecord(samples=np.random.default_rng(5).standard_normal((2000, 4)),
+                               dt=0.01, source=SourceTag.QUANTUM, seed=5, meta={"kappa": 1.0})
+        (path,) = [p for p in save_record(rec, tmp_path / "rec", "npy", "m")
+                   if p.suffix == ".npy"]
+        an_cfg = write_config(tmp_path, "an.json", {
+            "pipeline": {"bandwidth": 1e-17, "integration_time": 1e17},
+        })
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "-c", an_cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bandwidth 1e-17 ")
+        assert not (out / "witness_report.json").exists()
+
     def test_non_integer_threads_env_is_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COLMODE_THREADS", "two")
         cfg_path = write_config(tmp_path, "pd.json", {

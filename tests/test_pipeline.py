@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -199,17 +201,50 @@ class TestBandlimit:
         assert got.strides[0] == got.itemsize
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("B, dt, kappa", [(2.0, 0.1, 1.0), (0.3, 0.01, 2.5), (40.0, 0.0125, 0.7)])
-    def test_vacuum_transfer_is_scipy_trapezoid(self, B, dt, kappa):
-        """The inline trapezoid rule keeps scipy's order of operations, so
-        bandlimit_cal is bit for bit what scipy.integrate.trapezoid gives."""
-        r = math.exp(-0.5 * kappa * dt)
-        a = filter_pole_coefficient(B, dt)
-        w = np.linspace(0.0, math.pi, 4096)
-        cw = np.cos(w)
-        spec = (1.0 - r * r) / (1.0 - 2.0 * r * cw + r * r)
-        gain = ((1.0 - a) ** 2 / (1.0 - 2.0 * a * cw + a * a)) ** 2
-        assert vacuum_transfer(B, dt, kappa) == float(trapezoid(spec * gain, w) / trapezoid(spec, w))
+    @pytest.mark.parametrize("dt", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1])
+    def test_vacuum_transfer_matches_exact_rational_arithmetic(self, dt):
+        """The residue sum in floats against its expanded form evaluated
+        exactly, at 1 - a and 1 - r as vacuum_transfer takes them."""
+        for B, kappa in itertools.product(np.geomspace(1e-6, 4.0, 9), (0.01, 0.1, 1.0, 10.0)):
+            if B > 0.5 / dt:
+                continue
+            u = Fraction(-math.expm1(-pipeline_mod._pole_decay(float(B), dt)))
+            v = Fraction(-math.expm1(-0.5 * kappa * dt))
+            a, r = 1 - u, 1 - v
+            num = 1 + 2 * a * r + a * a - a * a * r * r - 2 * a**3 * r - a**4 * r * r
+            exact = (1 - a) * num / ((1 + a) ** 3 * (1 - a * r) ** 2)
+            got = Fraction(vacuum_transfer(float(B), dt, kappa))
+            assert abs(got - exact) <= Fraction(2e-15) * exact, (B, dt, kappa)
+
+    @pytest.mark.parametrize("B, dt, kappa", [
+        (2.0, 0.1, 1.0), (0.3, 0.01, 2.5), (40.0, 0.0125, 0.7), (1.0, 0.001, 1.0), (0.1, 0.001, 1.0),
+    ])
+    def test_vacuum_transfer_matches_resolved_quadrature(self, B, dt, kappa):
+        """The trapezoid rule on this periodic analytic integrand converges
+        geometrically once the grid resolves the narrower pole; the
+        denominators are written as sums of positive terms."""
+        r, a = math.exp(-0.5 * kappa * dt), filter_pole_coefficient(B, dt)
+        v, u = -math.expm1(-0.5 * kappa * dt), -math.expm1(-pipeline_mod._pole_decay(B, dt))
+        w = np.linspace(0.0, math.pi, 200_001)
+        s2 = np.sin(w / 2.0) ** 2  # 1 - 2x cos w + x^2 = (1 - x)^2 + 4x sin^2(w/2)
+        spec = 1.0 / (v * v + 4.0 * r * s2)
+        gain = (u * u / (u * u + 4.0 * a * s2)) ** 2
+        want = trapezoid(spec * gain, w) / trapezoid(spec, w)
+        assert vacuum_transfer(B, dt, kappa) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("B", [0.05, 0.5, 4.9])
+    def test_vacuum_transfer_white_noise_limit(self, B):
+        a = filter_pole_coefficient(B, 0.1)
+        white = vacuum_transfer(B, 0.1, 1e5)  # r = exp(-5000) underflows to 0
+        assert white == pytest.approx((1.0 - a) * (1.0 + a * a) / (1.0 + a) ** 3, rel=1e-15)
+        assert white == pytest.approx(filter_power_ratio(a), rel=1e-12)
+
+    @pytest.mark.parametrize("B, dt", [(0.1, 0.001), (1.0, 0.1), (4.9, 0.1)])
+    def test_vacuum_transfer_dc_limit(self, B, dt):
+        """As r -> 1 the spectrum concentrates at w = 0, where |H|^4 = 1."""
+        toward_dc = [vacuum_transfer(B, dt, kappa) for kappa in (10.0, 1.0, 1e-2, 1e-4, 1e-8)]
+        assert toward_dc == sorted(toward_dc) and toward_dc[-1] < 1.0
+        assert vacuum_transfer(B, dt, 1e-300) == pytest.approx(1.0, rel=1e-15)
 
     def test_vacuum_transfer_accumulates(self):
         rec = quantum_record(n_steps=1000)
@@ -447,6 +482,20 @@ class TestWitnessSoundness:
             witness_from_estimate(singular)
         with pytest.raises(ComplexRootError):
             witness_with_uncertainty([est, singular])
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24, 25])
+    def test_separable_state_at_fine_dt_is_calibrated_and_not_certified(self, seed):
+        """True nu_minus 0.60 and Duan sum 2.40.  At dt 1e-3 and B 0.1 a
+        4096-point quadrature read the vacuum transfer 35 % high, which
+        pulled V_hat 26 % low: an ensemble of three such records was certified."""
+        A, D = closed_form_dynamics(0.25, 1.0, 1.3)
+        cfg = TrajectoryConfig(dt=0.001, n_steps=2_000_000, master_seed=seed)
+        rec = sample_exact_ou(A, D, cfg, meta={"kappa": 1.0})
+        rep = witness_from_estimate(analyze_record(rec, PipelineConfig(
+            bandwidth=0.1, integration_time=50.0, bootstrap_resamples=200)))
+        assert not rep.entangled_ppt and not rep.entangled_duan
+        assert rep.nu_minus == pytest.approx(0.6, abs=3.0 * rep.stderr_nu)
+        assert rep.duan_sum == pytest.approx(2.4, abs=3.0 * rep.stderr_duan)
 
     def test_nan_replicate_blocks_ppt_verdict(self, monkeypatch):
         import colmode.pipeline as pipeline_mod
