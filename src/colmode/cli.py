@@ -64,6 +64,9 @@ from .null_models import (
 )
 from .pipeline import (
     PipelineConfig,
+    _checked_cells,
+    _checked_couplings,
+    _segment_statistic,
     analyze_record,
     convergence_sweep,
     crossing_scan,
@@ -566,7 +569,7 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
         if "kappa" not in record.meta:
             factors["default_kappa"].append(fname)
         del record  # let go before the next file is read: one record at a time
-        factors["per_file"][fname] = {"calibration": est.calibration, "attenuation": est.attenuation}
+        factors["per_file"][fname] = {"calibration": est.calibration}
         rows.append(
             {
                 "file": fname,
@@ -607,10 +610,18 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
 # converge
 
 def _cells(cells) -> list[tuple[float, float]]:
-    return [(_field(_object(c), "T", real), _field(c, "B", real)) for c in cells]
+    return _checked_cells([(_field(_object(c), "T", real), _field(c, "B", real)) for c in cells])
 
 
 CONVERGE_COLUMNS = ["T", "B", "n_eff", "nu_mean", "nu_stderr", "duan_mean", "duan_stderr", "n_runs"]
+
+
+def _ensemble_fields(section: dict, runs_per_cell: int) -> dict:
+    """runs_per_cell and segments_per_record of a converge section, each >= 2."""
+    return {
+        "runs_per_cell": _field(section, "runs_per_cell", count, runs_per_cell, at_least=2),
+        "segments_per_record": _field(section, "segments_per_record", count, 24, at_least=2),
+    }
 
 
 def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
@@ -619,16 +630,20 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
     params = _field(config, "params", ModelParams.from_dict)
     A, D = steady_dynamics(params)
     cells = _field(config, "cells", _cells)
-    segment_statistic = config.get("segment_statistic", "second_moment")
+    _field(config, "segment_statistic", _segment_statistic, None)
+    sweep = _ensemble_fields(config, 16)
+    crossing = config.get("crossing")
+    if crossing:
+        # read in full before the sweep draws a record, so a bad field writes nothing
+        crossing = _field(config, "crossing", _object)
+        scan = dict(
+            n=_field(crossing, "n", real, at_least=0.0),
+            g_values=_field(crossing, "g_values", _checked_couplings),
+            cells=_field(crossing, "cells", _cells),
+            **_ensemble_fields(crossing, 12),
+        )
     result = convergence_sweep(
-        A,
-        D,
-        cells,
-        runs_per_cell=_field(config, "runs_per_cell", count, 16),
-        segments_per_record=_field(config, "segments_per_record", count, 24),
-        master_seed=master_seed,
-        segment_statistic=segment_statistic,
-        kappa=params.kappa_a,
+        A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )
     csv_path = out_dir / "converge.csv"
     write_csv(csv_path, text_columns(CONVERGE_COLUMNS, result["rows"]), name)
@@ -640,19 +655,8 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
     }
     outputs = [csv_path]
 
-    crossing = config.get("crossing")
     if crossing:
-        crossing = _field(config, "crossing", _object)
-        rows = crossing_scan(
-            kappa=params.kappa_a,
-            n=_field(crossing, "n", real),
-            g_values=_field(crossing, "g_values", list),
-            cells=_field(crossing, "cells", _cells),
-            runs_per_cell=_field(crossing, "runs_per_cell", count, 12),
-            segments_per_record=_field(crossing, "segments_per_record", count, 24),
-            master_seed=master_seed,
-            segment_statistic=segment_statistic,
-        )
+        rows = crossing_scan(kappa=params.kappa_a, master_seed=master_seed, **scan)
         cross_path = out_dir / "crossing.csv"
         write_csv(cross_path, text_columns(["T", "B", "g_cross", "sigma"], rows), name)
         outputs.append(cross_path)
@@ -670,7 +674,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
 # thresholds
 
 def _threshold_report(config: dict) -> dict:
-    for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col")):
+    for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col"), ("G_over_kappa", "C_corr")):
         if all(config.get(key) is not None for key in pair):
             raise ValidationError("give '{}' or '{}', not both".format(*pair))
     kappa = _field(config, "kappa", real, None, above=0.0)
@@ -701,16 +705,23 @@ def _threshold_report(config: dict) -> dict:
         "formula": "(C_eff*S_V0*B/(hbar*omega_col) - 1)/2",
     }
 
-    c_corr = None
-    g_over_kappa = _field(config, "G_over_kappa", real, None)
-    if g_over_kappa is not None and kappa is not None and n_eff > 0:
+    # C_corr is given, or derived from G_over_kappa; a G_over_kappa that
+    # cannot give one is refused, never dropped
+    c_corr = _field(config, "C_corr", real, None)
+    g_over_kappa = _field(config, "G_over_kappa", real, None, at_least=0.0)
+    if g_over_kappa is not None:
+        if kappa is None:
+            raise ValidationError("G_over_kappa needs 'kappa' or 'ringdown_time'")
+        if n_eff == 0.0:
+            raise ValidationError(
+                "G_over_kappa gives no cooperativity at n_eff = 0; "
+                "use the PT eigenvalue criterion directly"
+            )
         c_corr = cooperativity(g_over_kappa * kappa, kappa, n_eff)
         report["cooperativity"] = {
             "value": c_corr,
             "formula": "(2G/kappa)*(n_eff+1)/n_eff",
         }
-    if c_corr is None:
-        c_corr = _field(config, "C_corr", real, None)
 
     vmin: dict = {}
     if c_corr is not None:

@@ -6,26 +6,23 @@ computed; the filter's closed-form vacuum transfer calibrates it.  No code
 in this module branches on the record's provenance tag: quantum and
 classical null datasets flow through literally the same code.
 
-Estimator.  The default segment statistic is the per-segment second-moment
+Estimator.  The one segment statistic is the per-segment second-moment
 matrix S_i = mean_k R_k R_k^T over segment i (records are zero-mean by
 construction).  Averaging the S_i gives an estimate of V that is unbiased
 for any stationary record regardless of its spectral composition, which
 matters because null-model records mix classical and vacuum correlation
-times; segment-level bootstrap resampling supplies the uncertainties, with
-each segment of length T at bandwidth B carrying N_eff = T * B effective
-samples; one bootstrap draw per record gives both the entry-wise and the
-witness standard errors.  The alternative "mean" statistic (per-segment
-quadrature means, rescaled by the known Ornstein-Uhlenbeck segment-averaging
-attenuation factor at the record's linewidth) is also provided; it is exact
-only for single-rate records and is kept for cross-checks, with the applied
-factor reported rather than hidden.  Singular estimates are refused, never
-scored: see witness_from_estimate.
+times, and two-mode-squeezed records relax at two rates; segment-level
+bootstrap resampling supplies the uncertainties, with each segment of
+length T at bandwidth B carrying N_eff = T * B effective samples; one
+bootstrap draw per record gives both the entry-wise and the witness
+standard errors.  Singular estimates are refused, never scored: see
+witness_from_estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -57,7 +54,12 @@ __all__ = [
 
 _BOOT_STREAM = 0xBEEF
 
-MIN_MEAN_SEGMENTS = 5
+
+def _segment_statistic(value) -> str:
+    """The one segment statistic, "second_moment"; any other value is refused."""
+    if value != "second_moment":
+        raise ValidationError(f"segment_statistic must be 'second_moment', got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,9 @@ class PipelineConfig(ConfigFields):
     bandwidth and demod_frequency are in cycles per unit time of the record;
     integration_time is the segment length in the same time units.  The
     product integration_time * bandwidth is the effective number of
-    independent samples per segment and must be >= 1.
+    independent samples per segment and must be >= 1.  segment_statistic
+    has the one value "second_moment"; the field stays so that configs
+    naming it, and the digests of every config, keep working.
     """
 
     bandwidth: float
@@ -89,8 +93,7 @@ class PipelineConfig(ConfigFields):
         )
         if self.integration_time * self.bandwidth < 1.0:
             raise ValidationError("need integration_time * bandwidth >= 1")
-        if self.segment_statistic not in ("second_moment", "mean"):
-            raise ValidationError("segment_statistic must be 'second_moment' or 'mean'")
+        _segment_statistic(self.segment_statistic)
 
 
 @dataclass
@@ -100,9 +103,9 @@ class EstimatedCovariance:
     stderr_nu and stderr_duan come from the same replicates as stderr (NaN
     if one has no real PT root; all of them are NaN with fewer than two
     replicates).  calibration is the accumulated vacuum-reference transfer
-    of any applied band-limit filters (already divided out of V_hat and
-    stderr); attenuation is the segment-averaging factor of the "mean"
-    statistic (1.0 for second moments).  Both are reported, never hidden.
+    of any applied band-limit filters, already divided out of V_hat and
+    stderr, and reported, never hidden.  source is the record's provenance
+    tag, which only groups the outputs.
     """
 
     V_hat: np.ndarray
@@ -111,13 +114,8 @@ class EstimatedCovariance:
     stderr: np.ndarray
     stderr_nu: float
     stderr_duan: float
-    attenuation: float
     calibration: float
-    statistic: str
-    record_seed: int
     source: str
-    config_hash: str
-    meta: dict = field(default_factory=dict)
 
 
 def _record_kappa(record: TrajectoryRecord) -> float:
@@ -257,28 +255,6 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     )
 
 
-def _ou_mean_attenuation(gamma: float, dt: float, m: int) -> float:
-    """Variance attenuation of an m-sample segment mean of an OU process.
-
-    c = (1/m^2) sum_{k,l} r^|k-l| with r = exp(-gamma dt); the segment-mean
-    covariance of a single-rate record is c times its true covariance.
-    """
-    r = math.exp(-gamma * dt)
-    j = np.arange(1, m)
-    return float(1.0 / m + (2.0 / m**2) * np.sum((m - j) * r**j))
-
-
-def _cov_of_means(stats: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
-    """Sample covariance (ddof 1) of (n_seg, 4) segment means, or of each row
-    of (..., n_seg) draws idx of them, with numpy's own order of operations,
-    so one matrix matches numpy bit for bit.  Without idx the product reads
-    stats in its own layout, which its rounding follows."""
-    if idx is not None:
-        stats = stats[idx]
-    d = stats - stats.mean(axis=-2, keepdims=True)
-    return d.swapaxes(-1, -2) @ d * (1.0 / (stats.shape[-2] - 1))
-
-
 def _mean_of_moments(stats: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
     """stats[idx].mean(axis=-3) for the (..., n_seg) draws idx of (n_seg, 4, 4)
     second moments (every segment once if idx is None), without the
@@ -304,17 +280,13 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
 
     The record, row- or channel-major, is split into floor(duration / T)
     non-overlapping segment views of length T = config.integration_time, each
-    giving one statistic (second moments by default), and one reduction of the
-    segment statistics gives both the covariance estimate and each
-    segment-level bootstrap replicate, whose spread gives the per-entry and
-    the witness standard errors.  Second-moment replicates are summed draw by
-    draw, so the bootstrap holds no (resamples, n_seg, 4, 4) array.  N_eff =
-    T * B is reported alongside.  The sample covariance of k segment means in
-    4-D has rank <= k - 1, so the "mean" statistic needs MIN_MEAN_SEGMENTS
-    segments.
+    giving one second-moment matrix, and one reduction of them gives both the
+    covariance estimate and each segment-level bootstrap replicate, whose
+    spread gives the per-entry and the witness standard errors.  Replicates
+    are summed draw by draw, so the bootstrap holds no
+    (resamples, n_seg, 4, 4) array.  N_eff = T * B is reported alongside.
     """
-    dt = record.dt
-    m = int(round(config.integration_time / dt))
+    m = int(round(config.integration_time / record.dt))
     if m < 1:
         raise ValidationError("integration_time shorter than one sample")
     n_seg = record.n_steps // m
@@ -322,21 +294,10 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
         raise TooFewSegmentsError(
             f"record holds {record.n_steps} samples, need >= 2 segments of {m}"
         )
-    if config.segment_statistic == "mean" and n_seg < MIN_MEAN_SEGMENTS:
-        raise TooFewSegmentsError(
-            f"the 'mean' statistic needs >= {MIN_MEAN_SEGMENTS} segments for a "
-            f"full-rank covariance, record holds {n_seg} segments of {m} samples"
-        )
     X = record.samples[: n_seg * m].T.reshape(4, n_seg, m).transpose(1, 2, 0)
     cal = _record_calibration(record)
-
-    if config.segment_statistic == "second_moment":
-        stats = X.swapaxes(1, 2) @ X / m
-        reduce, atten = _mean_of_moments, 1.0
-    else:
-        stats = X.mean(axis=1)
-        reduce, atten = _cov_of_means, _ou_mean_attenuation(_record_kappa(record) / 2.0, dt, m)
-    V_hat = symmetrize(reduce(stats)) / (atten * cal)
+    stats = X.swapaxes(1, 2) @ X / m
+    V_hat = symmetrize(_mean_of_moments(stats)) / cal
 
     resamples = config.bootstrap_resamples
     if resamples >= 2:
@@ -344,7 +305,7 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
             np.random.PCG64(derive_stream_seed(record.seed, _BOOT_STREAM))
         )
         idx = rng.integers(0, n_seg, size=(resamples, n_seg))
-        boot = reduce(stats, idx) / (atten * cal)
+        boot = _mean_of_moments(stats, idx) / cal
         stderr = boot.std(axis=0, ddof=1)
         boot = symmetrize(boot)
         stderr_nu = float(_nu_minus(boot).std(ddof=1))
@@ -361,13 +322,8 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
         stderr=stderr,
         stderr_nu=stderr_nu,
         stderr_duan=stderr_duan,
-        attenuation=atten,
         calibration=cal,
-        statistic=config.segment_statistic,
-        record_seed=record.seed,
         source=record.source.value,
-        config_hash=config.digest(),
-        meta={"dt": dt, "samples_per_segment": m},
     )
 
 
@@ -407,27 +363,31 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
 
 
 def _checked_cells(cells) -> list[tuple[float, float]]:
-    """(T, B) pairs of positive reals."""
-    return [(real(T, "T", above=0.0), real(B, "B", above=0.0)) for T, B in cells]
+    """(T, B) pairs of positive reals, each with N_eff = T * B >= 1."""
+    cells = [(real(T, "T", above=0.0), real(B, "B", above=0.0)) for T, B in cells]
+    for T, B in cells:
+        if T * B < 1.0:
+            raise ValidationError(f"cells need T * B >= 1, got T {T!r} and B {B!r}")
+    return cells
 
 
-def _cell_witness(
-    A, D, kappa, T, B, runs, segments_per_record, seed, segment_statistic
-) -> WitnessReport:
+def _checked_couplings(g_values) -> list[float]:
+    """Coupling ratios g = G/kappa, sorted, each with 0 <= g < 1/2 (2G < kappa)."""
+    g_values = sorted(real(g, "g_values", at_least=0.0) for g in g_values)
+    if g_values and g_values[-1] >= 0.5:
+        raise ValidationError(f"g_values must be < 0.5 (2G < kappa), got {g_values[-1]!r}")
+    return g_values
+
+
+def _cell_witness(A, D, kappa, T, B, runs, segments_per_record, seed) -> WitnessReport:
     """Ensemble witness of one (T, B) cell over `runs` fresh records of
-    segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)).
-    The records carry the mode linewidth kappa, which calibrates the
-    band-limit filter and the "mean" statistic's attenuation.
+    segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)) and
+    carrying the mode linewidth kappa, which calibrates the band-limit filter.
     PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long.
     No bootstrap: the ensemble witness reads only each record's V_hat.
     Records are drawn one at a time and map lets go of each once it is
     estimated, so one record is alive however many runs the cell has."""
-    pconf = PipelineConfig(
-        bandwidth=B,
-        integration_time=T,
-        bootstrap_resamples=0,
-        segment_statistic=segment_statistic,
-    )
+    pconf = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0)
     dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
     m = int(round(pconf.integration_time / dt))
     cfg = TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
@@ -442,7 +402,6 @@ def convergence_sweep(
     runs_per_cell: int = 16,
     segments_per_record: int = 24,
     master_seed: int = 0,
-    segment_statistic: str = "second_moment",
     kappa: float = 1.0,
 ) -> dict:
     """Witness mean and standard error versus N_eff = T * B.
@@ -456,6 +415,7 @@ def convergence_sweep(
     (A, D), which every sampled record carries, as simulate's records do.
     """
     runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
+    segments_per_record = count(segments_per_record, "segments_per_record", at_least=2)
     kappa = real(kappa, "kappa", above=0.0)
     cells = _checked_cells(cells)
     if len({T * B for T, B in cells}) < 2:
@@ -464,7 +424,7 @@ def convergence_sweep(
     for i, (T, B) in enumerate(cells):
         rep = _cell_witness(
             A, D, kappa, T, B, runs_per_cell, segments_per_record,
-            derive_stream_seed(master_seed, 1000 + i), segment_statistic,
+            derive_stream_seed(master_seed, 1000 + i),
         )
         rows.append(
             {
@@ -492,24 +452,28 @@ def crossing_scan(
     runs_per_cell: int = 12,
     segments_per_record: int = 24,
     master_seed: int = 0,
-    segment_statistic: str = "second_moment",
 ) -> list[dict]:
     """Estimated location of the separability threshold for each (T, B) cell.
 
     Scans the coupling ratio g = G/kappa across the boundary, estimates the
     ensemble-mean smallest PT symplectic eigenvalue per grid point, and
     interpolates the crossing of the 1/2 bound.  The crossing location is a
-    state property; within uncertainty it must not depend on T or B.
+    state property; within uncertainty it must not depend on T or B.  Every
+    argument is checked before the first record is drawn.
     """
-    g_values = sorted(real(g, "g_values") for g in g_values)
+    n = real(n, "n", at_least=0.0)
+    g_values = _checked_couplings(g_values)
+    cells = _checked_cells(cells)
+    runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
+    segments_per_record = count(segments_per_record, "segments_per_record", at_least=2)
     rows = []
-    for ci, (T, B) in enumerate(_checked_cells(cells)):
+    for ci, (T, B) in enumerate(cells):
         means, errs = [], []
         for gi, g in enumerate(g_values):
             A, D = closed_form_dynamics(g * kappa, kappa, n)
             rep = _cell_witness(
                 A, D, kappa, T, B, runs_per_cell, segments_per_record,
-                derive_stream_seed(master_seed, 10000 + 100 * ci + gi), segment_statistic,
+                derive_stream_seed(master_seed, 10000 + 100 * ci + gi),
             )
             means.append(rep.nu_minus)
             errs.append(rep.stderr_nu)

@@ -40,7 +40,7 @@ from colmode.gaussian_core import (
     solve_steady_lyapunov,
     steady_state_covariance,
 )
-from colmode.pipeline import _ou_mean_attenuation, vacuum_transfer
+from colmode.pipeline import vacuum_transfer
 from colmode.trajectory import SourceTag, TrajectoryRecord
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -447,21 +447,27 @@ class TestAnalyze:
         lines = (out / "witness_distribution.csv").read_text().splitlines()
         assert len(lines) == 2 + len(records)
 
-    def test_mean_statistic_through_cli(self, tmp_path):
-        cfg = small_simulate_config(ensemble=2)
-        cfg["trajectory"]["n_steps"] = 40000
-        sim_cfg = write_config(tmp_path, "sim.json", cfg)
+    @pytest.mark.parametrize("command", ["analyze", "converge"])
+    def test_mean_statistic_exits_2_before_any_output(self, tmp_path, capsys, command):
+        """The deleted "mean" statistic certified a separable TMS state; a
+        config that still asks for it is refused, never silently ignored."""
+        if command == "analyze":
+            rec = TrajectoryRecord(samples=np.random.default_rng(7).standard_normal((2000, 4)),
+                                   dt=0.1, source=SourceTag.QUANTUM, seed=7, meta={"kappa": 1.0})
+            npy, _ = save_record(rec, tmp_path / "rec", "npy", "m")
+            cfg = json.loads((CONFIGS / "analyze.json").read_text())
+            cfg["pipeline"]["segment_statistic"] = "mean"
+            argv = ["analyze", str(npy)]
+        else:
+            cfg = dict(json.loads((CONFIGS / "converge.json").read_text()),
+                       segment_statistic="mean")
+            argv = ["converge"]
         out = tmp_path / "out"
-        main(["simulate", "-c", sim_cfg, "--out-dir", str(out)])
-        an_cfg = write_config(tmp_path, "an.json", {
-            "pipeline": {"bandwidth": 1.0, "integration_time": 10.0,
-                         "bootstrap_resamples": 200, "segment_statistic": "mean"},
-        })
-        records = sorted(str(p) for p in out.glob("*.npy"))
-        assert main(["analyze", *records, "-c", an_cfg, "--out-dir", str(out)]) == 0
-        report = json.loads((out / "witness_report.json").read_text())
-        # single-rate records: the mean statistic is also calibrated
-        assert report["groups"]["QUANTUM"]["nu_minus"] == pytest.approx(1 / 6, abs=0.06)
+        argv += ["-c", write_config(tmp_path, "cfg.json", cfg), "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: segment_statistic must be 'second_moment', got 'mean'"]
+        assert not any(out.iterdir())
 
     def test_zero_resamples_never_certify_null_c(self, tmp_path):
         # null model C sits on nu_minus = 1/2; with no bootstrap replicates its
@@ -496,16 +502,13 @@ class TestAnalyze:
                                    source=SourceTag.QUANTUM, seed=4, meta=meta)
             paths.append(str(save_record(rec, tmp_path / name, "npy", "m")[0]))
         an = json.loads((CONFIGS / "analyze.json").read_text())
-        an["pipeline"].update(segment_statistic="mean", bootstrap_resamples=10)
+        an["pipeline"]["bootstrap_resamples"] = 10
         assert main(["analyze", *paths, "-c", write_config(tmp_path, "an.json", an),
                      "--out-dir", str(out)]) == 0
         factors = json.loads(next(out.glob("manifest_*.json")).read_text())["factors"]
         assert factors["default_kappa"] == ["defaulted.npy"]
         for name, kappa in (("given.npy", 2.0), ("defaulted.npy", 1.0)):
-            assert factors["per_file"][name] == {
-                "calibration": vacuum_transfer(1.0, 0.1, kappa),
-                "attenuation": _ou_mean_attenuation(kappa / 2.0, 0.1, 100),
-            }
+            assert factors["per_file"][name] == {"calibration": vacuum_transfer(1.0, 0.1, kappa)}
         for data in ("witness_distribution.csv", "witness_report.json"):
             assert "factors" not in (out / data).read_text()
 
@@ -596,32 +599,33 @@ class TestConverge:
         assert err == ["error: convergence sweep needs cells at >= 2 distinct N_eff = T * B"]
         assert not (out / "converge.csv").exists()
 
-    def test_crossing_scan_gets_segment_statistic(self, tmp_path, monkeypatch):
-        import colmode.cli as cli_mod
-
-        seen = {}
-
-        def fake_sweep(A, D, cells, **kwargs):
-            seen["sweep"] = kwargs["segment_statistic"]
-            rows = [{"T": T, "B": B, "n_eff": T * B, "nu_mean": 0.2, "nu_stderr": 0.01,
-                     "duan_mean": 0.8, "duan_stderr": 0.01, "n_runs": 2} for T, B in cells]
-            return {"rows": rows, "slope_nu": -0.5, "slope_duan": -0.5}
-
-        def fake_crossing(**kwargs):
-            seen["crossing"] = kwargs["segment_statistic"]
-            return [{"T": T, "B": B, "g_cross": 0.17, "sigma": 0.01} for T, B in kwargs["cells"]]
-
-        monkeypatch.setattr(cli_mod, "convergence_sweep", fake_sweep)
-        monkeypatch.setattr(cli_mod, "crossing_scan", fake_crossing)
-        cfg_path = write_config(tmp_path, "conv.json", {
-            "params": {"G": 0.25, "kappa_a": 1.0, "kappa_b": 1.0,
-                       "n_a": 0.0, "n_b": 0.0, "preset": "CLOSED_FORM"},
-            "cells": [{"T": 50.0, "B": 0.04}],
-            "segment_statistic": "mean",
-            "crossing": {"n": 0.5, "g_values": [0.1, 0.2], "cells": [{"T": 8.0, "B": 1.0}]},
-        })
-        assert main(["converge", "-c", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
-        assert seen == {"sweep": "mean", "crossing": "mean"}
+    @pytest.mark.parametrize("section, edit, message", [
+        ("crossing", {"runs_per_cell": 1}, "runs_per_cell must be >= 2, got 1"),
+        ("crossing", {"segments_per_record": 1}, "segments_per_record must be >= 2, got 1"),
+        ("crossing", {"g_values": [0.1, 0.6]},
+         "g_values must be < 0.5 (2G < kappa), got 0.6"),
+        ("crossing", {"g_values": [-0.1, 0.2]}, "g_values must be >= 0, got -0.1"),
+        ("crossing", {"n": -0.5}, "n must be >= 0, got -0.5"),
+        ("crossing", {"cells": [{"T": 8.0, "B": 1.0}, {"T": 0.5, "B": 1.0}]},
+         "cells need T * B >= 1, got T 0.5 and B 1.0"),
+        ("top", {"runs_per_cell": 1}, "runs_per_cell must be >= 2, got 1"),
+        ("top", {"segments_per_record": 1}, "segments_per_record must be >= 2, got 1"),
+        ("top", {"cells": [{"T": 50.0, "B": 0.04}, {"T": 10.0, "B": 0.04}]},
+         "cells need T * B >= 1, got T 10.0 and B 0.04"),
+    ], ids=["crossing-runs", "crossing-segments", "crossing-g-high", "crossing-g-negative",
+            "crossing-n", "crossing-cells", "runs", "segments", "cells"])
+    def test_bad_section_field_exits_2_before_any_output(
+        self, tmp_path, capsys, section, edit, message
+    ):
+        """Every converge field, the crossing section's included, is checked
+        before the first record is drawn, so no converge.csv is written."""
+        cfg = json.loads((CONFIGS / "converge.json").read_text())
+        (cfg if section == "top" else cfg["crossing"]).update(edit)
+        out = tmp_path / "out"
+        assert main(["converge", "-c", write_config(tmp_path, "conv.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not any(out.iterdir())
 
 
 class TestThresholds:
@@ -996,6 +1000,58 @@ class TestThresholdSources:
                      "--out-dir", str(out)]) == 0
         report = json.loads((out / "thresholds.json").read_text())
         assert report["kappa"] == {"value": 5e4, "formula": "given"}
+
+    def test_g_over_kappa_and_c_corr_are_two_sources_of_one_value(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())
+        cfg.update(f_col=1e6, G_over_kappa=0.3, C_corr="abc")
+        out = tmp_path / "out"
+        assert main(["thresholds", "-c", write_config(tmp_path, "thr.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: give 'G_over_kappa' or 'C_corr', not both"]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("edit, drop, message", [
+        # the shipped config's n_eff clamps to 0
+        ({"G_over_kappa": -0.1}, None, "G_over_kappa must be >= 0, got -0.1"),
+        ({"G_over_kappa": 0.3}, None,
+         "G_over_kappa gives no cooperativity at n_eff = 0; "
+         "use the PT eigenvalue criterion directly"),
+        ({"G_over_kappa": 0.3, "f_col": 1e6}, "ringdown_time",
+         "G_over_kappa needs 'kappa' or 'ringdown_time'"),
+        ({"G_over_kappa": 0.5, "f_col": 1e6}, None, "domain requires 2G < kappa"),
+    ], ids=["negative", "n_eff_clamped", "no_kappa", "unstable"])
+    def test_g_over_kappa_without_cooperativity_exits_2(
+        self, tmp_path, capsys, edit, drop, message
+    ):
+        """A given G_over_kappa either gives a cooperativity or is refused
+        with the reason; it is never dropped from the report in silence."""
+        cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())
+        cfg.update(edit)
+        cfg.pop(drop, None)
+        out = tmp_path / "out"
+        assert main(["thresholds", "-c", write_config(tmp_path, "thr.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not any(out.iterdir())
+
+    def test_either_source_gives_one_v_min(self, tmp_path):
+        """C_corr given equal to the cooperativity G_over_kappa derives
+        gives the same v_min; only the derived one is reported as such."""
+        cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())
+        cfg["f_col"] = 1e6  # n_eff 250, not clamped
+
+        def report(**source):
+            out = tmp_path / next(iter(source))
+            cfg_path = write_config(tmp_path, "thr.json", dict(cfg, **source))
+            assert main(["thresholds", "-c", cfg_path, "--out-dir", str(out)]) == 0
+            return json.loads((out / "thresholds.json").read_text())
+
+        derived = report(G_over_kappa=0.3)
+        given = report(C_corr=derived["cooperativity"]["value"])
+        assert "cooperativity" not in given
+        assert given["v_min"] == derived["v_min"]
+        assert set(given["v_min"]) == {"GENERAL", "THERMAL", "CONSERVATIVE"}
 
 
 @pytest.mark.parametrize("command, config, outputs", [

@@ -388,7 +388,7 @@ class TestSymmetryAndSerialization:
             TrajectoryConfig(dt=0.05, n_steps=100, scheme=Scheme.EULER_MARUYAMA,
                              master_seed=7, burn_in=3),
             PipelineConfig(bandwidth=1.0, integration_time=10.0, demod_frequency=0.1,
-                           bootstrap_resamples=20, segment_statistic="mean"),
+                           bootstrap_resamples=20, segment_statistic="second_moment"),
             NullModelSpec(kind=NullKind.CLASSICAL_PARAMP, target_bandwidth=0.08,
                           target_power=0.5, correlation=0.3, gain=0.2, seed=5),
             NoiseInputSpec(B=1e5, C_eff=1e-12, omega_col=6e9, T_amb=300.0, R_eff=50.0),

@@ -61,32 +61,19 @@ def white_record(n_steps=200_000, seed=3, dt=1.0):
 
 def oracle_estimate(record, config):
     """(V_hat, stderr, stderr_nu, stderr_duan) by the estimator's code before
-    one segment reduction served both: a V_hat line per statistic and, for
-    "mean", one np.cov call per bootstrap replicate."""
+    one segment reduction served both: second moments by einsum, and the
+    bootstrap as one gathered mean."""
     m = int(round(config.integration_time / record.dt))
     n_seg = record.n_steps // m
     X = record.samples[: n_seg * m].reshape(n_seg, m, 4)
     cal = float(record.meta.get("bandlimit_cal", 1.0))
-    if config.segment_statistic == "second_moment":
-        stats = np.einsum("smi,smj->sij", X, X) / m
-        V_hat = symmetrize(stats.mean(axis=0)) / cal
-        atten = 1.0
-    else:
-        stats = X.mean(axis=1)
-        kappa = float(record.meta.get("kappa", 1.0))
-        atten = pipeline_mod._ou_mean_attenuation(kappa / 2.0, record.dt, m)
-        V_hat = symmetrize(np.cov(stats.T, ddof=1)) / (atten * cal)
-    resamples = config.bootstrap_resamples
+    stats = np.einsum("smi,smj->sij", X, X) / m
+    V_hat = symmetrize(stats.mean(axis=0)) / cal
     rng = np.random.Generator(
         np.random.PCG64(derive_stream_seed(record.seed, pipeline_mod._BOOT_STREAM))
     )
-    idx = rng.integers(0, n_seg, size=(resamples, n_seg))
-    if config.segment_statistic == "second_moment":
-        boot = stats[idx].mean(axis=1) / cal
-    else:
-        boot = np.empty((resamples, 4, 4))
-        for b in range(resamples):
-            boot[b] = np.cov(stats[idx[b]].T, ddof=1) / (atten * cal)
+    idx = rng.integers(0, n_seg, size=(config.bootstrap_resamples, n_seg))
+    boot = stats[idx].mean(axis=1) / cal
     stderr = boot.std(axis=0, ddof=1)
     boot = symmetrize(boot)
     return V_hat, stderr, float(_nu_minus(boot).std(ddof=1)), float(_duan_sum(boot).std(ddof=1))
@@ -94,30 +81,19 @@ def oracle_estimate(record, config):
 
 def gathered_estimate(record, config):
     """(V_hat, stderr, stderr_nu, stderr_duan) by the estimator's code before
-    its bootstrap summed second moments draw by draw: each statistic's one
-    reduction of the whole (resamples, n_seg, ...) gather stats[idx]."""
+    its bootstrap summed second moments draw by draw: one mean over the
+    whole (resamples, n_seg, 4, 4) gather stats[idx]."""
     m = int(round(config.integration_time / record.dt))
     n_seg = record.n_steps // m
     X = record.samples[: n_seg * m].T.reshape(4, n_seg, m).transpose(1, 2, 0)
     cal = float(record.meta.get("bandlimit_cal", 1.0))
-    if config.segment_statistic == "second_moment":
-        stats = X.swapaxes(1, 2) @ X / m
-        reduce, atten = (lambda s: s.mean(axis=-3)), 1.0
-    else:
-        stats = X.mean(axis=1)
-
-        def reduce(s):
-            d = s - s.mean(axis=-2, keepdims=True)
-            return d.swapaxes(-1, -2) @ d * (1.0 / (s.shape[-2] - 1))
-
-        kappa = float(record.meta.get("kappa", 1.0))
-        atten = pipeline_mod._ou_mean_attenuation(kappa / 2.0, record.dt, m)
-    V_hat = symmetrize(reduce(stats)) / (atten * cal)
+    stats = X.swapaxes(1, 2) @ X / m
+    V_hat = symmetrize(stats.mean(axis=-3)) / cal
     rng = np.random.Generator(
         np.random.PCG64(derive_stream_seed(record.seed, pipeline_mod._BOOT_STREAM))
     )
     idx = rng.integers(0, n_seg, size=(config.bootstrap_resamples, n_seg))
-    boot = reduce(stats[idx]) / (atten * cal)
+    boot = stats[idx].mean(axis=-3) / cal
     stderr = boot.std(axis=0, ddof=1)
     boot = symmetrize(boot)
     return V_hat, stderr, float(_nu_minus(boot).std(ddof=1)), float(_duan_sum(boot).std(ddof=1))
@@ -330,37 +306,12 @@ class TestEstimateCovariance:
             PipelineConfig(bandwidth=0.1, integration_time=1.0)  # T*B < 1
         with pytest.raises(ValidationError):
             PipelineConfig(bandwidth=1.0, integration_time=2.0, segment_statistic="median")
-
-    def test_mean_statistic_agrees_when_exact(self):
-        # single-rate record: the attenuation-corrected mean statistic is
-        # unbiased and must agree with the second-moment route
-        rec = quantum_record(n_steps=150_000, seed=9, dt=0.1)
-        pc2 = PipelineConfig(bandwidth=1.0, integration_time=8.0,
-                             bootstrap_resamples=300, segment_statistic="mean")
-        est = estimate_covariance(rec, pc2)
-        assert 0.0 < est.attenuation < 1.0
-        V_true = closed_form_covariance(0.25, 1.0, 0.0)
-        dev = np.abs(est.V_hat - V_true)
-        assert np.all(dev <= 4.0 * est.stderr + 0.02)
-
-    def test_singular_mean_estimate_refused(self):
-        # deeply separable thermal state (true nu_minus = 2.5): with 2-4
-        # segments the covariance of k segment means in 4-D has rank <= k - 1
-        # and its witness reads nu_minus ~ 0, entangled_ppt = True
-        A, D = closed_form_dynamics(0.0, 1.0, 2.0)
-        pc = PipelineConfig(bandwidth=1.0, integration_time=10.0,
-                            bootstrap_resamples=0, segment_statistic="mean")
-        for k in (2, 3, 4):
-            rec = sample_exact_ou(A, D, TrajectoryConfig(dt=0.1, n_steps=100 * k, master_seed=7),
-                                  meta={"kappa": 1.0})
-            with pytest.raises(TooFewSegmentsError):
-                estimate_covariance(rec, pc)
-        rec = sample_exact_ou(A, D, TrajectoryConfig(dt=0.1, n_steps=500, master_seed=7),
-                              meta={"kappa": 1.0})
-        assert estimate_covariance(rec, pc).n_segments == 5
+        # the one segment statistic: the deleted "mean" is refused, never ignored
+        with pytest.raises(ValidationError, match="^segment_statistic must be 'second_moment'"):
+            PipelineConfig(bandwidth=1.0, integration_time=2.0, segment_statistic="mean")
 
     @staticmethod
-    def _segmented(n_seg, statistic):
+    def _segmented(n_seg, statistic="second_moment"):
         # 100 samples a segment plus a partial one; a non-unit calibration
         base = quantum_record(n_steps=100 * n_seg + 37, seed=n_seg, dt=0.1)
         rec = TrajectoryRecord(samples=base.samples, dt=base.dt, source=base.source,
@@ -373,26 +324,17 @@ class TestEstimateCovariance:
     def _outputs(est):
         return est.V_hat, est.stderr, est.stderr_nu, est.stderr_duan
 
-    @pytest.mark.parametrize("statistic", ["mean"])
-    @pytest.mark.parametrize("n_seg", [5, 8, 24, 333])
-    def test_one_reduction_matches_oracle_bit_for_bit(self, statistic, n_seg):
-        rec, pc = self._segmented(n_seg, statistic)
-        est = estimate_covariance(rec, pc)
-        assert est.n_segments == n_seg
-        for w, g in zip(oracle_estimate(rec, pc), self._outputs(est)):
-            assert np.array_equal(w, g, equal_nan=True)
-
     @pytest.mark.parametrize("n_seg", [5, 8, 24, 333])
     def test_second_moments_match_einsum_oracle(self, n_seg):
         """One batched BLAS product per record sums each segment in another
         order than the oracle's einsum: equal within 1e-13 relative."""
-        rec, pc = self._segmented(n_seg, "second_moment")
+        rec, pc = self._segmented(n_seg)
         est = estimate_covariance(rec, pc)
         assert est.n_segments == n_seg
         for w, g in zip(oracle_estimate(rec, pc), self._outputs(est)):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
-    @pytest.mark.parametrize("statistic", ["second_moment", "mean"])
+    @pytest.mark.parametrize("statistic", ["second_moment"])
     @pytest.mark.parametrize("n_seg", [5, 24, 333])
     def test_row_and_channel_major_records_agree(self, statistic, n_seg):
         """Band-limited records are channel-major; the estimator reads both
@@ -429,7 +371,6 @@ class TestGatherFreeBootstrap:
     @pytest.mark.parametrize("statistic, n_seg, resamples", [
         ("second_moment", 2, 2), ("second_moment", 2, 64), ("second_moment", 7, 2),
         ("second_moment", 24, 200), ("second_moment", 333, 40),
-        ("mean", 5, 2), ("mean", 5, 64), ("mean", 24, 200), ("mean", 333, 40),
     ])
     def test_matches_gathered_oracle_bit_for_bit(self, statistic, n_seg, resamples):
         pc = PipelineConfig(bandwidth=1.0, integration_time=1.0,
@@ -562,13 +503,6 @@ class TestPipelineIdentity:
         values = set(reports.values())
         assert len(values) == 1
 
-    def test_config_hash_recorded(self):
-        rec = quantum_record(n_steps=5_000)
-        pc = PipelineConfig(bandwidth=1.0, integration_time=5.0)
-        est = estimate_covariance(rec, pc)
-        assert est.config_hash == pc.digest()
-        assert pc.digest() != PipelineConfig(bandwidth=1.1, integration_time=5.0).digest()
-
 
 class TestConvergence:
     def test_stderr_scales_with_n_eff(self):
@@ -599,13 +533,13 @@ class TestConvergence:
         records = sample_ensemble(A, D, cfg, runs, meta={"kappa": kappa})
         return witness_with_uncertainty([analyze_record(r, pc) for r in records])
 
-    @pytest.mark.parametrize("statistic", ["second_moment", "mean"])
+    @pytest.mark.parametrize("statistic", ["second_moment"])
     def test_streamed_sweep_equals_list_path(self, statistic):
         kappa = 1.3
         A, D = closed_form_dynamics(0.25 * kappa, kappa, 0.0)
         cells = [(20.0, 0.1), (40.0, 0.2)]
         out = convergence_sweep(A, D, cells, runs_per_cell=5, segments_per_record=12,
-                                master_seed=9, segment_statistic=statistic, kappa=kappa)
+                                master_seed=9, kappa=kappa)
         for i, ((T, B), row) in enumerate(zip(cells, out["rows"])):
             rep = self._list_path_witness(A, D, kappa, T, B, 5, 12,
                                           derive_stream_seed(9, 1000 + i), statistic)
