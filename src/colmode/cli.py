@@ -28,6 +28,7 @@ import multiprocessing
 import os
 import platform
 import sys
+import warnings
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -88,10 +89,8 @@ from .trajectory import (
     TrajectoryConfig,
     TrajectoryRecord,
     derive_stream_seed,
-    load_record_csv,
     sample_exact_ou,
     sample_euler_maruyama,
-    save_record_csv,
 )
 
 RNG_NAME = "pcg64"
@@ -193,6 +192,20 @@ def _field(section: dict, key: str, kind, default=_REQUIRED, **bounds):
         raise ValidationError(f"field '{key}': {exc}") from exc
 
 
+@contextlib.contextmanager
+def _section(key: str, section: dict):
+    """Name the path key.field in an error raised inside the block whose
+    message starts with the name of one of section's fields (a field name
+    leads every number-policy message), so that a section field and a
+    top-level field of the same name give different messages."""
+    try:
+        yield
+    except ValidationError as exc:
+        if str(exc).split(" ", 1)[0] not in section:
+            raise
+        raise ValidationError(f"{key}.{exc}") from exc
+
+
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"expected a JSON object, got {value!r}")
@@ -211,41 +224,47 @@ def _record_format(value) -> str:
     return value
 
 
+def record_sidecar(path) -> Path:
+    """The .meta.json sidecar that holds the metadata of a .npy or .csv record."""
+    path = Path(path)
+    if path.suffix not in (".npy", ".csv"):
+        raise ValidationError(f"unsupported record file {path}")
+    return path.with_suffix("").with_suffix(".meta.json")
+
+
 def save_record(record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str) -> list[Path]:
-    """Persist one record; returns the written paths."""
-    meta = dict(record.meta)
-    meta["manifest"] = manifest_name
+    """Persist one record's samples as .npy or as a CSV with a time column,
+    and its metadata in the .meta.json sidecar; returns the written paths."""
+    data = base.with_suffix(f".{fmt}")
     if fmt == "csv":
-        path = base.with_suffix(".csv")
-        rec = TrajectoryRecord(
-            samples=record.samples, dt=record.dt, source=record.source,
-            seed=record.seed, meta=meta,
-        )
-        save_record_csv(rec, path)
-        return [path]
-    npy = base.with_suffix(".npy")
-    np.save(npy, record.samples, allow_pickle=False)
-    side = base.with_suffix(".meta.json")
+        columns = zip(("t", "X_a", "P_a", "X_b", "P_b"), [record.times(), *record.samples.T])
+        write_csv(data, {name: list(map(repr, x.tolist())) for name, x in columns}, manifest_name)
+    else:
+        np.save(data, record.samples, allow_pickle=False)
+    side = record_sidecar(data)
+    meta = dict(record.meta, manifest=manifest_name)
     write_json(
         side,
         {"dt": record.dt, "source": record.source.value, "seed": record.seed, "meta": meta},
     )
-    return [npy, side]
+    return [data, side]
 
 
 def load_record(path) -> TrajectoryRecord:
-    """A .csv record, or a .npy record with its .meta.json sidecar; a file
-    that does not hold a valid record is a ValidationError."""
+    """A .npy or .csv record with its .meta.json sidecar; a file that does
+    not hold a valid record is a ValidationError."""
     path = Path(path)
-    if path.suffix == ".npy":
-        info = _load_json(path.with_suffix("").with_suffix(".meta.json"), "record sidecar")
-    elif path.suffix != ".csv":
-        raise ValidationError(f"unsupported record file {path}")
+    info = _load_json(record_sidecar(path), "record sidecar")
     try:
         if path.suffix == ".csv":
-            return load_record_csv(path)
+            with warnings.catch_warnings():
+                # an empty table is refused by its shape, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                samples = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)[:, 1:]
+        else:
+            samples = np.load(path, allow_pickle=False)
         return TrajectoryRecord(
-            samples=np.load(path, allow_pickle=False),
+            samples=samples,
             dt=_field(info, "dt", real),
             source=_field(info, "source", SourceTag),
             seed=_field(info, "seed", count),
@@ -495,15 +514,16 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
     n_members = _field(config, "ensemble", count, 1, at_least=1)
     trio = _field(config, "null_trio", _object, {})
     specs = None
-    if _field(trio, "enabled", _bool, False):
-        # built before any record is written, so a bad trio field writes nothing
-        specs = matched_null_specs(
-            steady_state_covariance(params),
-            kappa=params.kappa_a,
-            seed=traj.master_seed,
-            correlation=_field(trio, "correlation", real, 0.7),
-            gain=_field(trio, "gain", real, None),
-        )
+    with _section("null_trio", trio):
+        if _field(trio, "enabled", _bool, False):
+            # built before any record is written, so a bad trio field writes nothing
+            specs = matched_null_specs(
+                steady_state_covariance(params),
+                kappa=params.kappa_a,
+                seed=traj.master_seed,
+                correlation=_field(trio, "correlation", real, 0.7),
+                gain=_field(trio, "gain", real, None),
+            )
     name, manifest = make_manifest("simulate", config, config["trajectory"].get("master_seed"), threads)
     written: list[Path] = []
     members = [
@@ -547,15 +567,25 @@ ANALYZE_COLUMNS = [
 def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -> int:
     pconf = _field(config, "pipeline", PipelineConfig.from_dict)
     path_of: dict[str, str] = {}
+    sidecars: dict[str, Path] = {}
     for path in record_paths:
         if not Path(path).is_file():
             raise ValidationError(f"record file not found: {path}")
-        # the outputs name each record by its base name, so no two may share one
+        side = record_sidecar(path)
+        if not side.is_file():
+            raise ValidationError(f"record sidecar not found: {side}")
+        # the outputs and the manifest name each file by its base name, so no
+        # two records, and no two distinct sidecars, may share one
         fname = Path(path).name
         if fname in path_of:
             raise ValidationError(f"records {path_of[fname]} and {path} share the name {fname}")
         path_of[fname] = path
-    inputs = {Path(p).name: sha256_file(p) for p in record_paths}
+        if not sidecars.setdefault(side.name, side).samefile(side):
+            raise ValidationError(
+                f"sidecars {sidecars[side.name]} and {side} share the name {side.name}"
+            )
+    # the sidecars hold dt, kappa and any applied calibration, which the verdict reads
+    inputs = {Path(p).name: sha256_file(p) for p in [*record_paths, *sidecars.values()]}
     name, manifest = make_manifest("analyze", config, seed, threads, inputs=inputs)
 
     rows = []
@@ -636,12 +666,13 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
     if crossing:
         # read in full before the sweep draws a record, so a bad field writes nothing
         crossing = _field(config, "crossing", _object)
-        scan = dict(
-            n=_field(crossing, "n", real, at_least=0.0),
-            g_values=_field(crossing, "g_values", _checked_couplings),
-            cells=_field(crossing, "cells", _cells),
-            **_ensemble_fields(crossing, 12),
-        )
+        with _section("crossing", crossing):
+            scan = dict(
+                n=_field(crossing, "n", real, at_least=0.0),
+                g_values=_field(crossing, "g_values", _checked_couplings),
+                cells=_field(crossing, "cells", _cells),
+                **_ensemble_fields(crossing, 12),
+            )
     result = convergence_sweep(
         A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )
@@ -674,7 +705,9 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
 # thresholds
 
 def _threshold_report(config: dict) -> dict:
-    for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col"), ("G_over_kappa", "C_corr")):
+    # S_V0 and R_eff may both be given: THERMAL reads R_eff itself
+    for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col"), ("G_over_kappa", "C_corr"),
+                 ("S_V0", "Re_Y_eff"), ("R_eff", "Re_Y_eff")):
         if all(config.get(key) is not None for key in pair):
             raise ValidationError("give '{}' or '{}', not both".format(*pair))
     kappa = _field(config, "kappa", real, None, above=0.0)

@@ -255,18 +255,15 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     )
 
 
-def _mean_of_moments(stats: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+def _mean_of_moments(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """stats[idx].mean(axis=-3) for the (..., n_seg) draws idx of (n_seg, 4, 4)
-    second moments (every segment once if idx is None), without the
-    (..., n_seg, 4, 4) gather.
+    second moments, without the (..., n_seg, 4, 4) gather.
 
     numpy sums an outer axis in index order, and so does this, one draw
     column at a time into one accumulator, so the two agree bit for bit.
     take writes into `drawn` directly only in a mode other than "raise";
     "clip" changes no draw of rng.integers(0, n_seg).
     """
-    if idx is None:
-        idx = np.arange(stats.shape[0])
     total = np.take(stats, idx[..., 0], axis=0)
     drawn = np.empty_like(total)
     for j in range(1, idx.shape[-1]):
@@ -280,10 +277,10 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
 
     The record, row- or channel-major, is split into floor(duration / T)
     non-overlapping segment views of length T = config.integration_time, each
-    giving one second-moment matrix, and one reduction of them gives both the
-    covariance estimate and each segment-level bootstrap replicate, whose
-    spread gives the per-entry and the witness standard errors.  Replicates
-    are summed draw by draw, so the bootstrap holds no
+    giving one second-moment matrix.  Their mean is the covariance estimate,
+    and each segment-level bootstrap replicate is the same sum over its draws,
+    whose spread gives the per-entry and the witness standard errors.
+    Replicates are summed draw by draw, so the bootstrap holds no
     (resamples, n_seg, 4, 4) array.  N_eff = T * B is reported alongside.
     """
     m = int(round(config.integration_time / record.dt))
@@ -297,7 +294,7 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     X = record.samples[: n_seg * m].T.reshape(4, n_seg, m).transpose(1, 2, 0)
     cal = _record_calibration(record)
     stats = X.swapaxes(1, 2) @ X / m
-    V_hat = symmetrize(_mean_of_moments(stats)) / cal
+    V_hat = symmetrize(stats.mean(axis=0)) / cal
 
     resamples = config.bootstrap_resamples
     if resamples >= 2:

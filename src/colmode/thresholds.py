@@ -208,31 +208,25 @@ def coupling_at(curve: CouplingCurve, d: float) -> float:
     return float(np.interp(d, curve.distances, curve.couplings))
 
 
-def max_entangled_distance(
-    curve: CouplingCurve, kappa: float, n_eff: float, tol: float = 1e-12
-) -> float | None:
+def max_entangled_distance(curve: CouplingCurve, kappa: float, n_eff: float) -> float | None:
     """Largest tabulated distance with cooperativity above one.
 
-    Requires a nonincreasing coupling curve (bisection target); returns
-    None when even the closest tabulated distance fails the condition, and
-    clamps to the last knot rather than extrapolating.
+    Requires a nonincreasing coupling curve; returns None when even the
+    closest tabulated distance fails the condition, and clamps to the last
+    knot rather than extrapolating.  Otherwise the curve first reaches the
+    threshold coupling kappa n_eff / (2 (n_eff + 1)) on one knot interval,
+    where it is linear: the distance is that segment's root.
     """
     kappa = real(kappa, "kappa", above=0.0)
     if n_eff <= 0:
         raise ZeroOccupancyError("distance solver needs n_eff > 0")
-    g = np.asarray(curve.couplings)
+    d, g = np.asarray(curve.distances), np.asarray(curve.couplings)
     if np.any(np.diff(g) > 0):
         raise ValidationError("distance solver requires a nonincreasing coupling curve")
     g_threshold = 0.5 * kappa * n_eff / (n_eff + 1.0)
-    lo, hi = curve.distances[0], curve.distances[-1]
-    if coupling_at(curve, lo) <= g_threshold:
+    if g[0] <= g_threshold:
         return None
-    if coupling_at(curve, hi) > g_threshold:
-        return hi
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if coupling_at(curve, mid) > g_threshold:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if g[-1] > g_threshold:
+        return float(d[-1])
+    j = int(np.argmax(g <= g_threshold))  # g[j - 1] > g_threshold >= g[j]
+    return float(d[j - 1] + (g[j - 1] - g_threshold) / (g[j - 1] - g[j]) * (d[j] - d[j - 1]))

@@ -37,8 +37,6 @@ __all__ = [
     "sample_exact_ou",
     "sample_euler_maruyama",
     "sample_ensemble",
-    "save_record_csv",
-    "load_record_csv",
 ]
 
 RNG_ALGORITHM = "pcg64"
@@ -305,79 +303,3 @@ def _ensemble(A, D, config, n_members, source=SourceTag.QUANTUM, meta=None):
         (derive_stream_seed(config.master_seed, k), {"member": k}) for k in range(n_members)
     ]
     return _records(F, Lq, Linf, config, Scheme.EXACT_OU, source, meta, members)
-
-
-# ---------------------------------------------------------------------------
-# Persistence: CSV with commented header metadata (timestamp-free, so a rerun
-# with the same config and seed is byte-identical).
-
-_META_KEYS = ("scheme", "kappa", "params_hash", "burn_in", "rng", "manifest", "member")
-
-
-def save_record_csv(record: TrajectoryRecord, path) -> None:
-    lines = ["# colmode-record v1"]
-    fields = {
-        "source": record.source.value,
-        "seed": record.seed,
-        "dt": repr(record.dt),
-    }
-    for key in _META_KEYS:
-        if key in record.meta:
-            fields[key] = record.meta[key]
-    lines.append("# " + " ".join(f"{k}={v}" for k, v in fields.items()))
-    lines.append("t,X_a,P_a,X_b,P_b")
-    dt = record.dt
-    for k, row in enumerate(record.samples):
-        lines.append(
-            ",".join(
-                [
-                    repr(k * dt),
-                    repr(float(row[0])),
-                    repr(float(row[1])),
-                    repr(float(row[2])),
-                    repr(float(row[3])),
-                ]
-            )
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_record_csv(path) -> TrajectoryRecord:
-    meta: dict = {}
-    source = SourceTag.QUANTUM
-    seed = 0
-    dt = None
-    data = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" not in token:
-                        continue
-                    k, v = token.split("=", 1)
-                    if k == "source":
-                        source = SourceTag(v)
-                    elif k == "seed":
-                        seed = int(v)
-                    elif k == "dt":
-                        dt = float(v)
-                    elif k in ("burn_in", "member"):
-                        meta[k] = int(v)
-                    elif k == "kappa":
-                        meta[k] = float(v)
-                    else:
-                        meta[k] = v
-                continue
-            if line.startswith("t,"):
-                continue
-            data.append([float(x) for x in line.split(",")])
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 5:
-        raise ValidationError(f"malformed record file {path}")
-    if dt is None:
-        dt = float(arr[1, 0] - arr[0, 0]) if arr.shape[0] > 1 else 1.0
-    return TrajectoryRecord(samples=arr[:, 1:], dt=dt, source=source, seed=seed, meta=meta)

@@ -19,6 +19,7 @@ from colmode.cli import (
     load_record,
     main,
     phase_diagram_columns,
+    record_sidecar,
     save_record,
     sha256_file,
 )
@@ -36,12 +37,13 @@ from colmode.gaussian_core import (
     build_diffusion,
     build_drift,
     closed_form_covariance,
+    closed_form_dynamics,
     is_stable,
     solve_steady_lyapunov,
     steady_state_covariance,
 )
 from colmode.pipeline import vacuum_transfer
-from colmode.trajectory import SourceTag, TrajectoryRecord
+from colmode.trajectory import SourceTag, TrajectoryConfig, TrajectoryRecord, sample_exact_ou
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -406,6 +408,22 @@ class TestSimulate:
                      "--out-dir", str(out)]) == 0
         assert on_disk == [("null_a", True), ("null_b", True)]
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"correlation": 1.5}, "null_trio.correlation must lie in [0, 1]"),
+        ({"correlation": -0.2}, "null_trio.correlation must be >= 0, got -0.2"),
+        ({"gain": -0.1}, "null_trio.gain must be >= 0, got -0.1"),
+    ], ids=["correlation-high", "correlation-negative", "gain"])
+    def test_bad_null_trio_field_names_its_path(self, tmp_path, capsys, edit, message):
+        """The trio is checked before any record is written; restarts and
+        max_evals, which small_simulate_config still sends, are ignored."""
+        cfg = small_simulate_config(ensemble=1, null_trio=True)
+        cfg["null_trio"].update(edit)
+        out = tmp_path / "out"
+        assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not any(out.iterdir())
+
     def test_null_trio_power_matched(self, tmp_path):
         cfg = small_simulate_config(ensemble=1, null_trio=True)
         cfg["trajectory"]["n_steps"] = 60000
@@ -512,6 +530,35 @@ class TestAnalyze:
         for data in ("witness_distribution.csv", "witness_report.json"):
             assert "factors" not in (out / data).read_text()
 
+    def test_manifest_hashes_each_record_and_its_sidecar(self, tmp_path):
+        # the sidecar's dt, kappa and bandlimit_cal change the verdict
+        rec = TrajectoryRecord(samples=np.random.default_rng(9).standard_normal((2000, 4)),
+                               dt=0.1, source=SourceTag.QUANTUM, seed=9, meta={"kappa": 1.0})
+        files = save_record(rec, tmp_path / "rec", "npy", "m")
+        files += save_record(rec, tmp_path / "other", "csv", "m")
+        an = json.loads((CONFIGS / "analyze.json").read_text())
+        an["pipeline"]["bootstrap_resamples"] = 10
+        out = tmp_path / "out"
+        assert main(["analyze", str(files[0]), str(files[2]), "-c",
+                     write_config(tmp_path, "an.json", an), "--out-dir", str(out)]) == 0
+        inputs = json.loads(next(out.glob("manifest_*.json")).read_text())["inputs"]
+        assert inputs == {f.name: sha256_file(f) for f in files}
+
+    def test_distinct_sidecars_sharing_a_name_exit_2_before_any_output(self, tmp_path, capsys):
+        # a/rec.npy and b/rec.csv have distinct names but sidecars of one name
+        rec = TrajectoryRecord(samples=np.random.default_rng(8).standard_normal((2000, 4)),
+                               dt=0.1, source=SourceTag.QUANTUM, seed=8, meta={"kappa": 1.0})
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        npy, side_a = save_record(rec, tmp_path / "a" / "rec", "npy", "m")
+        csv, side_b = save_record(rec, tmp_path / "b" / "rec", "csv", "m")
+        out = tmp_path / "out"
+        assert main(["analyze", str(npy), str(csv), "-c", str(CONFIGS / "analyze.json"),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: sidecars {side_a} and {side_b} share the name rec.meta.json"]
+        assert not any(out.iterdir())
+
     def test_records_sharing_a_name_exit_2_before_any_output(self, tmp_path, capsys):
         # the CSV rows and the manifest's inputs and factors are keyed by base name
         rng = np.random.default_rng(8)
@@ -537,6 +584,96 @@ class TestAnalyze:
         rec = load_record(out / "quantum_0000.csv")
         assert rec.n_steps == 5000
         assert rec.meta["kappa"] == 1.0
+
+    def test_csv_round_trip_is_exact(self, tmp_path):
+        A, D = closed_form_dynamics(0.0, 1.0, 0.0)
+        cfg = TrajectoryConfig(dt=0.05, n_steps=50, master_seed=19)
+        rec = sample_exact_ou(A, D, cfg, meta={"kappa": 1.0})
+        path, side = save_record(rec, tmp_path / "rec", "csv", "m")
+        assert side == record_sidecar(path) == tmp_path / "rec.meta.json"
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["# manifest=m", "t,X_a,P_a,X_b,P_b"]
+        # one repr row per sample, time first
+        assert lines[2:] == [",".join(map(repr, [k * rec.dt, *row]))
+                             for k, row in enumerate(rec.samples.tolist())]
+        back = load_record(path)
+        assert np.array_equal(back.samples, rec.samples)
+        assert (back.dt, back.seed, back.source) == (rec.dt, rec.seed, rec.source)
+        assert back.meta == dict(rec.meta, manifest="m")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("table", ["v1", "empty"])
+    def test_v1_csv_and_empty_table_exit_2(self, tmp_path, capsys, table):
+        """A v1 CSV kept its metadata in a header and has no sidecar; a table
+        without rows is refused by its shape, with no loadtxt warning."""
+        if table == "v1":
+            path = tmp_path / "rec.csv"
+            path.write_text("# colmode-record v1\n# source=QUANTUM seed=1 dt=0.1 kappa=1.0\n"
+                            "t,X_a,P_a,X_b,P_b\n0.0,0.1,0.2,0.3,0.4\n0.1,0.5,0.6,0.7,0.8\n")
+            message = f"error: record sidecar not found: {tmp_path / 'rec.meta.json'}"
+        else:
+            rec = TrajectoryRecord(samples=np.ones((20, 4)), dt=0.1, source=SourceTag.QUANTUM,
+                                   seed=1, meta={"kappa": 1.0})
+            path, _ = save_record(rec, tmp_path / "rec", "csv", "m")
+            path.write_text("# manifest=m\nt,X_a,P_a,X_b,P_b\n")
+            message = f"error: cannot load record {path}: samples must have shape (n_steps, 4)"
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "-c", str(CONFIGS / "analyze.json"),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not any(out.iterdir())
+
+
+@pytest.fixture(scope="module")
+def npy_and_csv_runs(tmp_path_factory):
+    """One simulate config with the null trio, written once as npy and once
+    as csv, each analyzed on its own."""
+    root = tmp_path_factory.mktemp("formats")
+    an = json.loads((CONFIGS / "analyze.json").read_text())
+    an["pipeline"]["bootstrap_resamples"] = 50
+    an_cfg = write_config(root, "an.json", an)
+    runs = {}
+    for fmt in ("npy", "csv"):
+        cfg = small_simulate_config(ensemble=2, null_trio=True, fmt=fmt)
+        cfg["trajectory"]["n_steps"] = 4000
+        records, out = root / f"{fmt}_records", root / f"{fmt}_out"
+        assert main(["simulate", "-c", write_config(root, f"{fmt}.json", cfg),
+                     "--out-dir", str(records)]) == 0
+        paths = sorted(str(p) for p in records.glob(f"*.{fmt}"))
+        assert len(paths) == 5
+        assert main(["analyze", *paths, "-c", an_cfg, "--out-dir", str(out)]) == 0
+        runs[fmt] = records, out
+    return runs
+
+
+class TestRecordFormats:
+    """The format decides only how samples are stored: the metadata is one
+    sidecar schema, and the analysis reads both alike."""
+
+    def test_analyze_reads_csv_records_as_npy_records(self, npy_and_csv_runs):
+        (_, npy_out), (_, csv_out) = npy_and_csv_runs["npy"], npy_and_csv_runs["csv"]
+        npy_rows = (npy_out / "witness_distribution.csv").read_text().splitlines()
+        csv_rows = (csv_out / "witness_distribution.csv").read_text().splitlines()
+        assert len(npy_rows) == 2 + 5
+        assert [r.replace(".csv,", ".npy,", 1) for r in csv_rows] == npy_rows
+        assert (csv_out / "witness_report.json").read_text() == (
+            npy_out / "witness_report.json").read_text()
+
+    def test_sidecars_match_across_formats(self, npy_and_csv_runs):
+        """null_c keeps its optimizer block and null A/B their generator
+        fields in csv format; only the manifest name differs."""
+        (npy_records, _), (csv_records, _) = npy_and_csv_runs["npy"], npy_and_csv_runs["csv"]
+        names = sorted(p.name for p in npy_records.glob("*.meta.json"))
+        assert names == sorted(p.name for p in csv_records.glob("*.meta.json"))
+        for name in names:
+            npy_doc = json.loads((npy_records / name).read_text())
+            csv_doc = json.loads((csv_records / name).read_text())
+            assert npy_doc["meta"].pop("manifest") != csv_doc["meta"].pop("manifest")
+            assert csv_doc == npy_doc, name
+        null_c = json.loads((csv_records / "null_c.meta.json").read_text())["meta"]
+        assert null_c["optimizer"]["converged"] is True
+        null_b = json.loads((csv_records / "null_b.meta.json").read_text())["meta"]
+        assert {"null_kind", "target_power", "gain"} <= set(null_b)
 
 
 class TestConverge:
@@ -600,14 +737,15 @@ class TestConverge:
         assert not (out / "converge.csv").exists()
 
     @pytest.mark.parametrize("section, edit, message", [
-        ("crossing", {"runs_per_cell": 1}, "runs_per_cell must be >= 2, got 1"),
-        ("crossing", {"segments_per_record": 1}, "segments_per_record must be >= 2, got 1"),
+        ("crossing", {"runs_per_cell": 1}, "crossing.runs_per_cell must be >= 2, got 1"),
+        ("crossing", {"segments_per_record": 1},
+         "crossing.segments_per_record must be >= 2, got 1"),
         ("crossing", {"g_values": [0.1, 0.6]},
-         "g_values must be < 0.5 (2G < kappa), got 0.6"),
-        ("crossing", {"g_values": [-0.1, 0.2]}, "g_values must be >= 0, got -0.1"),
-        ("crossing", {"n": -0.5}, "n must be >= 0, got -0.5"),
+         "crossing.g_values must be < 0.5 (2G < kappa), got 0.6"),
+        ("crossing", {"g_values": [-0.1, 0.2]}, "crossing.g_values must be >= 0, got -0.1"),
+        ("crossing", {"n": -0.5}, "crossing.n must be >= 0, got -0.5"),
         ("crossing", {"cells": [{"T": 8.0, "B": 1.0}, {"T": 0.5, "B": 1.0}]},
-         "cells need T * B >= 1, got T 0.5 and B 1.0"),
+         "crossing.cells need T * B >= 1, got T 0.5 and B 1.0"),
         ("top", {"runs_per_cell": 1}, "runs_per_cell must be >= 2, got 1"),
         ("top", {"segments_per_record": 1}, "segments_per_record must be >= 2, got 1"),
         ("top", {"cells": [{"T": 50.0, "B": 0.04}, {"T": 10.0, "B": 0.04}]},
@@ -618,7 +756,8 @@ class TestConverge:
         self, tmp_path, capsys, section, edit, message
     ):
         """Every converge field, the crossing section's included, is checked
-        before the first record is drawn, so no converge.csv is written."""
+        before the first record is drawn, so no converge.csv is written; a
+        crossing field's message names its path."""
         cfg = json.loads((CONFIGS / "converge.json").read_text())
         (cfg if section == "top" else cfg["crossing"]).update(edit)
         out = tmp_path / "out"
@@ -801,13 +940,12 @@ class TestExitCodes:
     def test_bad_record_file_is_validation_error(self, tmp_path, capsys, damage):
         rec = TrajectoryRecord(samples=np.random.default_rng(1).standard_normal((2000, 4)),
                                dt=0.1, source=SourceTag.QUANTUM, seed=1, meta={"kappa": 1.0})
-        if damage.startswith("csv_"):
-            (path,) = save_record(rec, tmp_path / "rec", "csv", "m")
-            text = path.read_text()
-            path.write_text({
-                "csv_bad_value": text + "0.1,1,2,3,abc\n",
-                "csv_bad_source": text.replace("source=QUANTUM", "source=BOGUS"),
-            }[damage])
+        if damage == "csv_bad_value":
+            path, _ = save_record(rec, tmp_path / "rec", "csv", "m")
+            path.write_text(path.read_text() + "0.1,1,2,3,abc\n")
+        elif damage == "csv_bad_source":
+            path, side = save_record(rec, tmp_path / "rec", "csv", "m")
+            side.write_text(side.read_text().replace('"QUANTUM"', '"BOGUS"'))
         else:
             path, side = save_record(rec, tmp_path / "rec", "npy", "m")
             info = json.loads(side.read_text())
@@ -835,6 +973,8 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ")
         if damage.startswith("csv_"):
             assert err[0].startswith("error: cannot load record")
+        if damage == "missing_sidecar":
+            assert err == [f"error: record sidecar not found: {side}"]
         assert not (out / "witness_report.json").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
@@ -948,8 +1088,8 @@ class TestNumberPolicy:
     def test_csv_record_with_zero_dt_exits_2(self, tmp_path, capsys):
         rec = TrajectoryRecord(samples=np.random.default_rng(3).standard_normal((2000, 4)),
                                dt=0.1, source=SourceTag.QUANTUM, seed=3, meta={"kappa": 1.0})
-        (path,) = save_record(rec, tmp_path / "rec", "csv", "m")
-        path.write_text(path.read_text().replace("dt=0.1", "dt=0", 1))
+        path, side = save_record(rec, tmp_path / "rec", "csv", "m")
+        side.write_text(json.dumps(dict(json.loads(side.read_text()), dt=0)))
         argv = ["analyze", str(path), "-c", str(CONFIGS / "analyze.json")]
         self._assert_refused(capsys, argv, tmp_path / "out", "dt")
 
@@ -980,6 +1120,9 @@ class TestThresholdSources:
     @pytest.mark.parametrize("extra, pair", [
         ({"kappa": 5e4}, ("kappa", "ringdown_time")),
         ({"omega_col": 6.28e9}, ("omega_col", "f_col")),
+        # the shipped config gives R_eff
+        ({"Re_Y_eff": 0.001}, ("R_eff", "Re_Y_eff")),
+        ({"S_V0": 1.6e-18, "Re_Y_eff": 0.001}, ("S_V0", "Re_Y_eff")),
     ])
     def test_two_sources_for_one_rate_exit_2(self, tmp_path, capsys, extra, pair):
         cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())
@@ -990,6 +1133,17 @@ class TestThresholdSources:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: give '{}' or '{}', not both".format(*pair)]
         assert not any(out.iterdir())
+
+    def test_s_v0_with_r_eff_is_valid(self, tmp_path):
+        """GENERAL reads S_V0 and THERMAL reads R_eff, so both may be given."""
+        cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())
+        cfg.update(S_V0=1.6e-18, C_corr=2.0)
+        out = tmp_path / "out"
+        assert main(["thresholds", "-c", write_config(tmp_path, "thr.json", cfg),
+                     "--out-dir", str(out)]) == 0
+        v_min = json.loads((out / "thresholds.json").read_text())["v_min"]
+        assert v_min["GENERAL"]["value"] == pytest.approx((1.6e-18 * cfg["B"] / 2.0) ** 0.5)
+        assert {"GENERAL", "THERMAL"} <= set(v_min)
 
     def test_kappa_given_directly_is_labelled_given(self, tmp_path):
         cfg = json.loads((CONFIGS / "thresholds_room_temperature.json").read_text())

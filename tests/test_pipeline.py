@@ -524,17 +524,15 @@ class TestConvergence:
             convergence_sweep(A, D, cells, runs_per_cell=2, segments_per_record=4)
 
     @staticmethod
-    def _list_path_witness(A, D, kappa, T, B, runs, segments, seed, statistic):
+    def _list_path_witness(A, D, kappa, T, B, runs, segments, seed):
         """One cell's ensemble witness with the whole ensemble held as a list."""
-        pc = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0,
-                            segment_statistic=statistic)
+        pc = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0)
         dt = min(0.1, 1.0 / (8.0 * B))
         cfg = TrajectoryConfig(dt=dt, n_steps=segments * int(round(T / dt)), master_seed=seed)
         records = sample_ensemble(A, D, cfg, runs, meta={"kappa": kappa})
         return witness_with_uncertainty([analyze_record(r, pc) for r in records])
 
-    @pytest.mark.parametrize("statistic", ["second_moment"])
-    def test_streamed_sweep_equals_list_path(self, statistic):
+    def test_streamed_sweep_equals_list_path(self):
         kappa = 1.3
         A, D = closed_form_dynamics(0.25 * kappa, kappa, 0.0)
         cells = [(20.0, 0.1), (40.0, 0.2)]
@@ -542,7 +540,7 @@ class TestConvergence:
                                 master_seed=9, kappa=kappa)
         for i, ((T, B), row) in enumerate(zip(cells, out["rows"])):
             rep = self._list_path_witness(A, D, kappa, T, B, 5, 12,
-                                          derive_stream_seed(9, 1000 + i), statistic)
+                                          derive_stream_seed(9, 1000 + i))
             assert (row["nu_mean"], row["nu_stderr"], row["duan_mean"], row["duan_stderr"]) == (
                 rep.nu_minus, rep.stderr_nu, rep.duan_sum, rep.stderr_duan)
 
@@ -553,8 +551,7 @@ class TestConvergence:
         for ci, ((T, B), row) in enumerate(zip(cells, rows)):
             reps = [
                 self._list_path_witness(*closed_form_dynamics(g, 1.0, 0.5), 1.0, T, B, 8, 16,
-                                        derive_stream_seed(2, 10000 + 100 * ci + gi),
-                                        "second_moment")
+                                        derive_stream_seed(2, 10000 + 100 * ci + gi))
                 for gi, g in enumerate(g_values)
             ]
             j = next(j for j in range(1, len(reps))

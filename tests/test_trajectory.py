@@ -19,11 +19,9 @@ from colmode.trajectory import (
     TrajectoryConfig,
     TrajectoryRecord,
     derive_stream_seed,
-    load_record_csv,
     sample_ensemble,
     sample_euler_maruyama,
     sample_exact_ou,
-    save_record_csv,
     _linear_recurrence,
 )
 
@@ -281,16 +279,3 @@ class TestRecordValidation:
             TrajectoryConfig(dt=0.1, n_steps=0)
         with pytest.raises(ValidationError):
             TrajectoryConfig(dt=0.1, n_steps=10, burn_in=-1)
-
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        A, D = vacuum_system()
-        cfg = TrajectoryConfig(dt=0.05, n_steps=50, master_seed=19)
-        rec = sample_exact_ou(A, D, cfg, meta={"kappa": 1.0})
-        path = tmp_path / "rec.csv"
-        save_record_csv(rec, path)
-        back = load_record_csv(path)
-        assert np.array_equal(back.samples, rec.samples)
-        assert back.dt == rec.dt
-        assert back.seed == rec.seed
-        assert back.source == rec.source
-        assert back.meta["kappa"] == 1.0
