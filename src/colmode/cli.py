@@ -29,6 +29,7 @@ import os
 import platform
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -107,8 +108,16 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+#: Bytes read at a time when a file is hashed, so hashing never holds the file.
+HASH_BLOCK_BYTES = 1 << 20
+
+
 def sha256_file(path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(HASH_BLOCK_BYTES), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def config_digest(config: dict) -> str:
@@ -125,16 +134,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def text_columns(names, rows) -> dict[str, list[str]]:
+#: Rows (phase-diagram cells, record samples) per block of CSV text, so the
+#: text in memory stays bounded however many rows a CSV has.
+CSV_BLOCK_ROWS = 2048
+
+
+def text_columns(names, rows) -> list[list[str]]:
     """The named fields of each row as CSV text, one list per column."""
-    return {name: [_fmt(row[name]) for row in rows] for name in names}
+    return [[_fmt(row[name]) for row in rows] for name in names]
 
 
-def write_csv(path, columns: dict[str, list[str]], manifest_name: str) -> None:
-    """A CSV of text columns of equal length under a manifest comment."""
-    rows = map(",".join, zip(*columns.values()))
-    lines = [f"# manifest={manifest_name}", ",".join(columns), *rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path, names, blocks, manifest_name: str) -> int:
+    """A CSV with the named columns under a manifest comment; returns the
+    number of rows written.  Each block holds one list of text per column,
+    all of one length, and is written before the next is taken, so one
+    block's text is in memory at a time."""
+    n_rows = 0
+    with open(path, "w") as f:
+        f.write(f"# manifest={manifest_name}\n{','.join(names)}\n")
+        for block in blocks:
+            if len(block) != len(names):
+                raise ValueError(f"{len(block)} text columns for {len(names)} names")
+            rows = list(map(",".join, zip(*block, strict=True)))
+            f.write("\n".join([*rows, ""]))
+            n_rows += len(rows)
+    return n_rows
 
 
 def _strict(obj):
@@ -232,13 +256,20 @@ def record_sidecar(path) -> Path:
     return path.with_suffix("").with_suffix(".meta.json")
 
 
+RECORD_COLUMNS = ["t", "X_a", "P_a", "X_b", "P_b"]
+
+
 def save_record(record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str) -> list[Path]:
     """Persist one record's samples as .npy or as a CSV with a time column,
     and its metadata in the .meta.json sidecar; returns the written paths."""
     data = base.with_suffix(f".{fmt}")
     if fmt == "csv":
-        columns = zip(("t", "X_a", "P_a", "X_b", "P_b"), [record.times(), *record.samples.T])
-        write_csv(data, {name: list(map(repr, x.tolist())) for name, x in columns}, manifest_name)
+        columns = [record.times(), *record.samples.T]
+        blocks = (
+            [list(map(repr, x[start:start + CSV_BLOCK_ROWS].tolist())) for x in columns]
+            for start in range(0, record.n_steps, CSV_BLOCK_ROWS)
+        )
+        write_csv(data, RECORD_COLUMNS, blocks, manifest_name)
     else:
         np.save(data, record.samples, allow_pickle=False)
     side = record_sidecar(data)
@@ -412,14 +443,23 @@ def _axis_values(axis: dict) -> np.ndarray:
     return values
 
 
-def phase_diagram_columns(config: dict) -> dict[str, list[str]]:
-    """The phase-diagram CSV as text columns, its cells in (g/kappa, n_eff) order.
+PHASE_COLUMNS = [
+    "g_over_kappa", "n_eff", "nu_minus", "duan_sum",
+    "entangled_ppt", "analytic_nu_minus", "boundary_flag",
+]
+
+
+def phase_diagram_columns(config: dict) -> Iterator[list[list[str]]]:
+    """The phase-diagram CSV as blocks of text columns (PHASE_COLUMNS), its
+    cells in (g/kappa, n_eff) order, CSV_BLOCK_ROWS cells a block.
 
     Each stable coupling row (2G < kappa) takes one stacked Lyapunov solve or
     closed-form stack, and one validation and witness evaluation; verdicts
     and the analytic column are array expressions over the whole grid.  Rows
     at or beyond 2G = kappa are UNSTABLE, with empty witness cells, and so is
     a TMS row whose drift fails the Hurwitz test solve_steady_lyapunov applies.
+    Every number is computed before this returns, so a failing cell raises
+    before any output is opened; only the text is made lazily, block by block.
     """
     preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
     kappa = _field(config, "kappa", real, 1.0, above=0.0)
@@ -456,34 +496,35 @@ def phase_diagram_columns(config: dict) -> dict[str, list[str]]:
     # stability only falls as g grows (the drift's largest real part is G - kappa/2),
     # so the stable cells lead the order
     n_stable = np.count_nonzero(stable) * n_values.size
-    first, blank = order[:n_stable], [""] * (order.size - n_stable)
+    first = order[:n_stable]
     nu, duan = nu.ravel()[first], duan.ravel()[first]
-    analytic = analytic_nu_minus(G[g_index[:n_stable]], kappa, n_values[n_index[:n_stable]])
+    stable_columns = (
+        nu, duan, _violates(nu, PPT_BOUND),
+        analytic_nu_minus(G[g_index[:n_stable]], kappa, n_values[n_index[:n_stable]]),
+    )
+    g_text, n_text = (list(map(repr, values.tolist())) for values in (g_values, n_values))
 
-    def text(values) -> list[str]:
-        return list(map(repr, values.tolist())) + blank
+    def block(start: int, stop: int) -> list[list[str]]:
+        mid = min(max(start, n_stable), stop)  # cells start..mid are stable, mid..stop not
+        blank = [""] * (stop - mid)
+        return [
+            [g_text[i] for i in g_index[start:stop].tolist()],
+            [n_text[i] for i in n_index[start:stop].tolist()],
+            *(list(map(repr, values[start:mid].tolist())) + blank for values in stable_columns),
+            ["STABLE"] * (mid - start) + ["UNSTABLE"] * (stop - mid),
+        ]
 
-    def axis_text(values, index) -> list[str]:
-        return np.array(list(map(repr, values.tolist())), dtype=object)[index].tolist()
-
-    return {
-        "g_over_kappa": axis_text(g_values, g_index),
-        "n_eff": axis_text(n_values, n_index),
-        "nu_minus": text(nu),
-        "duan_sum": text(duan),
-        "entangled_ppt": text(_violates(nu, PPT_BOUND)),
-        "analytic_nu_minus": text(analytic),
-        "boundary_flag": ["STABLE"] * n_stable + ["UNSTABLE"] * len(blank),
-    }
+    return (block(start, min(start + CSV_BLOCK_ROWS, order.size))
+            for start in range(0, order.size, CSV_BLOCK_ROWS))
 
 
 def cmd_phase_diagram(config: dict, out_dir: Path, seed, threads: int) -> int:
     name, manifest = make_manifest("phase-diagram", config, seed, threads)
-    columns = phase_diagram_columns(config)
+    blocks = phase_diagram_columns(config)
     out = out_dir / "phase_diagram.csv"
-    write_csv(out, columns, name)
+    n_cells = write_csv(out, PHASE_COLUMNS, blocks, name)
     finish_manifest(out_dir, name, manifest, [out])
-    print(f"wrote {out} ({len(columns['boundary_flag'])} cells) and {name}")
+    print(f"wrote {out} ({n_cells} cells) and {name}")
     return 0
 
 
@@ -627,7 +668,7 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
     rows.sort(key=lambda r: r["file"])
     csv_path = out_dir / "witness_distribution.csv"
     json_path = out_dir / "witness_report.json"
-    write_csv(csv_path, text_columns(ANALYZE_COLUMNS, rows), name)
+    write_csv(csv_path, ANALYZE_COLUMNS, [text_columns(ANALYZE_COLUMNS, rows)], name)
     write_json(json_path, summary)
     factors["default_kappa"].sort()
     manifest["factors"] = factors
@@ -644,6 +685,7 @@ def _cells(cells) -> list[tuple[float, float]]:
 
 
 CONVERGE_COLUMNS = ["T", "B", "n_eff", "nu_mean", "nu_stderr", "duan_mean", "duan_stderr", "n_runs"]
+CROSSING_COLUMNS = ["T", "B", "g_cross", "sigma"]
 
 
 def _ensemble_fields(section: dict, runs_per_cell: int) -> dict:
@@ -677,7 +719,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )
     csv_path = out_dir / "converge.csv"
-    write_csv(csv_path, text_columns(CONVERGE_COLUMNS, result["rows"]), name)
+    write_csv(csv_path, CONVERGE_COLUMNS, [text_columns(CONVERGE_COLUMNS, result["rows"])], name)
     summary = {
         "manifest": name,
         "slope_nu": result["slope_nu"],
@@ -689,7 +731,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
     if crossing:
         rows = crossing_scan(kappa=params.kappa_a, master_seed=master_seed, **scan)
         cross_path = out_dir / "crossing.csv"
-        write_csv(cross_path, text_columns(["T", "B", "g_cross", "sigma"], rows), name)
+        write_csv(cross_path, CROSSING_COLUMNS, [text_columns(CROSSING_COLUMNS, rows)], name)
         outputs.append(cross_path)
         summary["crossing_cells"] = len(rows)
 
@@ -705,9 +747,8 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
 # thresholds
 
 def _threshold_report(config: dict) -> dict:
-    # S_V0 and R_eff may both be given: THERMAL reads R_eff itself
-    for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col"), ("G_over_kappa", "C_corr"),
-                 ("S_V0", "Re_Y_eff"), ("R_eff", "Re_Y_eff")):
+    # NoiseInputSpec refuses two sources of S_V0
+    for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col"), ("G_over_kappa", "C_corr")):
         if all(config.get(key) is not None for key in pair):
             raise ValidationError("give '{}' or '{}', not both".format(*pair))
     kappa = _field(config, "kappa", real, None, above=0.0)

@@ -64,6 +64,8 @@ class NoiseInputSpec(ConfigFields):
 
     S_V0 (V^2/Hz) may be omitted when it can be supplied by R_eff via the
     thermal form 4 k_B T R_eff, or by Re_Y_eff via R_eff = 1/Re_Y_eff.
+    Re_Y_eff with S_V0 or with R_eff is two sources of one value and is
+    refused; S_V0 with R_eff is not, because THERMAL reads R_eff itself.
     """
 
     B: float  # bandwidth, Hz
@@ -75,6 +77,9 @@ class NoiseInputSpec(ConfigFields):
     Re_Y_eff: float | None = None  # real part of effective admittance, S
 
     def __post_init__(self):
+        for other in ("S_V0", "R_eff"):
+            if self.Re_Y_eff is not None and getattr(self, other) is not None:
+                raise ValidationError(f"give '{other}' or 'Re_Y_eff', not both")
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if v is not None or f.default is dataclasses.MISSING:

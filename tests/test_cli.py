@@ -1,9 +1,11 @@
 import ctypes
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ import scipy
 import colmode
 from colmode._fields import real
 from colmode.cli import (
+    HASH_BLOCK_BYTES,
+    PHASE_COLUMNS,
     _axis_values,
     _field,
     _pmap,
@@ -22,6 +26,7 @@ from colmode.cli import (
     record_sidecar,
     save_record,
     sha256_file,
+    write_csv,
 )
 from colmode.entanglement import (
     _checked_witnesses,
@@ -71,14 +76,14 @@ def small_simulate_config(seed=11, ensemble=4, null_trio=False, fmt="npy"):
 def phase_rows(config: dict) -> list[dict]:
     """phase_diagram_columns' cells read back as rows: floats, bools, and
     None for an empty cell (repr round-trips every float exactly)."""
-    columns = phase_diagram_columns(config)
     parse = {"entangled_ppt": {"True": True, "False": False}.__getitem__, "boundary_flag": str}
     rows = []
-    for cells in zip(*columns.values()):
-        row = {}
-        for name, text in zip(columns, cells):
-            row[name] = parse.get(name, float)(text) if text else None
-        rows.append(row)
+    for block in phase_diagram_columns(config):
+        for cells in zip(*block):
+            row = {}
+            for name, text in zip(PHASE_COLUMNS, cells):
+                row[name] = parse.get(name, float)(text) if text else None
+            rows.append(row)
     return rows
 
 
@@ -355,6 +360,93 @@ def test_phase_axis_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("block_rows", [1, 5, 64])
+@pytest.mark.parametrize("grid", ["closed_form_descending", "tms_ascending", "tms_signed_zero_n"])
+def test_phase_diagram_csv_does_not_depend_on_the_block_size(tmp_path, monkeypatch,
+                                                              grid, block_rows):
+    """Blocks that end inside a row and inside the stable cells write the
+    oracle's bytes too."""
+    import colmode.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block_rows)
+    config = ORACLE_GRIDS[grid]
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "-c", write_config(tmp_path, "pd.json", config),
+                 "--out-dir", str(out)]) == 0
+    text = (out / "phase_diagram.csv").read_text()
+    assert text == oracle_phase_csv(config, text.splitlines()[0].removeprefix("# manifest="))
+
+
+def test_numerical_failure_in_the_last_row_writes_no_csv(tmp_path, capsys, monkeypatch):
+    """Every cell is computed before phase_diagram.csv is opened."""
+    import colmode.cli as cli_mod
+    from colmode.errors import NumericalError
+
+    solves = []
+
+    def fails_on_the_last_row(A, D):
+        solves.append(A)
+        if len(solves) == 6:
+            raise NumericalError("synthetic failure in the last stable row")
+        return solve_steady_lyapunov(A, D)
+
+    monkeypatch.setattr(cli_mod, "solve_steady_lyapunov", fails_on_the_last_row)
+    monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", 7)
+    config = ORACLE_GRIDS["tms_descending"]
+    out = tmp_path / "out"
+    assert main(["phase-diagram", "-c", write_config(tmp_path, "pd.json", config),
+                 "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: synthetic failure in the last stable row"]
+    assert len(solves) == 6
+    assert not any(out.iterdir())
+
+
+#: tracemalloc's peak for phase-diagram on these grids when the whole grid's
+#: text was built and joined at once: 604 B a cell at either size.
+WHOLE_GRID_TEXT_PEAK_PER_CELL = 604
+
+
+@pytest.mark.parametrize("g_steps", [150, 300])
+def test_phase_diagram_text_memory_does_not_scale_with_the_grid(tmp_path, g_steps):
+    """The text is made and written CSV_BLOCK_ROWS cells at a time, so per
+    cell the peak is a small fraction of whole-grid text; only the grid's
+    numbers (a few float and index arrays) grow with it."""
+    config = _grid("CLOSED_FORM", 1.0, (0.0, 0.55, g_steps), (0.0, 3.0, 200))
+    argv = ["phase-diagram", "-c", write_config(tmp_path, "pd.json", config),
+            "--out-dir", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (g_steps * 200) <= WHOLE_GRID_TEXT_PEAK_PER_CELL / 4
+
+
+class TestCsvOutput:
+    def test_write_csv_refuses_columns_of_unequal_length(self, tmp_path):
+        with pytest.raises(ValueError, match="shorter"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[["1", "2"], ["3"]]], "m")
+        with pytest.raises(ValueError, match="1 text columns for 2 names"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[["1", "2"]]], "m")
+
+    def test_write_csv_writes_each_block_in_turn(self, tmp_path):
+        path = tmp_path / "t.csv"
+        blocks = [[["1", "2"], ["x", "y"]], [[], []], [["3"], [""]]]
+        assert write_csv(path, ["a", "b"], iter(blocks), "m") == 3
+        assert path.read_text() == "# manifest=m\na,b\n1,x\n2,y\n3,\n"
+        assert write_csv(path, ["a"], [], "m") == 0
+        assert path.read_text() == "# manifest=m\na\n"
+
+    @pytest.mark.parametrize("size", [0, 1000, HASH_BLOCK_BYTES, 2 * HASH_BLOCK_BYTES + 3])
+    def test_sha256_file_is_hashlib_over_the_bytes(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
 class TestSimulate:
     def test_rerun_reproduces_identical_bytes(self, tmp_path):
         cfg_path = write_config(tmp_path, "sim.json", small_simulate_config())
@@ -600,6 +692,23 @@ class TestAnalyze:
         assert np.array_equal(back.samples, rec.samples)
         assert (back.dt, back.seed, back.source) == (rec.dt, rec.seed, rec.source)
         assert back.meta == dict(rec.meta, manifest="m")
+
+    def test_csv_record_text_is_written_in_bounded_blocks(self, tmp_path):
+        """A 2e4-step record spans ten blocks: its rows are the same repr
+        rows, and writing them peaks far below the 14 MB that formatting
+        the whole file at once took (69 MB at 1e5 steps)."""
+        rec = TrajectoryRecord(samples=np.random.default_rng(8).standard_normal((20_000, 4)),
+                               dt=0.01, source=SourceTag.QUANTUM, seed=8, meta={"kappa": 1.0})
+        tracemalloc.start()
+        try:
+            path, _ = save_record(rec, tmp_path / "rec", "csv", "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        lines = path.read_text().splitlines()
+        assert lines[2:] == [",".join(map(repr, [k * rec.dt, *row]))
+                             for k, row in enumerate(rec.samples.tolist())]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("table", ["v1", "empty"])

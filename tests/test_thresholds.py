@@ -74,6 +74,16 @@ class TestEffectiveOccupancy:
         with pytest.raises(MissingNoiseInputError):
             bare.resolved_S_V0()
 
+    @pytest.mark.parametrize("other", ["S_V0", "R_eff"])
+    def test_re_y_eff_with_a_second_source_is_refused(self, other):
+        """Re_Y_eff supplies S_V0 as R_eff does, so giving it with S_V0 or
+        R_eff would silently drop one value; S_V0 with R_eff stays valid."""
+        base = dict(B=1e6, C_eff=1e-12, omega_col=TWO_PI * 1e6, T_amb=300.0)
+        with pytest.raises(ValidationError, match=f"^give '{other}' or 'Re_Y_eff', not both$"):
+            NoiseInputSpec(**base, Re_Y_eff=0.001, **{other: 50.0})
+        spec = NoiseInputSpec(**base, S_V0=1e-18, R_eff=50.0)
+        assert spec.resolved_S_V0() == 1e-18
+
     def test_monotone_in_each_input(self):
         base = n_eff_from_noise(room_spec())[0]
         assert n_eff_from_noise(room_spec(S_V0=2e-18))[0] >= base
