@@ -22,6 +22,7 @@ import contextlib
 import ctypes
 import datetime
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -116,6 +117,27 @@ def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(HASH_BLOCK_BYTES), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def write_npy(path, array: np.ndarray) -> str:
+    """np.save's bytes for array at path, written from the array's own memory
+    HASH_BLOCK_BYTES at a time and hashed as they are written; returns the
+    file's SHA-256, so the file need not be read back to be hashed."""
+    info = np.lib.format.header_data_from_array_1_0(array)
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buffer, info)
+    header = buffer.getvalue()
+    # np.save writes a Fortran-ordered array's bytes in Fortran order, any other in C order
+    body = array.T if info["fortran_order"] else np.ascontiguousarray(array)
+    data = memoryview(body).cast("B")
+    digest = hashlib.sha256(header)
+    with open(path, "wb") as f:
+        f.write(header)
+        for start in range(0, data.nbytes, HASH_BLOCK_BYTES):
+            block = data[start : start + HASH_BLOCK_BYTES]
+            f.write(block)
             digest.update(block)
     return digest.hexdigest()
 
@@ -259,9 +281,13 @@ def record_sidecar(path) -> Path:
 RECORD_COLUMNS = ["t", "X_a", "P_a", "X_b", "P_b"]
 
 
-def save_record(record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str) -> list[Path]:
+def save_record(
+    record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str, digests: dict | None = None
+) -> list[Path]:
     """Persist one record's samples as .npy or as a CSV with a time column,
-    and its metadata in the .meta.json sidecar; returns the written paths."""
+    and its metadata in the .meta.json sidecar; returns the written paths.
+    A .npy file is hashed as it is written, and its SHA-256 is entered in
+    digests, when given, under its path."""
     data = base.with_suffix(f".{fmt}")
     if fmt == "csv":
         columns = [record.times(), *record.samples.T]
@@ -271,7 +297,9 @@ def save_record(record: TrajectoryRecord, base: Path, fmt: str, manifest_name: s
         )
         write_csv(data, RECORD_COLUMNS, blocks, manifest_name)
     else:
-        np.save(data, record.samples, allow_pickle=False)
+        digest = write_npy(data, record.samples)
+        if digests is not None:
+            digests[data] = digest
     side = record_sidecar(data)
     meta = dict(record.meta, manifest=manifest_name)
     write_json(
@@ -342,9 +370,14 @@ def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict |
     return name, body
 
 
-def finish_manifest(out_dir: Path, name: str, body: dict, outputs: list[Path]) -> None:
+def finish_manifest(
+    out_dir: Path, name: str, body: dict, outputs: list[Path], digests: dict | None = None
+) -> None:
+    """Write the manifest with the SHA-256 of each output: taken from digests
+    where it holds the path (hashed as it was written), else read from the file."""
+    digests = digests or {}
     body["outputs"] = sorted(
-        ({"path": p.name, "sha256": sha256_file(p)} for p in outputs),
+        ({"path": p.name, "sha256": digests.get(p) or sha256_file(p)} for p in outputs),
         key=lambda e: e["path"],
     )
     write_json(out_dir / name, body)
@@ -531,7 +564,7 @@ def cmd_phase_diagram(config: dict, out_dir: Path, seed, threads: int) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _simulate_member(args) -> list[str]:
+def _simulate_member(args) -> tuple[list[Path], dict[Path, str]]:
     params_d, traj_d, k, base, fmt, manifest_name = args
     params = ModelParams.from_dict(params_d)
     traj = TrajectoryConfig.from_dict(traj_d)
@@ -542,7 +575,8 @@ def _simulate_member(args) -> list[str]:
         record = sample_euler_maruyama(A, D, member_cfg, meta=meta)
     else:
         record = sample_exact_ou(A, D, member_cfg, meta=meta)
-    return [str(p) for p in save_record(record, Path(base), fmt, manifest_name)]
+    digests: dict[Path, str] = {}
+    return save_record(record, Path(base), fmt, manifest_name, digests), digests
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
@@ -567,12 +601,15 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
             )
     name, manifest = make_manifest("simulate", config, config["trajectory"].get("master_seed"), threads)
     written: list[Path] = []
+    # the SHA-256 of each .npy record, taken as it was written (in a worker or here)
+    digests: dict[Path, str] = {}
     members = [
         (params.to_dict(), traj.to_dict(), k, str(out_dir / f"quantum_{k:04d}"), fmt, name)
         for k in range(n_members)
     ]
-    for paths in _pmap(_simulate_member, members, threads):
-        written.extend(Path(p) for p in paths)
+    for paths, member_digests in _pmap(_simulate_member, members, threads):
+        written.extend(paths)
+        digests.update(member_digests)
 
     if specs:
         # each null record is saved before the next is drawn, and no name holds
@@ -580,18 +617,18 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
         kappa = params.kappa_a
         written.extend(save_record(
             gen_shared_noise(specs[NullKind.SHARED_NOISE], traj, kappa=kappa),
-            out_dir / "null_a", fmt, name,
+            out_dir / "null_a", fmt, name, digests,
         ))
         written.extend(save_record(
             gen_classical_paramp(specs[NullKind.CLASSICAL_PARAMP], traj, kappa=kappa),
-            out_dir / "null_b", fmt, name,
+            out_dir / "null_b", fmt, name, digests,
         ))
         written.extend(save_record(
             gen_optimized_mixture(specs[NullKind.OPTIMIZED_MIXTURE], config=traj, kappa=kappa)[0],
-            out_dir / "null_c", fmt, name,
+            out_dir / "null_c", fmt, name, digests,
         ))
 
-    finish_manifest(out_dir, name, manifest, written)
+    finish_manifest(out_dir, name, manifest, written, digests)
     print(f"wrote {len(written)} record files and {name}")
     return 0
 
@@ -918,6 +955,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # a record too large to allocate is an input this machine cannot take
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -141,9 +141,11 @@ def _null_record(spec, config, kappa, classical, rng, **extra_meta) -> Trajector
     """Record of the classical samples plus four vacuum streams, burn-in dropped.
 
     The vacuum streams are drawn from rng after any classical streams it
-    produced, so each generator keeps its draw order.
+    produced, so each generator keeps its draw order.  They are added into
+    classical in place, so the caller frees every other classical buffer
+    first and the record holds classical's memory.
     """
-    vacuum = _streams([kappa / 2.0] * 4, [VACUUM] * 4, classical.shape[0], rng, config.dt)
+    classical += _streams([kappa / 2.0] * 4, [VACUUM] * 4, classical.shape[0], rng, config.dt)
     meta = {
         "kappa": kappa,
         "null_kind": spec.kind.value,
@@ -151,9 +153,12 @@ def _null_record(spec, config, kappa, classical, rng, **extra_meta) -> Trajector
         "target_power": spec.target_power,
         **extra_meta,
     }
-    samples = (classical + vacuum)[config.burn_in :]
     return TrajectoryRecord(
-        samples=samples, dt=config.dt, source=_SOURCE[spec.kind], seed=spec.seed, meta=meta
+        samples=classical[config.burn_in :],
+        dt=config.dt,
+        source=_SOURCE[spec.kind],
+        seed=spec.seed,
+        meta=meta,
     )
 
 
@@ -178,10 +183,14 @@ def gen_shared_noise(
     amp = math.sqrt(spec.target_power)
     w_s, w_u = math.sqrt(rho), math.sqrt(1.0 - rho)
     samples = np.empty((total, 4))
-    samples[:, 0] = amp * (w_s * cl[:, 0] + w_u * cl[:, 1])  # X_a
-    samples[:, 2] = amp * (w_s * cl[:, 0] + w_u * cl[:, 2])  # X_b
-    samples[:, 1] = amp * (w_s * cl[:, 3] + w_u * cl[:, 4])  # P_a
-    samples[:, 3] = amp * (w_s * cl[:, 3] + w_u * cl[:, 5])  # P_b
+    # column j is amp * (w_s * cl[:, shared] + w_u * cl[:, local]), with the
+    # same operations in the same order; each local stream is scaled in place
+    for j, shared, local in ((0, 0, 1), (2, 0, 2), (1, 3, 4), (3, 3, 5)):  # X_a X_b P_a P_b
+        out = np.multiply(cl[:, shared], w_s, out=samples[:, j])
+        cl[:, local] *= w_u
+        out += cl[:, local]
+        out *= amp
+    del cl  # freed before the vacuum streams are drawn
     return _null_record(spec, config, kappa, samples, rng, correlation=rho)
 
 
@@ -298,8 +307,10 @@ def gen_optimized_mixture(
     gamma = 2.0 * math.pi * spec.target_bandwidth
     n_src = mixing.shape[1]
     src = _streams([gamma] * n_src, [1.0] * n_src, total, rng, config.dt)
+    classical = src @ mixing.T
+    del src  # freed before the vacuum streams are drawn
     record = _null_record(
-        spec, config, kappa, src @ mixing.T, rng,
+        spec, config, kappa, classical, rng,
         optimizer={"achieved": report.duan_sum, "converged": True, "restarts": 0},
     )
     return record, report

@@ -176,16 +176,20 @@ def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
     subdiagonal -a, the backward pass its transpose, so both are one
     symmetric tridiagonal solve of L diag(d) L^T: the forward steady state
     zi x_0 enters row 0 of the input, and d[-1] = b0 / (zi + b0) starts the
-    backward pass from its steady state zi y_last.
+    backward pass from its steady state zi y_last.  The extended record is
+    built channel by channel in one C-ordered buffer, so the solve overwrites
+    it without a copy, and the output is a channel-major view of it.
     """
     b0 = 1.0 - a
     zi = a * b0 / (1.0 - a)  # scipy.signal.lfilter_zi's value, computed as it computes it
-    # one channel per row: LAPACK solves the column-major ext.T in place, so y is channel-major
+    # one channel per row of a C-ordered ext, so ext.T is the column-major
+    # right-hand side LAPACK solves in place, and y is channel-major
+    n = x.shape[0]
+    ext = np.empty((x.shape[1], n + 2 * padlen))
     xt = x.T
-    ext = np.concatenate(
-        (2 * xt[:, :1] - xt[:, padlen:0:-1], xt, 2 * xt[:, -1:] - xt[:, -2 : -(padlen + 2) : -1]),
-        axis=1,
-    )
+    np.subtract(2 * xt[:, :1], xt[:, padlen:0:-1], out=ext[:, :padlen])
+    ext[:, padlen : padlen + n] = xt
+    np.subtract(2 * xt[:, -1:], xt[:, -2 : -(padlen + 2) : -1], out=ext[:, padlen + n :])
     first = zi * ext[:, 0]
     ext *= b0
     ext[:, 0] += first
@@ -193,7 +197,7 @@ def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
     d[-1] = b0 / (zi + b0)
     # the LAPACK wrapper refuses an empty e, so a one-sample record gets one unread entry
     e = np.full(max(ext.shape[1] - 1, 1), -a)
-    y = dpttrs(d, e, ext.T, overwrite_b=True)[0][padlen : padlen + x.shape[0]]
+    y = dpttrs(d, e, ext.T, overwrite_b=True)[0][padlen : padlen + n]
     return np.multiply(y, b0, out=y)
 
 

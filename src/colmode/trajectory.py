@@ -46,6 +46,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # steps per block of _linear_recurrence
 _BLOCK = 16
+# block rows of _linear_recurrence's block-Toeplitz product taken at a time
+_PRODUCT_ROWS = 256
+# rows of normals drawn and transformed at a time
+_DRAW_ROWS = 4096
 
 
 class Scheme(str, enum.Enum):
@@ -147,6 +151,45 @@ def _psd_factor(Q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _whole_blocks(rows: int) -> int:
+    """rows rounded up to whole blocks of _linear_recurrence; a series of at
+    most one block is one block of its own length."""
+    return rows if rows <= _BLOCK else -(-rows // _BLOCK) * _BLOCK
+
+
+def _row_ranges(rows: int, size: int):
+    """(start, stop) ranges of at most size + 1 rows that cover rows in order.
+
+    No range is a single row unless rows is 1: BLAS takes a one-row product
+    as a vector product, which rounds differently from the same row of a
+    matrix product, so a trailing single row joins the range before it.
+    size must be at least 2.
+    """
+    edges = [*range(0, rows, size), rows]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
+
+
+def _block_toeplitz(powers) -> np.ndarray:
+    """The (b n, b n) matrix whose block (i, j) is powers[j - i].T for j >= i,
+    else 0, for the b powers F^0 .. F^(b-1) of an n x n F: rows are states,
+    so each power acts on the right as its transpose."""
+    b, n = len(powers), powers[0].shape[0]
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    blocks = np.stack(powers).transpose(0, 2, 1)[np.maximum(-lag, 0)]
+    blocks[lag > 0] = 0.0
+    return blocks.transpose(0, 2, 1, 3).reshape(b * n, b * n)
+
+
+def _block_product(y: np.ndarray, toeplitz: np.ndarray) -> None:
+    """y = y @ toeplitz in place, _PRODUCT_ROWS rows at a time through one
+    small scratch array: rows of the product are independent."""
+    scratch = np.empty((min(y.shape[0], _PRODUCT_ROWS + 1), y.shape[1]))
+    for start, stop in _row_ranges(y.shape[0], _PRODUCT_ROWS):
+        y[start:stop] = np.matmul(y[start:stop], toeplitz, out=scratch[: stop - start])
+
+
 def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y_0 = x_0, y_k = F y_{k-1} + x_k over the rows of x (m, n).
 
@@ -156,28 +199,32 @@ def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     F^1 .. F^_BLOCK to the state carried in from the previous block.  The
     carried states are the block-end values, which obey the same recurrence
     with F^_BLOCK, so each level of recursion shortens the series _BLOCK-fold.
+
+    A C-contiguous x of _whole_blocks(m) rows is overwritten with y and
+    returned; any other x is solved in a zero-padded copy, and y is a view
+    of that copy.  The scratch of each level is freed before the next
+    level's, so the recursion adds about a sixteenth of x.
     """
     m, n = x.shape
     # a series shorter than a block is one block: no power of F beyond its span
     b = min(m, _BLOCK)
     nb = -(-m // b)
+    if nb * b != m or not x.flags.c_contiguous:
+        padded = np.zeros((nb * b, n))
+        padded[:m] = x
+        return _linear_recurrence(F, padded)[:m]
     powers = [np.eye(n)]
     for _ in range(b):
         powers.append(F @ powers[-1])
-    # block (i, j) is F^(j-i) for j >= i, else 0; rows are states, so each
-    # power acts on the right as its transpose
-    lag = np.subtract.outer(np.arange(b), np.arange(b))
-    blocks = np.stack(powers[:b]).transpose(0, 2, 1)[np.maximum(-lag, 0)]
-    blocks[lag > 0] = 0.0
-    toeplitz = blocks.transpose(0, 2, 1, 3).reshape(b * n, b * n)
-    if m % b:
-        x = np.concatenate((x, np.zeros((nb * b - m, n))))
-    y = x.reshape(nb, b * n) @ toeplitz
+    y = x.reshape(nb, b * n)
+    _block_product(y, _block_toeplitz(powers[:b]))
     if nb > 1:
-        carried = _linear_recurrence(powers[b], y[:-1, -n:])
+        carried = np.zeros((_whole_blocks(nb - 1), n))
+        carried[: nb - 1] = y[:-1, -n:]
+        carried = _linear_recurrence(powers[b], carried)[: nb - 1]
         # y[1:] += carried @ [F^1 .. F^b]^T, accumulated in place: y[1:].T is column-major
         dgemm(1.0, np.vstack(powers[1:]), carried.T, beta=1.0, c=y[1:].T, overwrite_c=True)
-    return y.reshape(nb * b, n)[:m]
+    return x
 
 
 def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
@@ -188,24 +235,34 @@ def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
     return F, _psd_factor(Q), _psd_factor(Vinf)
 
 
+def _path_input(Lnoise, L0, total: int, rng, r0) -> np.ndarray:
+    """One path's recurrence input in a buffer of its own, _whole_blocks(total)
+    rows long: R_0 (r0, else L0 z, else the origin), then the noise Lnoise z_k
+    drawn _DRAW_ROWS rows at a time, then zeros to the end of the last block."""
+    n = Lnoise.shape[0]
+    x = np.empty((_whole_blocks(total), n))
+    if r0 is not None:
+        x[0] = r0
+    elif L0 is not None:
+        x[0] = L0 @ rng.standard_normal(n)
+    else:
+        x[0] = 0.0
+    for start, stop in _row_ranges(total - 1, _DRAW_ROWS):
+        np.matmul(rng.standard_normal((stop - start, n)), Lnoise.T, out=x[1 + start : 1 + stop])
+    x[total:] = 0.0
+    return x
+
+
 def _draw_paths(F, Lnoise, L0, total: int, rngs, r0=None):
     """For each rng, yield total samples of R_{k+1} = F R_k + Lnoise z_k from
     R_0 = r0, else L0 z (the origin if L0 is None); R_0's normals are drawn
-    from rng first.  Every path builds the recurrence's input in the same
-    buffer, whose pages are touched once however many paths are drawn; the
-    normals are freed before the recurrence allocates the path's samples.
-    This is the one AR(1) stream of every sampler."""
-    n = F.shape[0]
-    x = np.empty((total, n))
+    from rng first.  Each path's samples are a view of the buffer its input
+    was drawn into, which the recurrence overwrites, and no name here holds
+    it once it is yielded: a consumer that lets go of each path frees its
+    buffer before the next path allocates one.  This is the one AR(1) stream
+    of every sampler."""
     for rng in rngs:
-        if r0 is not None:
-            x[0] = r0
-        elif L0 is not None:
-            x[0] = L0 @ rng.standard_normal(n)
-        else:
-            x[0] = 0.0
-        np.matmul(rng.standard_normal((total - 1, n)), Lnoise.T, out=x[1:])
-        yield _linear_recurrence(F, x)
+        yield _linear_recurrence(F, _path_input(Lnoise, L0, total, rng, r0))[:total]
 
 
 def _records(F, Lnoise, L0, config, scheme, source, meta, members, r0=None):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -93,3 +95,20 @@ def evolve_affine(V0, A, D, t):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+#: Steps of the records the working-set tests measure; one record of
+#: (RECORD_STEPS, 4) float64 samples is the unit they count in.
+RECORD_STEPS = 100_000
+
+
+def traced_peak_records(fn, *args, steps: int = RECORD_STEPS, **kwargs):
+    """(peak traced memory of fn(*args, **kwargs) in records of `steps`
+    samples, its result); memory allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (steps * 4 * 8), result

@@ -1,5 +1,6 @@
 import ctypes
 import hashlib
+import io
 import json
 import os
 import platform
@@ -27,6 +28,7 @@ from colmode.cli import (
     save_record,
     sha256_file,
     write_csv,
+    write_npy,
 )
 from colmode.entanglement import (
     _checked_witnesses,
@@ -463,6 +465,34 @@ class TestSimulate:
         main(["simulate", "-c", cfg_path, "--out-dir", str(par), "--threads", "3"])
         assert output_digests(seq) == output_digests(par)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_records_are_hashed_as_they_are_written(self, tmp_path, monkeypatch, threads):
+        """Each .npy record holds np.save's bytes, and its manifest digest,
+        taken as it was written (in a worker with --threads 2), equals
+        hashlib over the file; only the other outputs are read back."""
+        import colmode.cli as cli_mod
+
+        read_back = []
+        monkeypatch.setattr(cli_mod, "sha256_file",
+                            lambda path: read_back.append(path.name) or sha256_file(path))
+        cfg = small_simulate_config(ensemble=2, null_trio=True)
+        cfg["trajectory"]["n_steps"] = 3000
+        out = tmp_path / "out"
+        assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
+                     "--out-dir", str(out), "--threads", threads]) == 0
+        (manifest,) = out.glob("manifest_*.json")
+        outputs = json.loads(manifest.read_text())["outputs"]
+        assert len(outputs) == 2 * 5
+        for entry in outputs:
+            data = (out / entry["path"]).read_bytes()
+            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            if entry["path"].endswith(".npy"):
+                saved = io.BytesIO()
+                np.save(saved, np.load(out / entry["path"]), allow_pickle=False)
+                assert data == saved.getvalue()
+        assert sorted(read_back) == sorted(
+            e["path"] for e in outputs if e["path"].endswith(".meta.json"))
+
     def test_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -785,6 +815,22 @@ class TestRecordFormats:
         assert {"null_kind", "target_power", "gain"} <= set(null_b)
 
 
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "more_than_a_block"])
+    def test_write_npy_writes_np_save_bytes_and_their_digest(self, tmp_path, layout):
+        rng = np.random.default_rng(6)
+        array = {
+            "c": rng.standard_normal((1000, 4)),
+            "fortran": np.asfortranarray(rng.standard_normal((1000, 4))),
+            "strided": rng.standard_normal((1000, 8))[::3, ::2],
+            "more_than_a_block": rng.standard_normal((HASH_BLOCK_BYTES // 32 + 5, 4)),
+        }[layout]
+        saved = io.BytesIO()
+        np.save(saved, array, allow_pickle=False)
+        digest = write_npy(tmp_path / "a.npy", array)
+        assert (tmp_path / "a.npy").read_bytes() == saved.getvalue()
+        assert digest == hashlib.sha256(saved.getvalue()).hexdigest()
+
+
 class TestConverge:
     def test_summary_slopes(self, tmp_path):
         cfg_path = write_config(tmp_path, "conv.json", {
@@ -966,6 +1012,27 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bandwidth 1e-17 ")
         assert not (out / "witness_report.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_record_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):
+        """A 28 PiB simulate record and a 6.8 PiB converge record lie beyond
+        the address space: allocating either fails at once, with one error
+        line, exit 2 and no file written."""
+        if command == "simulate":
+            cfg = small_simulate_config(ensemble=1, null_trio=True)
+            cfg["trajectory"]["n_steps"] = 10**15
+        else:
+            cfg = {
+                "params": {"G": 0.25, "kappa_a": 1.0, "kappa_b": 1.0, "n_a": 0.0, "n_b": 0.0},
+                "cells": [{"T": 1e12, "B": 1.0}, {"T": 2.0, "B": 1.0}],
+                "runs_per_cell": 2,
+            }
+        out = tmp_path / "out"
+        assert main([command, "-c", write_config(tmp_path, "c.json", cfg),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
+        assert not any(out.iterdir())
 
     def test_non_integer_threads_env_is_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COLMODE_THREADS", "two")

@@ -6,6 +6,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from conftest import RECORD_STEPS, traced_peak_records
+
 from colmode import null_models
 from colmode.entanglement import _duan_sum, _nu_minus, duan_witness, ppt_nu_minus
 from colmode.errors import NotPsdError, UnstableGainError, ValidationError
@@ -312,3 +314,22 @@ class TestMatchedSpecs:
     def test_no_excess_power_rejected(self):
         with pytest.raises(ValidationError):
             matched_null_specs(0.5 * np.eye(4))
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("generate, kind", [
+        (gen_shared_noise, NullKind.SHARED_NOISE),
+        (gen_classical_paramp, NullKind.CLASSICAL_PARAMP),
+        (gen_optimized_mixture, NullKind.OPTIMIZED_MIXTURE),
+    ])
+    def test_generator_holds_at_most_two_and_a_half_records(self, generate, kind):
+        """The classical streams are freed before the vacuum streams are
+        drawn, and the vacuum is added in place: null A peaks at 2.50 records
+        while its six streams are mixed, B and C at 2.12 (4.73, 3.23 and 3.73
+        when the streams were held and summed into a third array)."""
+        spec = matched_null_specs(closed_form_covariance(0.25, 1.0, 0.0), seed=3)[kind]
+        cfg = TrajectoryConfig(dt=0.05, n_steps=RECORD_STEPS, master_seed=0)
+        peak, out = traced_peak_records(generate, spec, cfg)
+        record = out[0] if isinstance(out, tuple) else out
+        assert record.n_steps == RECORD_STEPS
+        assert peak <= 2.6

@@ -7,7 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.linalg.lapack import dpttrs
 from scipy.signal import filtfilt
+
+from conftest import RECORD_STEPS, traced_peak_records
 
 from colmode import pipeline as pipeline_mod
 from colmode.entanglement import _duan_sum, _nu_minus, ppt_nu_minus
@@ -158,6 +161,21 @@ class TestBandlimit:
         want = filtfilt([1.0 - a], [1.0, -a], x, axis=0, padlen=padlen)
         got = pipeline_mod._zero_phase_lowpass(x, a, padlen)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_filter_solves_its_padded_buffer_in_place(self, monkeypatch):
+        """The output is a view of the buffer LAPACK was handed: the wrapper
+        made no hidden copy of the extended record."""
+        handed = []
+
+        def recording_dpttrs(d, e, b, **kwargs):
+            handed.append(b)
+            return dpttrs(d, e, b, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "dpttrs", recording_dpttrs)
+        x = np.random.default_rng(5).standard_normal((3000, 4))
+        got = pipeline_mod._zero_phase_lowpass(x, 0.9, 40)
+        assert np.shares_memory(got, handed[0])
+        assert handed[0].shape == (3000 + 2 * 40, 4) and handed[0].flags.f_contiguous
 
     def test_short_record_is_padded_by_its_length(self):
         rec = white_record(n_steps=50, dt=0.1)
@@ -486,6 +504,30 @@ class TestWitnessEnsemble:
         rep = witness_with_uncertainty(ests)
         assert rep.nu_minus == pytest.approx(1.0 / 6.0, abs=3.5 * rep.stderr_nu)
         assert rep.entangled_ppt
+
+
+class TestWorkingSet:
+    def test_analyze_record_adds_one_and_a_half_records(self):
+        """The filter's padded buffer becomes the filtered record, and its
+        tridiagonal factors add half a record: 1.51 records beyond the input,
+        where LAPACK's hidden copy of the buffer made it 2.51."""
+        rec = quantum_record(n_steps=RECORD_STEPS, dt=0.01)
+        pc = PipelineConfig(bandwidth=1.0, integration_time=10.0, bootstrap_resamples=200)
+        peak, est = traced_peak_records(analyze_record, rec, pc)
+        assert est.n_segments == 100
+        assert peak <= 1.6
+
+    def test_one_cell_holds_a_record_and_its_analysis(self):
+        """One record of the cell at a time (1.13 records while it is drawn),
+        then its analysis (1.51 more): 2.51 in all, where it was 4.52."""
+        A, D = closed_form_dynamics(0.25, 1.0, 0.0)
+        T, B, segments = 400.0, 0.08, 24  # dt 0.1: records of 96,000 steps
+        steps = segments * int(round(T / 0.1))
+        peak, rep = traced_peak_records(
+            pipeline_mod._cell_witness, A, D, 1.0, T, B, 3, segments, 8, steps=steps
+        )
+        assert math.isfinite(rep.stderr_nu)
+        assert peak <= 2.6
 
 
 class TestPipelineIdentity:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 from scipy.signal import lfilter
 
 from colmode.errors import StepTooLargeError, UnstableDriftError, ValidationError
@@ -13,6 +14,7 @@ from colmode.gaussian_core import (
     closed_form_dynamics,
     solve_steady_lyapunov,
 )
+from colmode import trajectory as trajectory_mod
 from colmode.trajectory import (
     Scheme,
     SourceTag,
@@ -23,9 +25,12 @@ from colmode.trajectory import (
     sample_euler_maruyama,
     sample_exact_ou,
     _linear_recurrence,
+    _row_ranges,
+    _steady_prep,
+    _whole_blocks,
 )
 
-from conftest import random_stable_params
+from conftest import RECORD_STEPS, random_stable_params, traced_peak_records
 
 
 def vacuum_system():
@@ -161,6 +166,39 @@ AR1_DRIFTS = {
 }
 
 
+def out_of_place_ar1(F, x, block=16):
+    """The blocked recurrence as one whole block-Toeplitz product into a new
+    array, and a fresh padded copy at every level, with the carried states
+    added by the same BLAS call: the in-place kernel's bit-for-bit reference."""
+    m, n = x.shape
+    b = min(m, block)
+    nb = -(-m // b)
+    powers = [np.eye(n)]
+    for _ in range(b):
+        powers.append(F @ powers[-1])
+    lag = np.subtract.outer(np.arange(b), np.arange(b))
+    blocks = np.stack(powers[:b]).transpose(0, 2, 1)[np.maximum(-lag, 0)]
+    blocks[lag > 0] = 0.0
+    toeplitz = blocks.transpose(0, 2, 1, 3).reshape(b * n, b * n)
+    if m % b:
+        x = np.concatenate((x, np.zeros((nb * b - m, n))))
+    y = x.reshape(nb, b * n) @ toeplitz
+    if nb > 1:
+        carried = out_of_place_ar1(powers[b], y[:-1, -n:], block)
+        dgemm(1.0, np.vstack(powers[1:]), carried.T, beta=1.0, c=y[1:].T, overwrite_c=True)
+    return y.reshape(nb * b, n)[:m]
+
+
+def reference_path(F, Lnoise, L0, total, seed):
+    """One exact-OU path drawn the plain way: R_0's normals, then all the
+    noise normals in one draw, then the out-of-place recurrence."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x = np.empty((total, F.shape[0]))
+    x[0] = L0 @ rng.standard_normal(F.shape[0])
+    x[1:] = rng.standard_normal((total - 1, F.shape[0])) @ Lnoise.T
+    return out_of_place_ar1(F, x)
+
+
 class TestAr1Kernel:
     # the recurrence runs in blocks of 16 steps: 1 + n rows put the series
     # one short of, on and one past block ends; 1e5 rows recurse four levels deep
@@ -175,6 +213,56 @@ class TestAr1Kernel:
         got = _linear_recurrence(F, np.vstack([r0, w]))
         assert got.shape == (n + 1, 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # 2 block rows a product chunk and 3 rows a draw put chunk ends everywhere
+    @pytest.mark.parametrize("product_rows", [2, None])
+    @pytest.mark.parametrize("drift", sorted(AR1_DRIFTS))
+    @pytest.mark.parametrize("n", [0, 1, 14, 15, 30, 31, 82, 254, 255, 20000, 99999])
+    def test_in_place_equals_out_of_place_bit_for_bit(self, monkeypatch, drift, n, product_rows):
+        """A whole-block input is overwritten and returned, and holds the
+        out-of-place product's numbers exactly, chunked or not."""
+        if product_rows:
+            monkeypatch.setattr(trajectory_mod, "_PRODUCT_ROWS", product_rows)
+        F = AR1_DRIFTS[drift]()
+        rng = np.random.default_rng(n)
+        x = np.zeros((_whole_blocks(n + 1), 4))
+        x[: n + 1] = rng.standard_normal((n + 1, 4))
+        want = out_of_place_ar1(F, x[: n + 1].copy())
+        got = _linear_recurrence(F, x)
+        assert got is x
+        assert np.array_equal(got[: n + 1], want)
+        # any other length is solved in a padded copy, with the same numbers
+        w = rng.standard_normal((n + 1, 4))
+        assert np.array_equal(_linear_recurrence(F, w.copy()), out_of_place_ar1(F, w))
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 7, 9, 10, 11])
+    def test_row_ranges_cover_in_order_with_no_lone_row(self, rows):
+        """A one-row product is a vector product in BLAS and rounds apart from
+        a matrix product, so no range is one row unless all of them is."""
+        ranges = list(_row_ranges(rows, 3))
+        assert [i for r in ranges for i in range(*r)] == list(range(rows))
+        assert all(1 < stop - start <= 4 for start, stop in ranges) or rows == 1
+
+    @pytest.mark.parametrize("total", [1, 2, 17, 4098, 20001])
+    def test_chunked_draws_match_one_draw(self, monkeypatch, total):
+        """Normals drawn a few rows at a time and the product taken a few
+        block rows at a time give the path of one whole draw, bit for bit."""
+        A, D = closed_form_dynamics(0.25, 1.0, 0.5)
+        F, Lq, Linf = _steady_prep(A, D, 0.05)
+        want = reference_path(F, Lq, Linf, total, 21)
+        monkeypatch.setattr(trajectory_mod, "_DRAW_ROWS", 3)
+        monkeypatch.setattr(trajectory_mod, "_PRODUCT_ROWS", 2)
+        got = sample_exact_ou(A, D, TrajectoryConfig(dt=0.05, n_steps=total, master_seed=21))
+        assert np.array_equal(got.samples, want)
+
+    def test_exact_ou_holds_one_record_and_little_more(self):
+        """The path's input buffer becomes its samples: 1.13 records traced,
+        where a separate normals buffer and output took 2.23."""
+        A, D = closed_form_dynamics(0.25, 1.0, 0.0)
+        cfg = TrajectoryConfig(dt=0.1, n_steps=RECORD_STEPS, master_seed=4)
+        peak, rec = traced_peak_records(sample_exact_ou, A, D, cfg)
+        assert rec.n_steps == RECORD_STEPS
+        assert peak <= 1.25
 
     @pytest.mark.parametrize("width", [3, 4, 6])
     def test_diagonal_is_columnwise_filter(self, width):
