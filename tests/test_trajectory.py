@@ -214,7 +214,7 @@ class TestAr1Kernel:
         assert got.shape == (n + 1, 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    # 2 block rows a product chunk and 3 rows a draw put chunk ends everywhere
+    # 2 block rows a chunk put chunk ends everywhere, a trailing single row among them
     @pytest.mark.parametrize("product_rows", [2, None])
     @pytest.mark.parametrize("drift", sorted(AR1_DRIFTS))
     @pytest.mark.parametrize("n", [0, 1, 14, 15, 30, 31, 82, 254, 255, 20000, 99999])
