@@ -67,6 +67,7 @@ from .null_models import (
 )
 from .pipeline import (
     PipelineConfig,
+    _cell_plan,
     _checked_cells,
     _checked_couplings,
     _segment_statistic,
@@ -752,6 +753,8 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
                 cells=_field(crossing, "cells", _cells),
                 **_ensemble_fields(crossing, 12),
             )
+            for T, B in scan["cells"]:
+                _cell_plan(T, B, scan["segments_per_record"])
     result = convergence_sweep(
         A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )

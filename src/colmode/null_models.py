@@ -35,6 +35,7 @@ from .trajectory import (
     TrajectoryConfig,
     TrajectoryRecord,
     _draw_paths,
+    _row_ranges,
     derive_stream_seed,
     sample_exact_ou,
 )
@@ -53,6 +54,9 @@ __all__ = [
 ]
 
 VACUUM = 0.5
+
+# rows of null model A's channel mix taken at a time
+_MIX_ROWS = 4096
 
 
 class NullKind(str, enum.Enum):
@@ -182,16 +186,27 @@ def gen_shared_noise(
     rho = spec.correlation
     amp = math.sqrt(spec.target_power)
     w_s, w_u = math.sqrt(rho), math.sqrt(1.0 - rho)
-    samples = np.empty((total, 4))
-    # column j is amp * (w_s * cl[:, shared] + w_u * cl[:, local]), with the
-    # same operations in the same order; each local stream is scaled in place
-    for j, shared, local in ((0, 0, 1), (2, 0, 2), (1, 3, 4), (3, 3, 5)):  # X_a X_b P_a P_b
-        out = np.multiply(cl[:, shared], w_s, out=samples[:, j])
-        cl[:, local] *= w_u
-        out += cl[:, local]
-        out *= amp
-    del cl  # freed before the vacuum streams are drawn
-    return _null_record(spec, config, kappa, samples, rng, correlation=rho)
+    # the record is the first 4 * total numbers of the streams' own C-ordered
+    # buffer: its row k ends before stream row k begins, so rows mixed in
+    # order through a small scratch overwrite only streams already read
+    buf = cl.base  # the path buffer _draw_paths drew the streams into
+    samples = buf.reshape(-1)[: 4 * total].reshape(total, 4)
+    scratch = np.empty((min(total, _MIX_ROWS + 1), 4))
+    for start, stop in _row_ranges(total, _MIX_ROWS):
+        rows, mix = cl[start:stop], scratch[: stop - start]
+        # column j is amp * (w_s * cl[:, shared] + w_u * cl[:, local]), with
+        # the same operations in the same order; each local stream is scaled in place
+        for j, shared, local in ((0, 0, 1), (2, 0, 2), (1, 3, 4), (3, 3, 5)):  # X_a X_b P_a P_b
+            out = np.multiply(rows[:, shared], w_s, out=mix[:, j])
+            rows[:, local] *= w_u
+            out += rows[:, local]
+            out *= amp
+        samples[start:stop] = mix
+    del cl, rows, samples
+    # no view of buf is left: the realloc keeps the record and gives the
+    # streams' last third back before the vacuum streams are drawn
+    buf.resize((total, 4), refcheck=False)
+    return _null_record(spec, config, kappa, buf, rng, correlation=rho)
 
 
 def _paramp_dynamics(spec: NullModelSpec, kappa: float):

@@ -168,7 +168,8 @@ def vacuum_transfer(B: float, dt: float, kappa: float) -> float:
 
 def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
     """The single pole 1 - a over 1 - a z^-1 run forward and backward over
-    the columns of x, after odd extension by padlen samples at each end.
+    the columns of x, after odd extension by padlen samples at each end;
+    x is overwritten with the result and returned.
 
     Each pass starts from the filter's steady state for its first input, so
     this is scipy.signal.filtfilt([1 - a], [1, -a], x, axis=0, padlen=padlen)
@@ -176,41 +177,36 @@ def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
     subdiagonal -a, the backward pass its transpose, so both are one
     symmetric tridiagonal solve of L diag(d) L^T: the forward steady state
     zi x_0 enters row 0 of the input, and d[-1] = b0 / (zi + b0) starts the
-    backward pass from its steady state zi y_last.  The extended record is
-    built channel by channel in one C-ordered buffer, so the solve overwrites
-    it without a copy, and the output is a channel-major view of it.
+    backward pass from its steady state zi y_last.  One channel at a time is
+    extended into one contiguous scratch, which LAPACK solves in place, so
+    the filter holds that scratch, d and e: three quarters of x's size.
     """
     b0 = 1.0 - a
     zi = a * b0 / (1.0 - a)  # scipy.signal.lfilter_zi's value, computed as it computes it
-    # one channel per row of a C-ordered ext, so ext.T is the column-major
-    # right-hand side LAPACK solves in place, and y is channel-major
     n = x.shape[0]
-    ext = np.empty((x.shape[1], n + 2 * padlen))
-    xt = x.T
-    np.subtract(2 * xt[:, :1], xt[:, padlen:0:-1], out=ext[:, :padlen])
-    ext[:, padlen : padlen + n] = xt
-    np.subtract(2 * xt[:, -1:], xt[:, -2 : -(padlen + 2) : -1], out=ext[:, padlen + n :])
-    first = zi * ext[:, 0]
-    ext *= b0
-    ext[:, 0] += first
-    d = np.ones(ext.shape[1])
+    ext = np.empty(n + 2 * padlen)
+    d = np.ones(ext.shape[0])
     d[-1] = b0 / (zi + b0)
     # the LAPACK wrapper refuses an empty e, so a one-sample record gets one unread entry
-    e = np.full(max(ext.shape[1] - 1, 1), -a)
-    y = dpttrs(d, e, ext.T, overwrite_b=True)[0][padlen : padlen + n]
-    return np.multiply(y, b0, out=y)
+    e = np.full(max(ext.shape[0] - 1, 1), -a)
+    head, body, tail = ext[:padlen], ext[padlen : padlen + n], ext[padlen + n :]
+    for col in x.T:
+        np.subtract(2 * col[0], col[padlen:0:-1], out=head)
+        np.subtract(2 * col[-1], col[-2 : -(padlen + 2) : -1], out=tail)
+        first = zi * (head[0] if padlen else col[0])
+        # the input scaled by b0 as it is copied in, the padding in place
+        head *= b0
+        tail *= b0
+        np.multiply(col, b0, out=body)
+        ext[0] += first
+        y = dpttrs(d, e, ext, overwrite_b=True)[0]
+        np.multiply(y[padlen : padlen + n], b0, out=col)
+    return x
 
 
-def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
-    """Zero-phase low-pass with -3 dB point at B/2 (cycles per unit time).
-
-    A single-pole filter run forward and backward; length preserving.  Its
-    vacuum-reference variance transfer accumulates in the record metadata to
-    calibrate covariance estimates.  Not idempotent: for a cascade the product
-    of transfers is a lower bound (each |H|^4 falls with frequency; Chebyshev's
-    sum inequality), so a twice-filtered estimate reads high and can withhold
-    a verdict, never make one.
-    """
+def _bandlimited(record: TrajectoryRecord, B: float, samples: np.ndarray) -> TrajectoryRecord:
+    """bandlimit's record, filtered in samples, a writable buffer holding
+    record.samples, which it overwrites."""
     B = real(B, "bandwidth", above=0.0)
     nyquist = 1.0 / (2.0 * record.dt)
     if B > nyquist:
@@ -228,10 +224,24 @@ def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     meta["bandlimit_cal"] = _record_calibration(record) * vacuum_transfer(
         B, record.dt, _record_kappa(record)
     )
-    filtered = _zero_phase_lowpass(record.samples, a, padlen)
+    filtered = _zero_phase_lowpass(samples, a, padlen)
     return TrajectoryRecord(
         samples=filtered, dt=record.dt, source=record.source, seed=record.seed, meta=meta
     )
+
+
+def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
+    """Zero-phase low-pass with -3 dB point at B/2 (cycles per unit time).
+
+    A single-pole filter run forward and backward; length preserving.  Its
+    vacuum-reference variance transfer accumulates in the record metadata to
+    calibrate covariance estimates.  Not idempotent: for a cascade the product
+    of transfers is a lower bound (each |H|^4 falls with frequency; Chebyshev's
+    sum inequality), so a twice-filtered estimate reads high and can withhold
+    a verdict, never make one.  The input record is left as it was: the
+    filter runs in a copy of its samples.
+    """
+    return _bandlimited(record, B, record.samples.copy())
 
 
 def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
@@ -356,9 +366,14 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
     """The shared entry point: band-limit, demodulate, estimate.
 
     Applied identically to every record; nothing in this path inspects the
-    record's provenance tag.
+    record's provenance tag.  The record is consumed: its samples are
+    band-limited in their own buffer, unless that buffer is read-only, when
+    a copy is filtered instead.  Use bandlimit to keep a record's samples.
     """
-    processed = bandlimit(record, config.bandwidth)
+    samples = record.samples
+    if not samples.flags.writeable:
+        samples = samples.copy()
+    processed = _bandlimited(record, config.bandwidth, samples)
     processed = demodulate(processed, config.demod_frequency)
     return estimate_covariance(processed, config)
 
@@ -380,18 +395,25 @@ def _checked_couplings(g_values) -> list[float]:
     return g_values
 
 
-def _cell_witness(A, D, kappa, T, B, runs, segments_per_record, seed) -> WitnessReport:
-    """Ensemble witness of one (T, B) cell over `runs` fresh records of
-    segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)) and
-    carrying the mode linewidth kappa, which calibrates the band-limit filter.
-    PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long.
-    No bootstrap: the ensemble witness reads only each record's V_hat.
-    Records are drawn one at a time and map lets go of each once it is
-    estimated, so one record is alive however many runs the cell has."""
+def _cell_plan(T, B, segments_per_record, seed=0):
+    """(PipelineConfig, TrajectoryConfig) of one (T, B) cell's records:
+    segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)), with
+    no bootstrap.  PipelineConfig's T * B >= 1 leaves every segment >= 8
+    samples long, and TrajectoryConfig refuses a record numpy cannot hold."""
     pconf = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0)
     dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
     m = int(round(pconf.integration_time / dt))
-    cfg = TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
+    return pconf, TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
+
+
+def _cell_witness(A, D, kappa, T, B, runs, segments_per_record, seed) -> WitnessReport:
+    """Ensemble witness of one (T, B) cell over `runs` fresh records of
+    _cell_plan, each carrying the mode linewidth kappa, which calibrates the
+    band-limit filter.  The ensemble witness reads only each record's V_hat.
+    Records are drawn one at a time and map lets go of each once it is
+    estimated, which consumes it, so one record is alive however many runs
+    the cell has."""
+    pconf, cfg = _cell_plan(T, B, segments_per_record, seed)
     records = _ensemble(A, D, cfg, runs, meta={"kappa": kappa})
     return witness_with_uncertainty(map(partial(analyze_record, config=pconf), records))
 
@@ -421,6 +443,8 @@ def convergence_sweep(
     cells = _checked_cells(cells)
     if len({T * B for T, B in cells}) < 2:
         raise ValidationError("convergence sweep needs cells at >= 2 distinct N_eff = T * B")
+    for T, B in cells:
+        _cell_plan(T, B, segments_per_record)
     rows = []
     for i, (T, B) in enumerate(cells):
         rep = _cell_witness(
@@ -467,6 +491,8 @@ def crossing_scan(
     cells = _checked_cells(cells)
     runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
     segments_per_record = count(segments_per_record, "segments_per_record", at_least=2)
+    for T, B in cells:
+        _cell_plan(T, B, segments_per_record)
     rows = []
     for ci, (T, B) in enumerate(cells):
         means, errs = [], []

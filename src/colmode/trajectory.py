@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
 
 from ._fields import ConfigFields, count, real
 from .errors import StepTooLargeError, ValidationError
@@ -50,6 +49,9 @@ _BLOCK = 16
 _PRODUCT_ROWS = 256
 # rows of normals drawn and transformed at a time
 _DRAW_ROWS = 4096
+# the longest path whose buffer, padded to whole blocks, numpy can size: the
+# widest buffer is null model A's, six float64 streams
+_MAX_PATH_ROWS = (np.iinfo(np.intp).max // (6 * 8)) // _BLOCK * _BLOCK
 
 
 class Scheme(str, enum.Enum):
@@ -102,6 +104,12 @@ class TrajectoryConfig(ConfigFields):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "master_seed", count(self.master_seed, "master_seed"))
         object.__setattr__(self, "burn_in", count(self.burn_in, "burn_in", at_least=0))
+        rows = self.burn_in + self.n_steps
+        if rows > _MAX_PATH_ROWS:
+            raise ValidationError(
+                f"n_steps + burn_in must be <= {_MAX_PATH_ROWS}, the most rows numpy can "
+                f"hold in a sampler's buffer, got {rows}"
+            )
 
 
 @dataclass
@@ -219,11 +227,15 @@ def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = x.reshape(nb, b * n)
     _block_product(y, _block_toeplitz(powers[:b]))
     if nb > 1:
-        carried = np.zeros((_whole_blocks(nb - 1), n))
-        carried[: nb - 1] = y[:-1, -n:]
-        carried = _linear_recurrence(powers[b], carried)[: nb - 1]
-        # y[1:] += carried @ [F^1 .. F^b]^T, accumulated in place: y[1:].T is column-major
-        dgemm(1.0, np.vstack(powers[1:]), carried.T, beta=1.0, c=y[1:].T, overwrite_c=True)
+        rows = nb - 1
+        # a zero row past the end: a lone carried state joins it in a two-row product
+        carried = np.zeros((_whole_blocks(rows) + 1, n))
+        carried[:rows] = y[:-1, -n:]
+        _linear_recurrence(powers[b], carried[:-1])
+        # y[1:] += carried @ [F^1 .. F^b]^T, _PRODUCT_ROWS rows at a time
+        response = np.vstack(powers[1:]).T
+        for start, stop in _row_ranges(max(rows, 2), _PRODUCT_ROWS):
+            y[1 + start : 1 + stop] += (carried[start:stop] @ response)[: rows - start]
     return x
 
 

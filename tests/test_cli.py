@@ -1034,6 +1034,40 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", None), ("converge", None), ("converge", "crossing"),
+    ])
+    def test_record_beyond_numpy_array_size_exits_2(self, tmp_path, capsys, command, section):
+        """A record of 1e18 simulate steps, or of a converge cell at T 1e18,
+        has more bytes than numpy can size at all.  It is refused from its
+        config, before any allocation is tried: one error line, exit 2, no
+        file written, and no record-sized memory traced."""
+        if command == "simulate":
+            cfg = small_simulate_config(ensemble=1, null_trio=True)
+            cfg["trajectory"]["n_steps"] = 10**18
+        else:
+            cfg = {
+                "params": {"G": 0.25, "kappa_a": 1.0, "kappa_b": 1.0, "n_a": 0.0, "n_b": 0.0},
+                "cells": [{"T": 1e18, "B": 1.0}, {"T": 2.0, "B": 1.0}],
+                "runs_per_cell": 2,
+            }
+            if section:
+                cfg["cells"][0]["T"] = 4.0
+                cfg["crossing"] = {"n": 0.5, "g_values": [0.1, 0.2], "runs_per_cell": 2,
+                                   "cells": [{"T": 1e18, "B": 1.0}]}
+        out = tmp_path / "out"
+        args = [command, "-c", write_config(tmp_path, "c.json", cfg), "--out-dir", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: n_steps + burn_in must be <= ")
+        assert not any(out.iterdir())
+        assert peak < 2**20
+
     def test_non_integer_threads_env_is_validation_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COLMODE_THREADS", "two")
         cfg_path = write_config(tmp_path, "pd.json", {

@@ -145,6 +145,38 @@ class TestSharedNoise:
         r2 = gen_shared_noise(spec_a(), TrajectoryConfig(dt=0.1, n_steps=500))
         assert np.array_equal(r1.samples, r2.samples)
 
+    @staticmethod
+    def _fourth_array_mix(spec, config, kappa):
+        """Null A's samples as they were mixed into a fourth array next to
+        the six streams: the in-place mix's bit-for-bit reference."""
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        total = config.burn_in + config.n_steps
+        gamma = 2.0 * math.pi * spec.target_bandwidth
+        cl = null_models._streams([gamma] * 6, [1.0] * 6, total, rng, config.dt)
+        w_s, w_u = math.sqrt(spec.correlation), math.sqrt(1.0 - spec.correlation)
+        amp = math.sqrt(spec.target_power)
+        samples = np.empty((total, 4))
+        for j, shared, local in ((0, 0, 1), (2, 0, 2), (1, 3, 4), (3, 3, 5)):
+            out = np.multiply(cl[:, shared], w_s, out=samples[:, j])
+            cl[:, local] *= w_u
+            out += cl[:, local]
+            out *= amp
+        samples += null_models._streams([kappa / 2.0] * 4, [0.5] * 4, total, rng, config.dt)
+        return samples[config.burn_in :]
+
+    # lengths around one block, one mix chunk (4096 rows) and a one-row last chunk
+    @pytest.mark.parametrize("n_steps, burn_in", [
+        (1, 0), (2, 0), (16, 1), (17, 0), (4096, 0), (4097, 0), (4095, 2), (20_000, 500),
+    ])
+    def test_in_place_mix_equals_fourth_array_bit_for_bit(self, n_steps, burn_in):
+        """The channels are mixed into the streams' own buffer, which keeps
+        exactly the record's rows, in C order, after the mix."""
+        cfg = TrajectoryConfig(dt=0.05, n_steps=n_steps, burn_in=burn_in)
+        rec = gen_shared_noise(spec_a(), cfg, kappa=1.3)
+        assert np.array_equal(rec.samples, self._fourth_array_mix(spec_a(), cfg, 1.3))
+        assert rec.samples.flags.c_contiguous
+        assert rec.samples.base.shape == (n_steps + burn_in, 4)
+
 
 class TestClassicalParamp:
     CFG = TrajectoryConfig(dt=0.05, n_steps=60_000, master_seed=0)
@@ -324,12 +356,13 @@ class TestWorkingSet:
     ])
     def test_generator_holds_at_most_two_and_a_half_records(self, generate, kind):
         """The classical streams are freed before the vacuum streams are
-        drawn, and the vacuum is added in place: null A peaks at 2.50 records
-        while its six streams are mixed, B and C at 2.12 (4.73, 3.23 and 3.73
-        when the streams were held and summed into a third array)."""
+        drawn, and the vacuum is added in place: null A mixes its six streams
+        into their own buffer and peaks at 2.16 records, B and C at 2.12
+        (4.73, 3.23 and 3.73 when the streams were held and summed into a
+        third array; 2.50 for null A when it mixed into a fourth)."""
         spec = matched_null_specs(closed_form_covariance(0.25, 1.0, 0.0), seed=3)[kind]
         cfg = TrajectoryConfig(dt=0.05, n_steps=RECORD_STEPS, master_seed=0)
         peak, out = traced_peak_records(generate, spec, cfg)
         record = out[0] if isinstance(out, tuple) else out
         assert record.n_steps == RECORD_STEPS
-        assert peak <= 2.6
+        assert peak <= 2.2

@@ -102,6 +102,38 @@ def gathered_estimate(record, config):
     return V_hat, stderr, float(_nu_minus(boot).std(ddof=1)), float(_duan_sum(boot).std(ddof=1))
 
 
+FILTER_SHAPES = [
+    (40, 0.95, 39),  # padding as long as the record allows
+    (5000, 0.087, 6),  # small a: B at the Nyquist limit, the minimum padding
+    (5000, 0.6, 20),
+    (5000, 0.9995, 4999),  # a near 1: the padding spans the record
+    (1, 0.5, 0),
+]
+
+
+def channel_major_lowpass(x, a, padlen):
+    """The zero-phase filter as it ran before it filtered in place: the whole
+    odd-extended record in one C-ordered (4, n + 2 padlen) buffer, solved as
+    four right-hand sides by one dpttrs call, returned as a channel-major
+    view of that buffer.  The in-place filter's bit-for-bit reference."""
+    b0 = 1.0 - a
+    zi = a * b0 / (1.0 - a)
+    n = x.shape[0]
+    ext = np.empty((x.shape[1], n + 2 * padlen))
+    xt = x.T
+    np.subtract(2 * xt[:, :1], xt[:, padlen:0:-1], out=ext[:, :padlen])
+    ext[:, padlen : padlen + n] = xt
+    np.subtract(2 * xt[:, -1:], xt[:, -2 : -(padlen + 2) : -1], out=ext[:, padlen + n :])
+    first = zi * ext[:, 0]
+    ext *= b0
+    ext[:, 0] += first
+    d = np.ones(ext.shape[1])
+    d[-1] = b0 / (zi + b0)
+    e = np.full(max(ext.shape[1] - 1, 1), -a)
+    y = dpttrs(d, e, ext.T, overwrite_b=True)[0][padlen : padlen + n]
+    return np.multiply(y, b0, out=y)
+
+
 def filter_power_ratio(a: float, passes: int = 2, n_grid: int = 200_001) -> float:
     """Quadrature oracle: variance transfer of the filter on white noise."""
     w = np.linspace(0.0, math.pi, n_grid)
@@ -149,33 +181,48 @@ class TestBandlimit:
         rec = white_record(n_steps=777)
         assert bandlimit(rec, 0.3).n_steps == 777
 
-    @pytest.mark.parametrize("n, a, padlen", [
-        (40, 0.95, 39),  # padding as long as the record allows
-        (5000, 0.087, 6),  # small a: B at the Nyquist limit, the minimum padding
-        (5000, 0.6, 20),
-        (5000, 0.9995, 4999),  # a near 1: the padding spans the record
-        (1, 0.5, 0),
-    ])
+    @pytest.mark.parametrize("n, a, padlen", FILTER_SHAPES)
     def test_zero_phase_filter_matches_filtfilt(self, n, a, padlen):
         x = np.random.default_rng(n).standard_normal((n, 4))
         want = filtfilt([1.0 - a], [1.0, -a], x, axis=0, padlen=padlen)
         got = pipeline_mod._zero_phase_lowpass(x, a, padlen)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_filter_solves_its_padded_buffer_in_place(self, monkeypatch):
-        """The output is a view of the buffer LAPACK was handed: the wrapper
-        made no hidden copy of the extended record."""
-        handed = []
+    def test_filter_solves_one_contiguous_channel_in_place(self, monkeypatch):
+        """LAPACK is handed one contiguous padded channel at a time and solves
+        it in that buffer, and the result lands in the input's own buffer."""
+        handed, solved = [], []
 
         def recording_dpttrs(d, e, b, **kwargs):
-            handed.append(b)
-            return dpttrs(d, e, b, **kwargs)
+            handed.append((b.shape, b.flags.c_contiguous))
+            out = dpttrs(d, e, b, **kwargs)
+            solved.append(np.shares_memory(out[0], b))
+            return out
 
         monkeypatch.setattr(pipeline_mod, "dpttrs", recording_dpttrs)
         x = np.random.default_rng(5).standard_normal((3000, 4))
+        want = filtfilt([0.1], [1.0, -0.9], x, axis=0, padlen=40)
         got = pipeline_mod._zero_phase_lowpass(x, 0.9, 40)
-        assert np.shares_memory(got, handed[0])
-        assert handed[0].shape == (3000 + 2 * 40, 4) and handed[0].flags.f_contiguous
+        assert got is x
+        assert handed == [((3000 + 2 * 40,), True)] * 4 and all(solved)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, a, padlen", FILTER_SHAPES)
+    @pytest.mark.parametrize("layout", ["C", "F", "row_stride", "column_stride"])
+    def test_in_place_filter_equals_channel_major_filter_bit_for_bit(self, n, a, padlen, layout):
+        """Filtering one channel at a time in the input's buffer gives the
+        numbers of the whole-record channel-major filter exactly."""
+        x = np.random.default_rng(n).standard_normal((n, 4))
+        want = channel_major_lowpass(x, a, padlen)
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "row_stride":
+            x = np.repeat(x, 2, axis=0)[::2]
+        elif layout == "column_stride":
+            x = np.repeat(x, 2, axis=1)[:, ::2]
+        got = pipeline_mod._zero_phase_lowpass(x, a, padlen)
+        assert got is x
+        assert np.array_equal(got, want)
 
     def test_short_record_is_padded_by_its_length(self):
         rec = white_record(n_steps=50, dt=0.1)
@@ -185,15 +232,44 @@ class TestBandlimit:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("B", [0.05, 1.0, 4.9])
-    def test_bandlimited_record_is_channel_major_filtfilt(self, B):
-        """bandlimit scales LAPACK's solution in place and keeps its layout."""
+    def test_bandlimited_record_is_filtfilt_in_a_row_major_copy(self, B):
+        """bandlimit filters a copy of the samples, which keeps the record's
+        row-major layout, and leaves the input's samples as they were."""
         rec = white_record(n_steps=3000, dt=0.1)
+        before = rec.samples.copy()
         a = filter_pole_coefficient(B, rec.dt)
         padlen = int(min(rec.n_steps - 1, max(6, 10.0 * (-1.0 / math.log(a)))))  # bandlimit's
         want = filtfilt([1.0 - a], [1.0, -a], rec.samples, axis=0, padlen=padlen)
         got = bandlimit(rec, B).samples
-        assert got.strides[0] == got.itemsize
+        assert got.flags.c_contiguous and not np.shares_memory(got, rec.samples)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(rec.samples, before)
+
+    def test_analyze_record_band_limits_its_record_in_place(self):
+        """analyze_record consumes its record: the samples become the
+        band-limited samples, in their own buffer."""
+        rec = quantum_record(n_steps=5000, seed=8)
+        pc = PipelineConfig(bandwidth=1.0, integration_time=10.0, bootstrap_resamples=20)
+        buffer = rec.samples
+        want = bandlimit(rec, 1.0).samples
+        est = analyze_record(rec, pc)
+        assert rec.samples is buffer and np.array_equal(buffer, want)
+        fresh = quantum_record(n_steps=5000, seed=8)
+        assert np.array_equal(estimate_covariance(bandlimit(fresh, 1.0), pc).V_hat, est.V_hat)
+
+    def test_analyze_record_copies_read_only_samples(self):
+        """A read-only buffer is filtered in a copy and keeps its samples,
+        with the estimate of a writable one."""
+        rec = quantum_record(n_steps=5000, seed=9)
+        pc = PipelineConfig(bandwidth=1.0, integration_time=10.0, bootstrap_resamples=20)
+        before = rec.samples.copy()
+        rec.samples.flags.writeable = False
+        est = analyze_record(rec, pc)
+        assert np.array_equal(rec.samples, before)
+        want = analyze_record(quantum_record(n_steps=5000, seed=9), pc)
+        for w, g in ((want.V_hat, est.V_hat), (want.stderr, est.stderr)):
+            assert np.array_equal(w, g)
+        assert (est.stderr_nu, est.stderr_duan) == (want.stderr_nu, want.stderr_duan)
 
     @pytest.mark.parametrize("dt", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1])
     def test_vacuum_transfer_matches_exact_rational_arithmetic(self, dt):
@@ -507,19 +583,21 @@ class TestWitnessEnsemble:
 
 
 class TestWorkingSet:
-    def test_analyze_record_adds_one_and_a_half_records(self):
-        """The filter's padded buffer becomes the filtered record, and its
-        tridiagonal factors add half a record: 1.51 records beyond the input,
-        where LAPACK's hidden copy of the buffer made it 2.51."""
+    def test_analyze_record_adds_three_quarters_of_a_record(self):
+        """The record is filtered in its own buffer, one channel at a time:
+        the padded channel and the tridiagonal factors d and e add 0.75
+        records beyond the input, where a padded copy of the whole record
+        made it 1.51."""
         rec = quantum_record(n_steps=RECORD_STEPS, dt=0.01)
         pc = PipelineConfig(bandwidth=1.0, integration_time=10.0, bootstrap_resamples=200)
         peak, est = traced_peak_records(analyze_record, rec, pc)
         assert est.n_segments == 100
-        assert peak <= 1.6
+        assert peak <= 0.8
 
     def test_one_cell_holds_a_record_and_its_analysis(self):
         """One record of the cell at a time (1.13 records while it is drawn),
-        then its analysis (1.51 more): 2.51 in all, where it was 4.52."""
+        then its analysis (0.75 more): 1.76 in all, where it was 2.51 with a
+        padded copy of each record and 4.52 before that."""
         A, D = closed_form_dynamics(0.25, 1.0, 0.0)
         T, B, segments = 400.0, 0.08, 24  # dt 0.1: records of 96,000 steps
         steps = segments * int(round(T / 0.1))
@@ -527,7 +605,7 @@ class TestWorkingSet:
             pipeline_mod._cell_witness, A, D, 1.0, T, B, 3, segments, 8, steps=steps
         )
         assert math.isfinite(rep.stderr_nu)
-        assert peak <= 2.6
+        assert peak <= 1.8
 
 
 class TestPipelineIdentity:
