@@ -673,10 +673,10 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
     for path in record_paths:
         fname = Path(path).name
         record = load_record(path)
-        est = analyze_record(record, pconf)
-        rep = witness_from_estimate(est)
         if "kappa" not in record.meta:
             factors["default_kappa"].append(fname)
+        est = analyze_record(record, pconf)
+        rep = witness_from_estimate(est)
         del record  # let go before the next file is read: one record at a time
         factors["per_file"][fname] = {"calibration": est.calibration}
         rows.append(

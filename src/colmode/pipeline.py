@@ -14,15 +14,14 @@ matters because null-model records mix classical and vacuum correlation
 times, and two-mode-squeezed records relax at two rates; segment-level
 bootstrap resampling supplies the uncertainties, with each segment of
 length T at bandwidth B carrying N_eff = T * B effective samples; one
-bootstrap draw per record gives both the entry-wise and the witness
-standard errors.  Singular estimates are refused, never scored: see
-witness_from_estimate.
+bootstrap draw per record gives both witness standard errors.  Singular
+estimates are refused, never scored: see witness_from_estimate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -37,7 +36,9 @@ from .errors import (
 )
 from .entanglement import WitnessReport, _checked_witnesses, _duan_sum, _nu_minus, make_report
 from .gaussian_core import closed_form_dynamics, symmetrize
-from .trajectory import TrajectoryConfig, TrajectoryRecord, _ensemble, derive_stream_seed
+from .trajectory import (
+    _MAX_PATH_ROWS, TrajectoryConfig, TrajectoryRecord, _ensemble, derive_stream_seed,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -98,20 +99,19 @@ class PipelineConfig(ConfigFields):
 
 @dataclass
 class EstimatedCovariance:
-    """Empirical covariance with segment-bootstrap standard errors.
+    """Empirical covariance with segment-bootstrap witness standard errors.
 
-    stderr_nu and stderr_duan come from the same replicates as stderr (NaN
-    if one has no real PT root; all of them are NaN with fewer than two
-    replicates).  calibration is the accumulated vacuum-reference transfer
-    of any applied band-limit filters, already divided out of V_hat and
-    stderr, and reported, never hidden.  source is the record's provenance
-    tag, which only groups the outputs.
+    stderr_nu and stderr_duan come from the same replicates (NaN if one has
+    no real PT root; both are NaN with fewer than two replicates).
+    calibration is the accumulated vacuum-reference transfer of any applied
+    band-limit filters, already divided out of V_hat and the replicates, and
+    reported, never hidden.  source is the record's provenance tag, which
+    only groups the outputs.
     """
 
     V_hat: np.ndarray
     n_segments: int
     n_eff: float
-    stderr: np.ndarray
     stderr_nu: float
     stderr_duan: float
     calibration: float
@@ -204,9 +204,10 @@ def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
     return x
 
 
-def _bandlimited(record: TrajectoryRecord, B: float, samples: np.ndarray) -> TrajectoryRecord:
-    """bandlimit's record, filtered in samples, a writable buffer holding
-    record.samples, which it overwrites."""
+def _bandlimit_in_place(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
+    """bandlimit's filter run in record's own samples, a writable buffer, with
+    the pass entered in record's own meta; returns record.  B and every meta
+    field the pass reads are checked before a sample is touched."""
     B = real(B, "bandwidth", above=0.0)
     nyquist = 1.0 / (2.0 * record.dt)
     if B > nyquist:
@@ -219,15 +220,12 @@ def _bandlimited(record: TrajectoryRecord, B: float, samples: np.ndarray) -> Tra
     n = record.n_steps
     tau = -1.0 / math.log(a)
     padlen = int(min(n - 1, max(6, 10.0 * tau)))
-    meta = dict(record.meta)
-    meta["bandlimit"] = _record_bands(record) + [B]
-    meta["bandlimit_cal"] = _record_calibration(record) * vacuum_transfer(
-        B, record.dt, _record_kappa(record)
-    )
-    filtered = _zero_phase_lowpass(samples, a, padlen)
-    return TrajectoryRecord(
-        samples=filtered, dt=record.dt, source=record.source, seed=record.seed, meta=meta
-    )
+    bands = _record_bands(record) + [B]
+    cal = _record_calibration(record) * vacuum_transfer(B, record.dt, _record_kappa(record))
+    _zero_phase_lowpass(record.samples, a, padlen)
+    record.meta["bandlimit"] = bands
+    record.meta["bandlimit_cal"] = cal
+    return record
 
 
 def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
@@ -239,9 +237,9 @@ def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     of transfers is a lower bound (each |H|^4 falls with frequency; Chebyshev's
     sum inequality), so a twice-filtered estimate reads high and can withhold
     a verdict, never make one.  The input record is left as it was: the
-    filter runs in a copy of its samples.
+    filter runs in a copy of the record.
     """
-    return _bandlimited(record, B, record.samples.copy())
+    return _bandlimit_in_place(replace(record, samples=record.samples.copy()), B)
 
 
 def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
@@ -262,11 +260,7 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     out[:, 1] = s * X[:, 0] + c * X[:, 1]
     out[:, 2] = c * X[:, 2] - s * X[:, 3]
     out[:, 3] = s * X[:, 2] + c * X[:, 3]
-    meta = dict(record.meta)
-    meta["demod"] = demod + f0
-    return TrajectoryRecord(
-        samples=out, dt=record.dt, source=record.source, seed=record.seed, meta=meta
-    )
+    return replace(record, samples=out, meta=dict(record.meta, demod=demod + f0))
 
 
 def _mean_of_moments(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -293,7 +287,7 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     non-overlapping segment views of length T = config.integration_time, each
     giving one second-moment matrix.  Their mean is the covariance estimate,
     and each segment-level bootstrap replicate is the same sum over its draws,
-    whose spread gives the per-entry and the witness standard errors.
+    whose spread gives the witness standard errors.
     Replicates are summed draw by draw, so the bootstrap holds no
     (resamples, n_seg, 4, 4) array.  N_eff = T * B is reported alongside.
     """
@@ -316,21 +310,17 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
             np.random.PCG64(derive_stream_seed(record.seed, _BOOT_STREAM))
         )
         idx = rng.integers(0, n_seg, size=(resamples, n_seg))
-        boot = _mean_of_moments(stats, idx) / cal
-        stderr = boot.std(axis=0, ddof=1)
-        boot = symmetrize(boot)
+        boot = symmetrize(_mean_of_moments(stats, idx) / cal)
         stderr_nu = float(_nu_minus(boot).std(ddof=1))
         stderr_duan = float(_duan_sum(boot).std(ddof=1))
     else:
         # fewer than two replicates have no spread: no standard error, no verdict
-        stderr = np.full((4, 4), np.nan)
         stderr_nu = stderr_duan = math.nan
 
     return EstimatedCovariance(
         V_hat=V_hat,
         n_segments=int(n_seg),
         n_eff=config.integration_time * config.bandwidth,
-        stderr=stderr,
         stderr_nu=stderr_nu,
         stderr_duan=stderr_duan,
         calibration=cal,
@@ -367,15 +357,14 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
 
     Applied identically to every record; nothing in this path inspects the
     record's provenance tag.  The record is consumed: its samples are
-    band-limited in their own buffer, unless that buffer is read-only, when
-    a copy is filtered instead.  Use bandlimit to keep a record's samples.
+    band-limited in their own buffer and the pass is entered in its meta,
+    unless the buffer is read-only, when a copy of the record is filtered
+    instead.  Use bandlimit to keep a record as it is.
     """
-    samples = record.samples
-    if not samples.flags.writeable:
-        samples = samples.copy()
-    processed = _bandlimited(record, config.bandwidth, samples)
-    processed = demodulate(processed, config.demod_frequency)
-    return estimate_covariance(processed, config)
+    if not record.samples.flags.writeable:
+        record = replace(record, samples=record.samples.copy())
+    record = _bandlimit_in_place(record, config.bandwidth)
+    return estimate_covariance(demodulate(record, config.demod_frequency), config)
 
 
 def _checked_cells(cells) -> list[tuple[float, float]]:
@@ -399,10 +388,16 @@ def _cell_plan(T, B, segments_per_record, seed=0):
     """(PipelineConfig, TrajectoryConfig) of one (T, B) cell's records:
     segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)), with
     no bootstrap.  PipelineConfig's T * B >= 1 leaves every segment >= 8
-    samples long, and TrajectoryConfig refuses a record numpy cannot hold."""
+    samples long.  A cell whose records numpy cannot hold is refused by its
+    own fields, not by TrajectoryConfig's, which a cell does not have."""
     pconf = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0)
     dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
     m = int(round(pconf.integration_time / dt))
+    if segments_per_record * m > _MAX_PATH_ROWS:
+        raise ValidationError(
+            f"cells need records of at most {_MAX_PATH_ROWS} samples, the most numpy can hold, "
+            f"got T {T!r} and B {B!r} at segments_per_record {segments_per_record}"
+        )
     return pconf, TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
 
 

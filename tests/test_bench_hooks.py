@@ -1,16 +1,27 @@
 """bench/child.py traces colmode functions by name and reads their arguments
-by name; a rename in colmode would silently zero its per-layer metrics.
-These checks read bench/child.py as it stands and run no benchmark."""
+by name; a rename in colmode, or a call that bypasses a traced function, would
+silently zero its per-layer metrics.  These checks read bench/child.py as it
+stands, and run it on one small command; they run no benchmark."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+from colmode.cli import save_record
+from colmode.gaussian_core import closed_form_dynamics
+from colmode.trajectory import TrajectoryConfig, sample_exact_ou
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "bench" / "child.py"
 
 
 def _load_child():
@@ -63,3 +74,37 @@ def test_the_argument_reads_are_found():
     assert ("path", 0) in READS[hooks["cli.write_csv"]]
     assert ("path", 0) in READS[hooks["cli.sha256_file"]]
     assert {("out_dir", 0), ("name", 1)} <= set(READS[hooks["cli.finish_manifest"]])
+
+
+def test_traced_analyze_spans_each_pipeline_layer_once_per_record(tmp_path):
+    """bench/child.py, run traced in its own interpreter on a two-record
+    analyze, records one span of each per-record pipeline layer per record."""
+    A, D = closed_form_dynamics(0.25, 1.0, 0.0)
+    paths = []
+    for seed in (1, 2):
+        cfg = TrajectoryConfig(dt=0.05, n_steps=4000, master_seed=seed)
+        record = sample_exact_ou(A, D, cfg, meta={"kappa": 1.0})
+        paths.append(str(save_record(record, tmp_path / f"r{seed}", "npy", "m.json")[0]))
+    config = tmp_path / "analyze.json"
+    config.write_text(json.dumps({"pipeline": {
+        "bandwidth": 1.0, "integration_time": 10.0, "bootstrap_resamples": 20}}))
+    result = tmp_path / "result.json"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "argv": ["analyze", *paths, "-c", str(config), "--out-dir", str(tmp_path / "out")],
+        "trace": True,
+        "result": str(result),
+    }))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("COLMODE_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, str(CHILD), str(spec)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(result.read_text())
+    assert report["rc"] == 0
+    assert Path(report["colmode_file"]).resolve().parent == (ROOT / "src" / "colmode").resolve()
+    spans = collections.Counter(name for name, *_ in report["spans"])
+    for name in ("pipeline.analyze_record", "pipeline.estimate_covariance",
+                 "pipeline.witness_from_estimate"):
+        assert spans[name] == 2, (name, spans)

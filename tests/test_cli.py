@@ -1041,7 +1041,8 @@ class TestExitCodes:
         """A record of 1e18 simulate steps, or of a converge cell at T 1e18,
         has more bytes than numpy can size at all.  It is refused from its
         config, before any allocation is tried: one error line, exit 2, no
-        file written, and no record-sized memory traced."""
+        file written, and no record-sized memory traced.  A converge cell is
+        named by its own fields, within its section."""
         if command == "simulate":
             cfg = small_simulate_config(ensemble=1, null_trio=True)
             cfg["trajectory"]["n_steps"] = 10**18
@@ -1064,7 +1065,12 @@ class TestExitCodes:
         finally:
             tracemalloc.stop()
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: n_steps + burn_in must be <= ")
+        if command == "simulate":
+            assert len(err) == 1 and err[0].startswith("error: n_steps + burn_in must be <= ")
+        else:
+            field = f"{section}.cells" if section else "cells"
+            assert len(err) == 1 and err[0].startswith(f"error: {field} need records of at most ")
+            assert "T 1e+18 and B 1.0 at segments_per_record 24" in err[0]
         assert not any(out.iterdir())
         assert peak < 2**20
 

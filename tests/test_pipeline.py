@@ -245,29 +245,59 @@ class TestBandlimit:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(rec.samples, before)
 
-    def test_analyze_record_band_limits_its_record_in_place(self):
-        """analyze_record consumes its record: the samples become the
-        band-limited samples, in their own buffer."""
+    def test_analyze_record_band_limits_its_record_in_place(self, monkeypatch):
+        """analyze_record consumes its record and builds no other: the samples
+        become the band-limited samples, in their own buffer, and the pass is
+        entered in the record's own meta, which ends as bandlimit's record's
+        meta.  bandlimit leaves its own input's meta as it was."""
         rec = quantum_record(n_steps=5000, seed=8)
         pc = PipelineConfig(bandwidth=1.0, integration_time=10.0, bootstrap_resamples=20)
-        buffer = rec.samples
+        buffer, meta = rec.samples, dict(rec.meta)
         want = bandlimit(rec, 1.0)
+        assert rec.meta == meta and "bandlimit" not in meta
+        built = []
+        post_init = TrajectoryRecord.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(TrajectoryRecord, "__post_init__", counting_post_init)
         est = analyze_record(rec, pc)
+        assert built == []
         assert rec.samples is buffer and np.array_equal(buffer, want.samples)
+        assert rec.meta == want.meta and rec.meta["bandlimit"] == [1.0]
         assert np.array_equal(estimate_covariance(want, pc).V_hat, est.V_hat)
 
+    @pytest.mark.parametrize("meta, B", [
+        ({"bandlimit": "x"}, 1.0),
+        ({"bandlimit_cal": 0.0}, 1.0),
+        ({"kappa": "q"}, 1.0),
+        ({}, 10.5),  # above the Nyquist limit 10 of dt 0.05
+    ], ids=["bandlimit", "bandlimit_cal", "kappa", "nyquist"])
+    def test_analyze_record_refuses_before_touching_its_record(self, meta, B):
+        """A malformed sidecar field, or a bandwidth the record cannot carry,
+        is refused before the in-place filter runs: samples and meta are
+        left as they were."""
+        rec = quantum_record(n_steps=2000, seed=10)
+        rec.meta.update(meta)
+        before, meta_before = rec.samples.copy(), dict(rec.meta)
+        pc = PipelineConfig(bandwidth=B, integration_time=10.0, bootstrap_resamples=20)
+        with pytest.raises(ValidationError):
+            analyze_record(rec, pc)
+        assert np.array_equal(rec.samples, before) and rec.meta == meta_before
+
     def test_analyze_record_copies_read_only_samples(self):
-        """A read-only buffer is filtered in a copy and keeps its samples,
-        with the estimate of a writable one."""
+        """A read-only buffer is filtered in a copy of the record, which keeps
+        its samples and its meta, with the estimate of a writable one."""
         rec = quantum_record(n_steps=5000, seed=9)
         pc = PipelineConfig(bandwidth=1.0, integration_time=10.0, bootstrap_resamples=20)
-        before = rec.samples.copy()
+        before, meta = rec.samples.copy(), dict(rec.meta)
         rec.samples.flags.writeable = False
         est = analyze_record(rec, pc)
-        assert np.array_equal(rec.samples, before)
+        assert np.array_equal(rec.samples, before) and rec.meta == meta
         want = analyze_record(quantum_record(n_steps=5000, seed=9), pc)
-        for w, g in ((want.V_hat, est.V_hat), (want.stderr, est.stderr)):
-            assert np.array_equal(w, g)
+        assert np.array_equal(want.V_hat, est.V_hat)
         assert (est.stderr_nu, est.stderr_duan) == (want.stderr_nu, want.stderr_duan)
 
     @pytest.mark.parametrize("dt", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1])
@@ -347,11 +377,14 @@ class TestDemodulate:
 
 class TestEstimateCovariance:
     def test_vacuum_record_recovers_vacuum(self):
+        """Entry-wise within 3 sigma of the vacuum, sigma from the oracle's
+        bootstrap of the same band-limited record."""
         rec = quantum_record(n_steps=60_000, g=0.0, seed=1)
-        est = analyze_record(rec, PipelineConfig(bandwidth=1.0, integration_time=10.0,
-                                                 bootstrap_resamples=400))
+        pc = PipelineConfig(bandwidth=1.0, integration_time=10.0, bootstrap_resamples=400)
+        _, stderr, _, _ = oracle_estimate(bandlimit(rec, pc.bandwidth), pc)
+        est = analyze_record(rec, pc)
         dev = np.abs(est.V_hat - 0.5 * np.eye(4))
-        assert np.all(dev <= 3.0 * est.stderr + 1e-12)
+        assert np.all(dev <= 3.0 * stderr + 1e-12)
 
     def test_entangled_regime_witness_significant(self):
         rec = quantum_record(n_steps=120_000, seed=2)
@@ -415,7 +448,7 @@ class TestEstimateCovariance:
 
     @staticmethod
     def _outputs(est):
-        return est.V_hat, est.stderr, est.stderr_nu, est.stderr_duan
+        return est.V_hat, est.stderr_nu, est.stderr_duan
 
     @pytest.mark.parametrize("n_seg", [5, 8, 24, 333])
     def test_second_moments_match_einsum_oracle(self, n_seg):
@@ -424,7 +457,8 @@ class TestEstimateCovariance:
         rec, pc = self._segmented(n_seg)
         est = estimate_covariance(rec, pc)
         assert est.n_segments == n_seg
-        for w, g in zip(oracle_estimate(rec, pc), self._outputs(est)):
+        V_hat, _, stderr_nu, stderr_duan = oracle_estimate(rec, pc)
+        for w, g in zip((V_hat, stderr_nu, stderr_duan), self._outputs(est)):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     @pytest.mark.parametrize("statistic", ["second_moment"])
@@ -473,8 +507,9 @@ class TestGatherFreeBootstrap:
                 rec = self._record(n_seg, seed, layout)
                 est = estimate_covariance(rec, pc)
                 assert est.n_segments == n_seg
-                got = (est.V_hat, est.stderr, est.stderr_nu, est.stderr_duan)
-                for w, g in zip(gathered_estimate(rec, pc), got):
+                V_hat, _, stderr_nu, stderr_duan = gathered_estimate(rec, pc)
+                got = (est.V_hat, est.stderr_nu, est.stderr_duan)
+                for w, g in zip((V_hat, stderr_nu, stderr_duan), got):
                     assert np.array_equal(w, g, equal_nan=True), (seed, layout)
 
     def test_peak_memory_stays_far_below_the_gather(self):
@@ -501,7 +536,7 @@ class TestWitnessSoundness:
         rec = quantum_record(n_steps=20_000)
         est = estimate_covariance(rec, PipelineConfig(bandwidth=1.0, integration_time=10.0,
                                                       bootstrap_resamples=resamples))
-        assert np.isnan(est.stderr).all()
+        assert math.isnan(est.stderr_nu) and math.isnan(est.stderr_duan)
         rep = witness_from_estimate(est)
         assert math.isnan(rep.stderr_nu) and math.isnan(rep.stderr_duan)
         assert rep.nu_minus < 0.5 and rep.duan_sum < 2.0
