@@ -67,7 +67,7 @@ from .null_models import (
 )
 from .pipeline import (
     PipelineConfig,
-    _cell_plan,
+    _cell_plans,
     _checked_cells,
     _checked_couplings,
     _segment_statistic,
@@ -87,6 +87,7 @@ from .thresholds import (
     v_min,
 )
 from .trajectory import (
+    RNG_ALGORITHM,
     Scheme,
     SourceTag,
     TrajectoryConfig,
@@ -95,8 +96,6 @@ from .trajectory import (
     sample_exact_ou,
     sample_euler_maruyama,
 )
-
-RNG_NAME = "pcg64"
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict |
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": seed,
         "threads": threads,
-        "rng": RNG_NAME,
+        "rng": RNG_ALGORITHM,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -753,8 +752,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
                 cells=_field(crossing, "cells", _cells),
                 **_ensemble_fields(crossing, 12),
             )
-            for T, B in scan["cells"]:
-                _cell_plan(T, B, scan["segments_per_record"])
+            _cell_plans(scan["cells"], scan["runs_per_cell"], scan["segments_per_record"])
     result = convergence_sweep(
         A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )

@@ -34,7 +34,7 @@ from .trajectory import (
     SourceTag,
     TrajectoryConfig,
     TrajectoryRecord,
-    _draw_paths,
+    _draw_path,
     _row_ranges,
     derive_stream_seed,
     sample_exact_ou,
@@ -116,11 +116,13 @@ def enforce_classicality(V_cl: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def _streams(rates, variances, total: int, rng, dt: float) -> np.ndarray:
-    """Stationary scalar OU streams, one column per (rate, variance) pair."""
+    """Stationary scalar OU streams, one column per (rate, variance) pair: one
+    _draw_path of the diagonal AR(1) from a steady-state R_0, a view of the
+    buffer its input was drawn into."""
     f = np.array([math.exp(-r * dt) for r in rates])
     sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
     drive = sigma * np.sqrt(np.clip(1.0 - f * f, 0.0, None))
-    return next(_draw_paths(np.diag(f), np.diag(drive), np.diag(sigma), total, [rng]))
+    return _draw_path(np.diag(f), np.diag(drive), np.diag(sigma), total, rng)
 
 
 _SOURCE = {
@@ -189,7 +191,7 @@ def gen_shared_noise(
     # the record is the first 4 * total numbers of the streams' own C-ordered
     # buffer: its row k ends before stream row k begins, so rows mixed in
     # order through a small scratch overwrite only streams already read
-    buf = cl.base  # the path buffer _draw_paths drew the streams into
+    buf = cl.base  # the path buffer _draw_path drew the streams into
     samples = buf.reshape(-1)[: 4 * total].reshape(total, 4)
     scratch = np.empty((min(total, _MIX_ROWS + 1), 4))
     for start, stop in _row_ranges(total, _MIX_ROWS):

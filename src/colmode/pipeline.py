@@ -118,22 +118,9 @@ class EstimatedCovariance:
     source: str
 
 
-def _record_kappa(record: TrajectoryRecord) -> float:
-    """The mode linewidth a record carries in its metadata, 1.0 if it has none."""
-    return real(record.meta.get("kappa", 1.0), "kappa", above=0.0)
-
-
 def _record_calibration(record: TrajectoryRecord) -> float:
     """The accumulated band-limit transfer in a record's metadata, 1.0 if none."""
     return real(record.meta.get("bandlimit_cal", 1.0), "bandlimit_cal", above=0.0)
-
-
-def _record_bands(record: TrajectoryRecord) -> list[float]:
-    """The bandwidths already applied to a record, in order."""
-    bands = record.meta.get("bandlimit", [])
-    if not isinstance(bands, list):
-        raise ValidationError(f"bandlimit must be a list of bandwidths, got {bands!r}")
-    return [real(b, "bandlimit", above=0.0) for b in bands]
 
 
 def _pole_decay(B: float, dt: float) -> float:
@@ -220,8 +207,13 @@ def _bandlimit_in_place(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     n = record.n_steps
     tau = -1.0 / math.log(a)
     padlen = int(min(n - 1, max(6, 10.0 * tau)))
-    bands = _record_bands(record) + [B]
-    cal = _record_calibration(record) * vacuum_transfer(B, record.dt, _record_kappa(record))
+    bands = record.meta.get("bandlimit", [])
+    if not isinstance(bands, list):
+        raise ValidationError(f"bandlimit must be a list of bandwidths, got {bands!r}")
+    bands = [real(b, "bandlimit", above=0.0) for b in bands] + [B]
+    cal = _record_calibration(record) * vacuum_transfer(
+        B, record.dt, real(record.meta.get("kappa", 1.0), "kappa", above=0.0)
+    )
     _zero_phase_lowpass(record.samples, a, padlen)
     record.meta["bandlimit"] = bands
     record.meta["bandlimit_cal"] = cal
@@ -359,8 +351,10 @@ def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> Estimate
     record's provenance tag.  The record is consumed: its samples are
     band-limited in their own buffer and the pass is entered in its meta,
     unless the buffer is read-only, when a copy of the record is filtered
-    instead.  Use bandlimit to keep a record as it is.
+    instead.  Use bandlimit to keep a record as it is.  Every meta field the
+    path reads is checked before a sample is touched.
     """
+    real(record.meta.get("demod", 0.0), "demod")
     if not record.samples.flags.writeable:
         record = replace(record, samples=record.samples.copy())
     record = _bandlimit_in_place(record, config.bandwidth)
@@ -384,7 +378,7 @@ def _checked_couplings(g_values) -> list[float]:
     return g_values
 
 
-def _cell_plan(T, B, segments_per_record, seed=0):
+def _cell_plan(T, B, segments_per_record):
     """(PipelineConfig, TrajectoryConfig) of one (T, B) cell's records:
     segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)), with
     no bootstrap.  PipelineConfig's T * B >= 1 leaves every segment >= 8
@@ -398,18 +392,28 @@ def _cell_plan(T, B, segments_per_record, seed=0):
             f"cells need records of at most {_MAX_PATH_ROWS} samples, the most numpy can hold, "
             f"got T {T!r} and B {B!r} at segments_per_record {segments_per_record}"
         )
-    return pconf, TrajectoryConfig(dt=dt, n_steps=segments_per_record * m, master_seed=seed)
+    return pconf, TrajectoryConfig(dt=dt, n_steps=segments_per_record * m)
 
 
-def _cell_witness(A, D, kappa, T, B, runs, segments_per_record, seed) -> WitnessReport:
-    """Ensemble witness of one (T, B) cell over `runs` fresh records of
-    _cell_plan, each carrying the mode linewidth kappa, which calibrates the
-    band-limit filter.  The ensemble witness reads only each record's V_hat.
-    Records are drawn one at a time and map lets go of each once it is
-    estimated, which consumes it, so one record is alive however many runs
-    the cell has."""
-    pconf, cfg = _cell_plan(T, B, segments_per_record, seed)
-    records = _ensemble(A, D, cfg, runs, meta={"kappa": kappa})
+def _cell_plans(cells, runs_per_cell, segments_per_record):
+    """(runs_per_cell, [_cell_plan of each cell]) of a scan: the cells, then
+    runs_per_cell and segments_per_record (each >= 2) are checked, and every
+    cell is planned once, before the scan draws its first record."""
+    cells = _checked_cells(cells)
+    runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
+    segments_per_record = count(segments_per_record, "segments_per_record", at_least=2)
+    return runs_per_cell, [_cell_plan(T, B, segments_per_record) for T, B in cells]
+
+
+def _cell_witness(A, D, kappa, plan, runs, seed) -> WitnessReport:
+    """Ensemble witness of one cell over `runs` fresh records of its
+    _cell_plan, re-seeded with seed, each carrying the mode linewidth kappa,
+    which calibrates the band-limit filter.  The ensemble witness reads only
+    each record's V_hat.  Records are drawn one at a time and map lets go of
+    each once it is estimated, which consumes it, so one record is alive
+    however many runs the cell has."""
+    pconf, cfg = plan
+    records = _ensemble(A, D, replace(cfg, master_seed=seed), runs, meta={"kappa": kappa})
     return witness_with_uncertainty(map(partial(analyze_record, config=pconf), records))
 
 
@@ -432,20 +436,16 @@ def convergence_sweep(
     more distinct N_eff values.  kappa is the mode linewidth of the dynamics
     (A, D), which every sampled record carries, as simulate's records do.
     """
-    runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
-    segments_per_record = count(segments_per_record, "segments_per_record", at_least=2)
+    runs_per_cell, plans = _cell_plans(cells, runs_per_cell, segments_per_record)
     kappa = real(kappa, "kappa", above=0.0)
-    cells = _checked_cells(cells)
-    if len({T * B for T, B in cells}) < 2:
+    if len({pconf.integration_time * pconf.bandwidth for pconf, _ in plans}) < 2:
         raise ValidationError("convergence sweep needs cells at >= 2 distinct N_eff = T * B")
-    for T, B in cells:
-        _cell_plan(T, B, segments_per_record)
     rows = []
-    for i, (T, B) in enumerate(cells):
+    for i, plan in enumerate(plans):
         rep = _cell_witness(
-            A, D, kappa, T, B, runs_per_cell, segments_per_record,
-            derive_stream_seed(master_seed, 1000 + i),
+            A, D, kappa, plan, runs_per_cell, derive_stream_seed(master_seed, 1000 + i)
         )
+        T, B = plan[0].integration_time, plan[0].bandwidth
         rows.append(
             {
                 "T": T,
@@ -483,18 +483,14 @@ def crossing_scan(
     """
     n = real(n, "n", at_least=0.0)
     g_values = _checked_couplings(g_values)
-    cells = _checked_cells(cells)
-    runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
-    segments_per_record = count(segments_per_record, "segments_per_record", at_least=2)
-    for T, B in cells:
-        _cell_plan(T, B, segments_per_record)
+    runs_per_cell, plans = _cell_plans(cells, runs_per_cell, segments_per_record)
     rows = []
-    for ci, (T, B) in enumerate(cells):
+    for ci, plan in enumerate(plans):
         means, errs = [], []
         for gi, g in enumerate(g_values):
             A, D = closed_form_dynamics(g * kappa, kappa, n)
             rep = _cell_witness(
-                A, D, kappa, T, B, runs_per_cell, segments_per_record,
+                A, D, kappa, plan, runs_per_cell,
                 derive_stream_seed(master_seed, 10000 + 100 * ci + gi),
             )
             means.append(rep.nu_minus)
@@ -506,5 +502,6 @@ def crossing_scan(
                 g_cross = g_values[j - 1] + (0.5 - means[j - 1]) / slope
                 sigma = 0.5 * (errs[j - 1] + errs[j]) / abs(slope)
                 break
+        T, B = plan[0].integration_time, plan[0].bandwidth
         rows.append({"T": T, "B": B, "g_cross": g_cross, "sigma": sigma})
     return rows

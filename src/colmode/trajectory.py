@@ -45,8 +45,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # steps per block of _linear_recurrence
 _BLOCK = 16
-# block rows of _linear_recurrence's block-Toeplitz product taken at a time
-_PRODUCT_ROWS = 256
+# block rows of _linear_recurrence's block-Toeplitz product taken at a time, and
+# _BLOCK times as many carried states, the same m n k: up to 28 block rows keep the
+# widest product (96 columns) under m n k = 262,144, where OpenBLAS may start threads
+_PRODUCT_ROWS = 27
 # rows of normals drawn and transformed at a time
 _DRAW_ROWS = 4096
 # the longest path whose buffer, padded to whole blocks, numpy can size: the
@@ -232,9 +234,9 @@ def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
         carried = np.zeros((_whole_blocks(rows) + 1, n))
         carried[:rows] = y[:-1, -n:]
         _linear_recurrence(powers[b], carried[:-1])
-        # y[1:] += carried @ [F^1 .. F^b]^T, _PRODUCT_ROWS rows at a time
+        # y[1:] += carried @ [F^1 .. F^b]^T, _BLOCK * _PRODUCT_ROWS rows at a time
         response = np.vstack(powers[1:]).T
-        for start, stop in _row_ranges(max(rows, 2), _PRODUCT_ROWS):
+        for start, stop in _row_ranges(max(rows, 2), _BLOCK * _PRODUCT_ROWS):
             y[1 + start : 1 + stop] += (carried[start:stop] @ response)[: rows - start]
     return x
 
@@ -265,29 +267,26 @@ def _path_input(Lnoise, L0, total: int, rng, r0) -> np.ndarray:
     return x
 
 
-def _draw_paths(F, Lnoise, L0, total: int, rngs, r0=None):
-    """For each rng, yield total samples of R_{k+1} = F R_k + Lnoise z_k from
-    R_0 = r0, else L0 z (the origin if L0 is None); R_0's normals are drawn
-    from rng first.  Each path's samples are a view of the buffer its input
-    was drawn into, which the recurrence overwrites, and no name here holds
-    it once it is yielded: a consumer that lets go of each path frees its
-    buffer before the next path allocates one.  This is the one AR(1) stream
-    of every sampler."""
-    for rng in rngs:
-        yield _linear_recurrence(F, _path_input(Lnoise, L0, total, rng, r0))[:total]
+def _draw_path(F, Lnoise, L0, total: int, rng, r0=None) -> np.ndarray:
+    """total samples of R_{k+1} = F R_k + Lnoise z_k from R_0 = r0, else L0 z
+    (the origin if L0 is None); R_0's normals are drawn from rng first.  The
+    samples are a view of the buffer the input was drawn into, which the
+    recurrence overwrites.  This is the one AR(1) stream of every sampler."""
+    return _linear_recurrence(F, _path_input(Lnoise, L0, total, rng, r0))[:total]
 
 
 def _records(F, Lnoise, L0, config, scheme, source, meta, members, r0=None):
-    """Yield one record of _draw_paths per (seed, extra meta) member, burn-in
-    dropped.  Nothing here refers to a record once it is yielded, so a consumer
-    that lets go of each record holds one at a time."""
+    """Yield one record of a _draw_path per (seed, extra meta) member, burn-in
+    dropped.  Each path is drawn inside the yield expression, so no name here
+    holds a path or its record once it is yielded: a consumer that lets go of
+    each record frees its buffer before the next path allocates one."""
     total = config.burn_in + config.n_steps
     base = {"scheme": scheme.value, "burn_in": config.burn_in, **(meta or {})}
-    rngs = (np.random.Generator(np.random.PCG64(seed)) for seed, _ in members)
-    paths = _draw_paths(F, Lnoise, L0, total, rngs, r0)
     for seed, extra in members:
+        rng = np.random.Generator(np.random.PCG64(seed))
         yield TrajectoryRecord(
-            next(paths)[config.burn_in :], config.dt, source, seed, {**base, **extra}
+            _draw_path(F, Lnoise, L0, total, rng, r0)[config.burn_in :],
+            config.dt, source, seed, {**base, **extra},
         )
 
 

@@ -76,6 +76,24 @@ def test_the_argument_reads_are_found():
     assert {("out_dir", 0), ("name", 1)} <= set(READS[hooks["cli.finish_manifest"]])
 
 
+def _traced_spans(argv, tmp_path) -> collections.Counter:
+    """Span counts per traced function of bench/child.py running argv, traced,
+    in its own interpreter on this checkout's colmode."""
+    result = tmp_path / "result.json"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"argv": argv, "trace": True, "result": str(result)}))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("COLMODE_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, str(CHILD), str(spec)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(result.read_text())
+    assert report["rc"] == 0
+    assert Path(report["colmode_file"]).resolve().parent == (ROOT / "src" / "colmode").resolve()
+    return collections.Counter(name for name, *_ in report["spans"])
+
+
 def test_traced_analyze_spans_each_pipeline_layer_once_per_record(tmp_path):
     """bench/child.py, run traced in its own interpreter on a two-record
     analyze, records one span of each per-record pipeline layer per record."""
@@ -88,23 +106,34 @@ def test_traced_analyze_spans_each_pipeline_layer_once_per_record(tmp_path):
     config = tmp_path / "analyze.json"
     config.write_text(json.dumps({"pipeline": {
         "bandwidth": 1.0, "integration_time": 10.0, "bootstrap_resamples": 20}}))
-    result = tmp_path / "result.json"
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "argv": ["analyze", *paths, "-c", str(config), "--out-dir", str(tmp_path / "out")],
-        "trace": True,
-        "result": str(result),
-    }))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("COLMODE_")}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "1"
-    proc = subprocess.run([sys.executable, str(CHILD), str(spec)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(result.read_text())
-    assert report["rc"] == 0
-    assert Path(report["colmode_file"]).resolve().parent == (ROOT / "src" / "colmode").resolve()
-    spans = collections.Counter(name for name, *_ in report["spans"])
+    spans = _traced_spans(
+        ["analyze", *paths, "-c", str(config), "--out-dir", str(tmp_path / "out")], tmp_path
+    )
     for name in ("pipeline.analyze_record", "pipeline.estimate_covariance",
                  "pipeline.witness_from_estimate"):
         assert spans[name] == 2, (name, spans)
+
+
+def test_traced_converge_spans_each_pipeline_layer_per_record_and_cell(tmp_path):
+    """A traced converge of 2 sweep cells and a 1-cell crossing at 2
+    couplings, 2 runs each, draws 8 records: each passes analyze_record and
+    estimate_covariance once, and each of the 4 cell ensembles is reduced by
+    one witness_with_uncertainty.  A cell path that bypasses a traced layer
+    fails here rather than zeroing that layer's bench metric."""
+    config = tmp_path / "converge.json"
+    config.write_text(json.dumps({
+        "params": {"G": 0.25, "kappa_a": 1.0, "kappa_b": 1.0, "n_a": 0.0, "n_b": 0.0,
+                   "preset": "CLOSED_FORM"},
+        "master_seed": 7,
+        "cells": [{"T": 8.0, "B": 1.0}, {"T": 16.0, "B": 1.0}],
+        "runs_per_cell": 2,
+        "segments_per_record": 4,
+        "crossing": {"n": 0.5, "g_values": [0.1, 0.2], "cells": [{"T": 8.0, "B": 1.0}],
+                     "runs_per_cell": 2, "segments_per_record": 4},
+    }))
+    spans = _traced_spans(
+        ["converge", "-c", str(config), "--out-dir", str(tmp_path / "out")], tmp_path
+    )
+    assert spans["pipeline.analyze_record"] == 8, spans
+    assert spans["pipeline.estimate_covariance"] == 8, spans
+    assert spans["pipeline.witness_with_uncertainty"] == 4, spans

@@ -43,7 +43,7 @@ def second_moment(samples):
 
 def oracle_streams(rates, variances, total, rng, dt):
     """The null streams' own stationary-OU draw, before they shared the
-    quantum sampler's _draw_paths: one block of normals, R_0 = sigma z[0]."""
+    quantum sampler's _draw_path: one block of normals, R_0 = sigma z[0]."""
     f = np.array([math.exp(-r * dt) for r in rates])
     sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
     z = rng.standard_normal((total, f.size))

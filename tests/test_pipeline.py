@@ -274,7 +274,8 @@ class TestBandlimit:
         ({"bandlimit_cal": 0.0}, 1.0),
         ({"kappa": "q"}, 1.0),
         ({}, 10.5),  # above the Nyquist limit 10 of dt 0.05
-    ], ids=["bandlimit", "bandlimit_cal", "kappa", "nyquist"])
+        ({"demod": "z"}, 1.0),
+    ], ids=["bandlimit", "bandlimit_cal", "kappa", "nyquist", "demod"])
     def test_analyze_record_refuses_before_touching_its_record(self, meta, B):
         """A malformed sidecar field, or a bandwidth the record cannot carry,
         is refused before the in-place filter runs: samples and meta are
@@ -635,8 +636,9 @@ class TestWorkingSet:
         A, D = closed_form_dynamics(0.25, 1.0, 0.0)
         T, B, segments = 400.0, 0.08, 24  # dt 0.1: records of 96,000 steps
         steps = segments * int(round(T / 0.1))
+        plan = pipeline_mod._cell_plan(T, B, segments)
         peak, rep = traced_peak_records(
-            pipeline_mod._cell_witness, A, D, 1.0, T, B, 3, segments, 8, steps=steps
+            pipeline_mod._cell_witness, A, D, 1.0, plan, 3, 8, steps=steps
         )
         assert math.isfinite(rep.stderr_nu)
         assert peak <= 1.8

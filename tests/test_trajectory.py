@@ -214,10 +214,11 @@ class TestAr1Kernel:
         assert got.shape == (n + 1, 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    # 2 block rows a chunk put chunk ends everywhere, a trailing single row among them
+    # 2 block rows a chunk put chunk ends everywhere, a trailing single row among
+    # them; 543 leaves 33 carried states, one past a chunk of 32 of them
     @pytest.mark.parametrize("product_rows", [2, None])
     @pytest.mark.parametrize("drift", sorted(AR1_DRIFTS))
-    @pytest.mark.parametrize("n", [0, 1, 14, 15, 30, 31, 82, 254, 255, 20000, 99999])
+    @pytest.mark.parametrize("n", [0, 1, 14, 15, 30, 31, 82, 254, 255, 543, 20000, 99999])
     def test_in_place_equals_out_of_place_bit_for_bit(self, monkeypatch, drift, n, product_rows):
         """A whole-block input is overwritten and returned, and holds the
         out-of-place product's numbers exactly, chunked or not."""
