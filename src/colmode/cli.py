@@ -31,7 +31,6 @@ import platform
 import sys
 import warnings
 from collections.abc import Iterator
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -70,10 +69,10 @@ from .pipeline import (
     _cell_plans,
     _checked_cells,
     _checked_couplings,
+    _crossing_rows,
     _segment_statistic,
     analyze_record,
     convergence_sweep,
-    crossing_scan,
     witness_from_estimate,
     witness_with_uncertainty,
 )
@@ -92,9 +91,10 @@ from .trajectory import (
     SourceTag,
     TrajectoryConfig,
     TrajectoryRecord,
+    _euler_stream,
+    _exact_stream,
+    _records,
     derive_stream_seed,
-    sample_exact_ou,
-    sample_euler_maruyama,
 )
 
 
@@ -565,16 +565,11 @@ def cmd_phase_diagram(config: dict, out_dir: Path, seed, threads: int) -> int:
 # simulate
 
 def _simulate_member(args) -> tuple[list[Path], dict[Path, str]]:
-    params_d, traj_d, k, base, fmt, manifest_name = args
-    params = ModelParams.from_dict(params_d)
-    traj = TrajectoryConfig.from_dict(traj_d)
-    A, D = steady_dynamics(params)
-    member_cfg = dc_replace(traj, master_seed=derive_stream_seed(traj.master_seed, k))
-    meta = {"kappa": params.kappa_a, "params_hash": params.digest(), "member": k}
-    if traj.scheme is Scheme.EULER_MARUYAMA:
-        record = sample_euler_maruyama(A, D, member_cfg, meta=meta)
-    else:
-        record = sample_exact_ou(A, D, member_cfg, meta=meta)
+    """Draw member k of a simulate ensemble from the prepared stream, which
+    a spawned worker receives pickled, and save it."""
+    stream, traj, k, meta, base, fmt, manifest_name = args
+    members = [(derive_stream_seed(traj.master_seed, k), {"member": k})]
+    record = next(_records(stream, traj, traj.scheme, SourceTag.QUANTUM, meta, members))
     digests: dict[Path, str] = {}
     return save_record(record, Path(base), fmt, manifest_name, digests), digests
 
@@ -603,8 +598,15 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
     written: list[Path] = []
     # the SHA-256 of each .npy record, taken as it was written (in a worker or here)
     digests: dict[Path, str] = {}
+    # prepared once, and handed to every member here or pickled to its worker
+    A, D = steady_dynamics(params)
+    if traj.scheme is Scheme.EULER_MARUYAMA:
+        stream = _euler_stream(A, D, traj.dt)
+    else:
+        stream = _exact_stream(A, D, traj.dt)
+    meta = {"kappa": params.kappa_a, "params_hash": params.digest()}
     members = [
-        (params.to_dict(), traj.to_dict(), k, str(out_dir / f"quantum_{k:04d}"), fmt, name)
+        (stream, traj, k, meta, str(out_dir / f"quantum_{k:04d}"), fmt, name)
         for k in range(n_members)
     ]
     for paths, member_digests in _pmap(_simulate_member, members, threads):
@@ -746,13 +748,11 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         # read in full before the sweep draws a record, so a bad field writes nothing
         crossing = _field(config, "crossing", _object)
         with _section("crossing", crossing):
-            scan = dict(
-                n=_field(crossing, "n", real, at_least=0.0),
-                g_values=_field(crossing, "g_values", _checked_couplings),
-                cells=_field(crossing, "cells", _cells),
-                **_ensemble_fields(crossing, 12),
+            n = _field(crossing, "n", real, at_least=0.0)
+            g_values = _field(crossing, "g_values", _checked_couplings)
+            plans = _cell_plans(
+                _field(crossing, "cells", _cells), **_ensemble_fields(crossing, 12)
             )
-            _cell_plans(scan["cells"], scan["runs_per_cell"], scan["segments_per_record"])
     result = convergence_sweep(
         A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )
@@ -767,7 +767,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
     outputs = [csv_path]
 
     if crossing:
-        rows = crossing_scan(kappa=params.kappa_a, master_seed=master_seed, **scan)
+        rows = _crossing_rows(params.kappa_a, n, g_values, *plans, master_seed)
         cross_path = out_dir / "crossing.csv"
         write_csv(cross_path, CROSSING_COLUMNS, [text_columns(CROSSING_COLUMNS, rows)], name)
         outputs.append(cross_path)

@@ -36,6 +36,7 @@ from .trajectory import (
     TrajectoryRecord,
     _draw_path,
     _row_ranges,
+    _Stream,
     derive_stream_seed,
     sample_exact_ou,
 )
@@ -117,12 +118,12 @@ def enforce_classicality(V_cl: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def _streams(rates, variances, total: int, rng, dt: float) -> np.ndarray:
     """Stationary scalar OU streams, one column per (rate, variance) pair: one
-    _draw_path of the diagonal AR(1) from a steady-state R_0, a view of the
-    buffer its input was drawn into."""
+    _draw_path of the prepared diagonal AR(1) stream from a steady-state R_0,
+    a view of the buffer its input was drawn into."""
     f = np.array([math.exp(-r * dt) for r in rates])
     sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
     drive = sigma * np.sqrt(np.clip(1.0 - f * f, 0.0, None))
-    return _draw_path(np.diag(f), np.diag(drive), np.diag(sigma), total, rng)
+    return _draw_path(_Stream(np.diag(f), np.diag(drive), np.diag(sigma)), total, rng)
 
 
 _SOURCE = {

@@ -483,7 +483,14 @@ def crossing_scan(
     """
     n = real(n, "n", at_least=0.0)
     g_values = _checked_couplings(g_values)
-    runs_per_cell, plans = _cell_plans(cells, runs_per_cell, segments_per_record)
+    plans = _cell_plans(cells, runs_per_cell, segments_per_record)
+    return _crossing_rows(kappa, n, g_values, *plans, master_seed)
+
+
+def _crossing_rows(kappa, n, g_values, runs_per_cell, plans, master_seed) -> list[dict]:
+    """crossing_scan's rows for checked arguments and the (runs_per_cell,
+    plans) of _cell_plans, so a caller that has planned the cells plans
+    them once."""
     rows = []
     for ci, plan in enumerate(plans):
         means, errs = [], []

@@ -9,7 +9,9 @@ which is statistically exact for any step size; Euler-Maruyama is kept as a
 cross-validation scheme.  Both iterate the same linear recurrence, evaluated
 in blocks of 16 steps: the steps inside a block are one block-Toeplitz
 matrix product, and the states that cross block ends follow the same
-recurrence with F^16.  Every trajectory owns an independent RNG stream
+recurrence with F^16.  A drift's stream is prepared once (_Stream) and every
+path drawn from it reuses its noise factors and powers of F.  Every
+trajectory owns an independent RNG stream
 (numpy PCG64) whose seed is derived deterministically from a master seed, so
 ensembles are reproducible sample-for-sample regardless of scheduling.
 """
@@ -17,6 +19,7 @@ ensembles are reproducible sample-for-sample regardless of scheduling.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,10 +48,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # steps per block of _linear_recurrence
 _BLOCK = 16
-# block rows of _linear_recurrence's block-Toeplitz product taken at a time, and
-# _BLOCK times as many carried states, the same m n k: up to 28 block rows keep the
-# widest product (96 columns) under m n k = 262,144, where OpenBLAS may start threads
-_PRODUCT_ROWS = 27
+# the m n k of a matrix product at which the OpenBLAS 0.3.x gemm interface may
+# start threads: every product of _linear_recurrence stays below it
+_GEMM_THREAD_MNK = 262_144
+# carried states taken at a time by _linear_recurrence's carried-state product:
+# far below _GEMM_THREAD_MNK, with a scratch of 2 % of a 1e5-step path (432
+# states, 7 %, would save about 0.3 % of a converge run)
+_CARRIED_ROWS = 128
 # rows of normals drawn and transformed at a time
 _DRAW_ROWS = 4096
 # the longest path whose buffer, padded to whole blocks, numpy can size: the
@@ -181,27 +187,70 @@ def _row_ranges(rows: int, size: int):
     return zip(edges[:-1], edges[1:])
 
 
-def _block_toeplitz(powers) -> np.ndarray:
+def _block_toeplitz(powers: np.ndarray) -> np.ndarray:
     """The (b n, b n) matrix whose block (i, j) is powers[j - i].T for j >= i,
-    else 0, for the b powers F^0 .. F^(b-1) of an n x n F: rows are states,
-    so each power acts on the right as its transpose."""
-    b, n = len(powers), powers[0].shape[0]
+    else 0, for the (b, n, n) powers F^0 .. F^(b-1) of an n x n F: rows are
+    states, so each power acts on the right as its transpose."""
+    b, n = powers.shape[:2]
     lag = np.subtract.outer(np.arange(b), np.arange(b))
-    blocks = np.stack(powers).transpose(0, 2, 1)[np.maximum(-lag, 0)]
+    blocks = powers.transpose(0, 2, 1)[np.maximum(-lag, 0)]
     blocks[lag > 0] = 0.0
     return blocks.transpose(0, 2, 1, 3).reshape(b * n, b * n)
 
 
+def _product_rows(n: int, k: int) -> int:
+    """Rows of an (m, n) @ (n, k) block-Toeplitz product taken at a time, a
+    range holding at most one more (_row_ranges): the most that keep
+    m n k < _GEMM_THREAD_MNK, 62 rows at n = k = 64 and 27 at 96."""
+    return max(2, (_GEMM_THREAD_MNK - 1) // (n * k) - 1)
+
+
 def _block_product(y: np.ndarray, toeplitz: np.ndarray) -> None:
-    """y = y @ toeplitz in place, _PRODUCT_ROWS rows at a time through one
+    """y = y @ toeplitz in place, _product_rows rows at a time through one
     small scratch array: rows of the product are independent."""
-    scratch = np.empty((min(y.shape[0], _PRODUCT_ROWS + 1), y.shape[1]))
-    for start, stop in _row_ranges(y.shape[0], _PRODUCT_ROWS):
+    size = _product_rows(*toeplitz.shape)
+    scratch = np.empty((min(y.shape[0], size + 1), y.shape[1]))
+    for start, stop in _row_ranges(y.shape[0], size):
         y[start:stop] = np.matmul(y[start:stop], toeplitz, out=scratch[: stop - start])
 
 
-def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_0 = x_0, y_k = F y_{k-1} + x_k over the rows of x (m, n).
+class _Recurrence:
+    """The powers of one n x n F that _linear_recurrence reads, each taken
+    once and kept for every later series: F^0 .. F^_BLOCK as far as a series
+    has needed them, so an unstable F's unused powers never overflow; the
+    carried-state response [F^1 .. F^_BLOCK]^T, a view of them; and
+    `carried`, the _Recurrence of F^_BLOCK that the carried states follow.
+    Each series gathers its block-Toeplitz matrix from the kept powers: at
+    (_BLOCK n)^2 floats a level, 128 kB over the four levels of a 1e5-step
+    quantum path, keeping it would put a converge cell's record and its
+    analysis over 1.8 records (tests/test_pipeline.py's working-set bound)."""
+
+    def __init__(self, F: np.ndarray):
+        self.F = F
+        self.powers = np.empty((_BLOCK + 1, *F.shape))
+        self.powers[0] = np.eye(F.shape[0])
+        self.known = 1
+
+    def upto(self, count: int) -> np.ndarray:
+        """F^0 .. F^(count - 1) as a (count, n, n) view, each F @ F^(k - 1)."""
+        for k in range(self.known, count):
+            np.matmul(self.F, self.powers[k - 1], out=self.powers[k])
+        self.known = max(self.known, count)
+        return self.powers[:count]
+
+    @functools.cached_property
+    def response(self) -> np.ndarray:
+        n = self.F.shape[0]
+        return self.upto(_BLOCK + 1)[1:].reshape(_BLOCK * n, n).T
+
+    @functools.cached_property
+    def carried(self) -> "_Recurrence":
+        return _Recurrence(self.upto(_BLOCK + 1)[_BLOCK])
+
+
+def _linear_recurrence(ops: _Recurrence, x: np.ndarray) -> np.ndarray:
+    """y_0 = x_0, y_k = F y_{k-1} + x_k over the rows of x (m, n), for the F
+    of ops.
 
     Works in the original basis for any n x n F, defective or unstable.
     Within each block of _BLOCK rows, y is the block's own response, one
@@ -209,6 +258,9 @@ def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     F^1 .. F^_BLOCK to the state carried in from the previous block.  The
     carried states are the block-end values, which obey the same recurrence
     with F^_BLOCK, so each level of recursion shortens the series _BLOCK-fold.
+    Each level's powers and carried-state response come from ops and its
+    chain of `carried` recurrences, taken once for every series drawn with
+    ops; only the block-Toeplitz matrix is gathered again for each series.
 
     A C-contiguous x of _whole_blocks(m) rows is overwritten with y and
     returned; any other x is solved in a zero-padded copy, and y is a view
@@ -222,22 +274,20 @@ def _linear_recurrence(F: np.ndarray, x: np.ndarray) -> np.ndarray:
     if nb * b != m or not x.flags.c_contiguous:
         padded = np.zeros((nb * b, n))
         padded[:m] = x
-        return _linear_recurrence(F, padded)[:m]
-    powers = [np.eye(n)]
-    for _ in range(b):
-        powers.append(F @ powers[-1])
+        return _linear_recurrence(ops, padded)[:m]
     y = x.reshape(nb, b * n)
-    _block_product(y, _block_toeplitz(powers[:b]))
+    _block_product(y, _block_toeplitz(ops.upto(b)))
     if nb > 1:
         rows = nb - 1
         # a zero row past the end: a lone carried state joins it in a two-row product
         carried = np.zeros((_whole_blocks(rows) + 1, n))
         carried[:rows] = y[:-1, -n:]
-        _linear_recurrence(powers[b], carried[:-1])
-        # y[1:] += carried @ [F^1 .. F^b]^T, _BLOCK * _PRODUCT_ROWS rows at a time
-        response = np.vstack(powers[1:]).T
-        for start, stop in _row_ranges(max(rows, 2), _BLOCK * _PRODUCT_ROWS):
-            y[1 + start : 1 + stop] += (carried[start:stop] @ response)[: rows - start]
+        _linear_recurrence(ops.carried, carried[:-1])
+        # y[1:] += carried @ [F^1 .. F^b]^T, _CARRIED_ROWS rows at a time through one scratch
+        scratch = np.empty((min(max(rows, 2), _CARRIED_ROWS + 1), b * n))
+        for start, stop in _row_ranges(max(rows, 2), _CARRIED_ROWS):
+            part = np.matmul(carried[start:stop], ops.response, out=scratch[: stop - start])
+            y[1 + start : 1 + stop] += part[: rows - start]
     return x
 
 
@@ -249,45 +299,91 @@ def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
     return F, _psd_factor(Q), _psd_factor(Vinf)
 
 
-def _path_input(Lnoise, L0, total: int, rng, r0) -> np.ndarray:
+class _Stream:
+    """The AR(1) stream R_{k+1} = F R_k + Lnoise z_k from R_0 = r0, else L0 z
+    (the origin if L0 is None), prepared once for every path drawn from it:
+    the transposed noise factor as a contiguous array, and the _Recurrence of
+    F, whose powers the first path takes as deep as it recurses and every
+    later path reuses.  It pickles with what it holds, so one prepared stream
+    can be handed to spawned workers."""
+
+    def __init__(self, F, Lnoise, L0=None, r0=None):
+        self.recurrence = _Recurrence(F)
+        self.Lnoise, self.L0, self.r0 = Lnoise, L0, r0
+        self.LT = np.ascontiguousarray(Lnoise.T)
+
+
+def _path_input(stream: _Stream, total: int, rng) -> np.ndarray:
     """One path's recurrence input in a buffer of its own, _whole_blocks(total)
     rows long: R_0 (r0, else L0 z, else the origin), then the noise Lnoise z_k
     drawn _DRAW_ROWS rows at a time, then zeros to the end of the last block."""
-    n = Lnoise.shape[0]
+    n = stream.LT.shape[0]
     x = np.empty((_whole_blocks(total), n))
-    if r0 is not None:
-        x[0] = r0
-    elif L0 is not None:
-        x[0] = L0 @ rng.standard_normal(n)
+    if stream.r0 is not None:
+        x[0] = stream.r0
+    elif stream.L0 is not None:
+        x[0] = stream.L0 @ rng.standard_normal(n)
     else:
         x[0] = 0.0
+    # BLAS takes a one-row product as a vector product, which rounds by the
+    # factor's layout: a lone noise row keeps the strided view Lnoise.T
+    LT = stream.LT if total > 2 else stream.Lnoise.T
     for start, stop in _row_ranges(total - 1, _DRAW_ROWS):
-        np.matmul(rng.standard_normal((stop - start, n)), Lnoise.T, out=x[1 + start : 1 + stop])
+        np.matmul(rng.standard_normal((stop - start, n)), LT, out=x[1 + start : 1 + stop])
     x[total:] = 0.0
     return x
 
 
-def _draw_path(F, Lnoise, L0, total: int, rng, r0=None) -> np.ndarray:
-    """total samples of R_{k+1} = F R_k + Lnoise z_k from R_0 = r0, else L0 z
-    (the origin if L0 is None); R_0's normals are drawn from rng first.  The
-    samples are a view of the buffer the input was drawn into, which the
-    recurrence overwrites.  This is the one AR(1) stream of every sampler."""
-    return _linear_recurrence(F, _path_input(Lnoise, L0, total, rng, r0))[:total]
+def _draw_path(stream: _Stream, total: int, rng) -> np.ndarray:
+    """total samples of the stream's R_k; R_0's normals are drawn from rng
+    first.  The samples are a view of the buffer the input was drawn into,
+    which the recurrence overwrites.  This is the one AR(1) path of every
+    sampler."""
+    return _linear_recurrence(stream.recurrence, _path_input(stream, total, rng))[:total]
 
 
-def _records(F, Lnoise, L0, config, scheme, source, meta, members, r0=None):
-    """Yield one record of a _draw_path per (seed, extra meta) member, burn-in
-    dropped.  Each path is drawn inside the yield expression, so no name here
-    holds a path or its record once it is yielded: a consumer that lets go of
-    each record frees its buffer before the next path allocates one."""
+def _records(stream: _Stream, config, scheme, source, meta, members):
+    """Yield one record of a _draw_path of stream per (seed, extra meta)
+    member, burn-in dropped; every path reuses the stream's operators.  Each
+    path is drawn inside the yield expression, so no name here holds a path or
+    its record once it is yielded: a consumer that lets go of each record
+    frees its buffer before the next path allocates one."""
     total = config.burn_in + config.n_steps
     base = {"scheme": scheme.value, "burn_in": config.burn_in, **(meta or {})}
     for seed, extra in members:
         rng = np.random.Generator(np.random.PCG64(seed))
         yield TrajectoryRecord(
-            _draw_path(F, Lnoise, L0, total, rng, r0)[config.burn_in :],
+            _draw_path(stream, total, rng)[config.burn_in :],
             config.dt, source, seed, {**base, **extra},
         )
+
+
+def _exact_stream(A, D, dt: float) -> _Stream:
+    """The exact-OU stream of (A, D) at step dt, from a steady-state R_0."""
+    return _Stream(*_steady_prep(A, D, dt))
+
+
+def _euler_stream(A, D, dt: float, r0=None) -> _Stream:
+    """The Euler-Maruyama stream of (A, D) at step dt, from r0, else from a
+    steady-state draw when the drift is stable and D is nonzero, else from
+    the origin.  Guarded by dt <= 0.1 / max|eig A|."""
+    A = np.asarray(A, dtype=float)
+    D = np.asarray(D, dtype=float)
+    rate = float(np.max(np.abs(np.linalg.eigvals(A))))
+    if rate > 0 and dt > 0.1 / rate:
+        raise StepTooLargeError(
+            f"dt = {dt:g} exceeds accuracy guard 0.1/max|eig A| = {0.1 / rate:g}"
+        )
+    F = np.eye(4) + A * dt
+    Lnoise = math.sqrt(dt) * _psd_factor(D)
+    Linf = None
+    if r0 is not None:
+        r0 = np.asarray(r0, dtype=float)
+        if r0.shape != (4,):
+            raise ValidationError("r0 must be a 4-vector")
+    elif is_stable(A) and np.max(np.abs(D)) > 0:
+        Linf = _psd_factor(solve_steady_lyapunov(A, D))
+    return _Stream(F, Lnoise, Linf, r0)
 
 
 def sample_exact_ou(
@@ -302,9 +398,9 @@ def sample_exact_ou(
     R_0 is drawn from the steady-state Gaussian, so every sample is
     marginally steady-state distributed and burn_in only discards samples.
     """
-    F, Lq, Linf = _steady_prep(A, D, config.dt)
     members = [(config.master_seed, {})]
-    return next(_records(F, Lq, Linf, config, Scheme.EXACT_OU, source, meta, members))
+    stream = _exact_stream(A, D, config.dt)
+    return next(_records(stream, config, Scheme.EXACT_OU, source, meta, members))
 
 
 def sample_euler_maruyama(
@@ -322,26 +418,9 @@ def sample_euler_maruyama(
     override (e.g. for decay tests).  Noise streams are not sample-compatible
     with the exact scheme even at the same seed.
     """
-    A = np.asarray(A, dtype=float)
-    D = np.asarray(D, dtype=float)
-    rate = float(np.max(np.abs(np.linalg.eigvals(A))))
-    if rate > 0 and config.dt > 0.1 / rate:
-        raise StepTooLargeError(
-            f"dt = {config.dt:g} exceeds accuracy guard 0.1/max|eig A| = {0.1 / rate:g}"
-        )
-    F = np.eye(4) + A * config.dt
-    Lnoise = math.sqrt(config.dt) * _psd_factor(D)
-    Linf = None
-    if r0 is not None:
-        r0 = np.asarray(r0, dtype=float)
-        if r0.shape != (4,):
-            raise ValidationError("r0 must be a 4-vector")
-    elif is_stable(A) and np.max(np.abs(D)) > 0:
-        Linf = _psd_factor(solve_steady_lyapunov(A, D))
     members = [(config.master_seed, {})]
-    return next(
-        _records(F, Lnoise, Linf, config, Scheme.EULER_MARUYAMA, source, meta, members, r0)
-    )
+    stream = _euler_stream(A, D, config.dt, r0)
+    return next(_records(stream, config, Scheme.EULER_MARUYAMA, source, meta, members))
 
 
 def sample_ensemble(
@@ -362,12 +441,13 @@ def sample_ensemble(
 
 
 def _ensemble(A, D, config, n_members, source=SourceTag.QUANTUM, meta=None):
-    """sample_ensemble's members as an iterator that draws each one on demand,
-    after one shared _steady_prep; the arguments are checked before it returns."""
+    """sample_ensemble's members as an iterator that draws each one on demand
+    from one prepared stream, so the members share its _steady_prep and its
+    recurrence operators; the arguments are checked before it returns."""
     if n_members <= 0:
         raise ValidationError("ensemble size must be positive")
-    F, Lq, Linf = _steady_prep(A, D, config.dt)
+    stream = _exact_stream(A, D, config.dt)
     members = [
         (derive_stream_seed(config.master_seed, k), {"member": k}) for k in range(n_members)
     ]
-    return _records(F, Lq, Linf, config, Scheme.EXACT_OU, source, meta, members)
+    return _records(stream, config, Scheme.EXACT_OU, source, meta, members)

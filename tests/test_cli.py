@@ -16,6 +16,7 @@ import scipy
 import colmode
 from colmode._fields import real
 from colmode.cli import (
+    CROSSING_COLUMNS,
     HASH_BLOCK_BYTES,
     PHASE_COLUMNS,
     _axis_values,
@@ -27,6 +28,7 @@ from colmode.cli import (
     record_sidecar,
     save_record,
     sha256_file,
+    text_columns,
     write_csv,
     write_npy,
 )
@@ -49,7 +51,7 @@ from colmode.gaussian_core import (
     solve_steady_lyapunov,
     steady_state_covariance,
 )
-from colmode.pipeline import vacuum_transfer
+from colmode.pipeline import crossing_scan, vacuum_transfer
 from colmode.trajectory import SourceTag, TrajectoryConfig, TrajectoryRecord, sample_exact_ou
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -458,11 +460,17 @@ class TestSimulate:
         d1, d2 = output_digests(out1), output_digests(out2)
         assert d1 and d1 == d2
 
-    def test_parallel_matches_sequential(self, tmp_path):
-        cfg_path = write_config(tmp_path, "sim.json", small_simulate_config(ensemble=6))
+    @pytest.mark.parametrize("fmt, threads", [("npy", "3"), ("npy", "2"), ("csv", "2")])
+    def test_parallel_matches_sequential(self, tmp_path, fmt, threads):
+        """Members drawn in spawned workers, each from a pickled copy of the
+        stream prepared once, equal the members drawn here, and the null trio
+        after them is unchanged."""
+        cfg = small_simulate_config(ensemble=6, null_trio=True, fmt=fmt)
+        cfg_path = write_config(tmp_path, "sim.json", cfg)
         seq, par = tmp_path / "seq", tmp_path / "par"
-        main(["simulate", "-c", cfg_path, "--out-dir", str(seq), "--threads", "1"])
-        main(["simulate", "-c", cfg_path, "--out-dir", str(par), "--threads", "3"])
+        assert main(["simulate", "-c", cfg_path, "--out-dir", str(seq), "--threads", "1"]) == 0
+        assert main(["simulate", "-c", cfg_path, "--out-dir", str(par), "--threads", threads]) == 0
+        assert len(output_digests(seq)) == 2 * 9
         assert output_digests(seq) == output_digests(par)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -879,6 +887,31 @@ class TestConverge:
         for seed, nus, g_cross in seen:
             assert all(abs(nu - 1 / 6) <= 0.02 for nu in nus), seen
             assert g_cross is not None and abs(g_cross - 1 / 6) <= 0.02, seen
+
+    def test_each_cell_is_planned_once(self, tmp_path, monkeypatch):
+        """2 sweep cells and 1 crossing cell make 3 _cell_plan calls: the
+        crossing cells planned up front are the ones the scan runs.  Its rows
+        are crossing_scan's for the same arguments."""
+        import colmode.pipeline as pipeline_mod
+
+        plans = []
+        cell_plan = pipeline_mod._cell_plan
+        monkeypatch.setattr(pipeline_mod, "_cell_plan",
+                            lambda *args: plans.append(args) or cell_plan(*args))
+        crossing = {"n": 0.5, "g_values": [0.1, 0.2], "cells": [{"T": 8.0, "B": 1.0}],
+                    "runs_per_cell": 2, "segments_per_record": 4}
+        cfg_path = write_config(tmp_path, "conv.json", {
+            "params": small_simulate_config()["params"], "master_seed": 7,
+            "cells": [{"T": 8.0, "B": 1.0}, {"T": 16.0, "B": 1.0}],
+            "runs_per_cell": 2, "segments_per_record": 4, "crossing": crossing,
+        })
+        out = tmp_path / "out"
+        assert main(["converge", "-c", cfg_path, "--out-dir", str(out)]) == 0
+        assert plans == [(8.0, 1.0, 4), (8.0, 1.0, 4), (16.0, 1.0, 4)]
+        rows = crossing_scan(kappa=1.0, n=0.5, g_values=[0.1, 0.2], cells=[(8.0, 1.0)],
+                             runs_per_cell=2, segments_per_record=4, master_seed=7)
+        lines = (out / "crossing.csv").read_text().splitlines()[2:]
+        assert lines == [",".join(row) for row in zip(*text_columns(CROSSING_COLUMNS, rows))]
 
     @pytest.mark.parametrize("cells", [[], [{"T": 50.0, "B": 0.04}]])
     def test_fewer_than_two_n_eff_is_validation_error(self, tmp_path, capsys, cells):

@@ -24,7 +24,7 @@ from colmode.null_models import (
     matched_null_specs,
     mixture_state,
 )
-from colmode.trajectory import SourceTag, TrajectoryConfig, _linear_recurrence
+from colmode.trajectory import SourceTag, TrajectoryConfig, _Recurrence, _linear_recurrence
 
 
 BW = matched_bandwidth(1.0)
@@ -48,7 +48,7 @@ def oracle_streams(rates, variances, total, rng, dt):
     sigma = np.sqrt(np.clip(np.asarray(variances, dtype=float), 0.0, None))
     z = rng.standard_normal((total, f.size))
     drive = sigma * np.sqrt(np.clip(1.0 - f * f, 0.0, None))
-    return _linear_recurrence(np.diag(f), np.vstack([sigma * z[0], z[1:] * drive]))
+    return _linear_recurrence(_Recurrence(np.diag(f)), np.vstack([sigma * z[0], z[1:] * drive]))
 
 
 class TestStreams:

@@ -13,6 +13,7 @@ from scipy.signal import filtfilt
 from conftest import RECORD_STEPS, traced_peak_records
 
 from colmode import pipeline as pipeline_mod
+from colmode import trajectory as trajectory_mod
 from colmode.entanglement import _duan_sum, _nu_minus, ppt_nu_minus
 from colmode.errors import (
     BandwidthExceedsNyquistError,
@@ -715,6 +716,35 @@ class TestConvergence:
             slope = (reps[j].nu_minus - reps[j - 1].nu_minus) / (g_values[j] - g_values[j - 1])
             assert row["g_cross"] == g_values[j - 1] + (0.5 - reps[j - 1].nu_minus) / slope
             assert row["sigma"] == 0.5 * (reps[j - 1].stderr_nu + reps[j].stderr_nu) / abs(slope)
+
+    def test_each_ensemble_builds_its_operators_once_per_level(self, monkeypatch):
+        """A sweep of 2 cells x 3 runs takes each recursion level's powers of
+        F once per cell's ensemble, as one solo record of that cell does, and
+        gathers each level's block-Toeplitz matrix once per record."""
+        levels, gathers = [], []
+
+        class Counted(trajectory_mod._Recurrence):
+            def __init__(self, F):
+                levels.append(F)
+                super().__init__(F)
+
+        block_toeplitz = trajectory_mod._block_toeplitz
+        monkeypatch.setattr(trajectory_mod, "_Recurrence", Counted)
+        monkeypatch.setattr(trajectory_mod, "_block_toeplitz",
+                            lambda powers: gathers.append(len(powers)) or block_toeplitz(powers))
+        A, D = closed_form_dynamics(0.25, 1.0, 0.0)
+        cells = [(50.0, 0.08), (16.0, 1.0)]
+        solo = []
+        for T, B in cells:
+            levels.clear()
+            sample_exact_ou(A, D, pipeline_mod._cell_plan(T, B, 24)[1])
+            solo.append(len(levels))
+        assert solo == [4, 3]  # 12,000 and 3,072 steps
+        levels.clear()
+        gathers.clear()
+        convergence_sweep(A, D, cells, runs_per_cell=3, segments_per_record=24, master_seed=4)
+        assert len(levels) == sum(solo)
+        assert len(gathers) == 3 * sum(solo)
 
     def test_sweep_memory_does_not_grow_with_runs(self):
         """One record is alive at a time, so 16 runs a cell peak within a

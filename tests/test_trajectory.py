@@ -24,7 +24,12 @@ from colmode.trajectory import (
     sample_ensemble,
     sample_euler_maruyama,
     sample_exact_ou,
+    _Recurrence,
+    _euler_stream,
+    _exact_stream,
     _linear_recurrence,
+    _psd_factor,
+    _records,
     _row_ranges,
     _steady_prep,
     _whole_blocks,
@@ -210,7 +215,7 @@ class TestAr1Kernel:
         r0 = rng.standard_normal(4)
         w = rng.standard_normal((n, 4))
         want = loop_ar1(F, r0, w)
-        got = _linear_recurrence(F, np.vstack([r0, w]))
+        got = _linear_recurrence(_Recurrence(F), np.vstack([r0, w]))
         assert got.shape == (n + 1, 4)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -223,18 +228,19 @@ class TestAr1Kernel:
         """A whole-block input is overwritten and returned, and holds the
         out-of-place product's numbers exactly, chunked or not."""
         if product_rows:
-            monkeypatch.setattr(trajectory_mod, "_PRODUCT_ROWS", product_rows)
+            monkeypatch.setattr(trajectory_mod, "_product_rows", lambda n, k: product_rows)
+            monkeypatch.setattr(trajectory_mod, "_CARRIED_ROWS", 16 * product_rows)
         F = AR1_DRIFTS[drift]()
         rng = np.random.default_rng(n)
         x = np.zeros((_whole_blocks(n + 1), 4))
         x[: n + 1] = rng.standard_normal((n + 1, 4))
         want = out_of_place_ar1(F, x[: n + 1].copy())
-        got = _linear_recurrence(F, x)
+        got = _linear_recurrence(_Recurrence(F), x)
         assert got is x
         assert np.array_equal(got[: n + 1], want)
         # any other length is solved in a padded copy, with the same numbers
         w = rng.standard_normal((n + 1, 4))
-        assert np.array_equal(_linear_recurrence(F, w.copy()), out_of_place_ar1(F, w))
+        assert np.array_equal(_linear_recurrence(_Recurrence(F), w.copy()), out_of_place_ar1(F, w))
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 7, 9, 10, 11])
     def test_row_ranges_cover_in_order_with_no_lone_row(self, rows):
@@ -252,9 +258,51 @@ class TestAr1Kernel:
         F, Lq, Linf = _steady_prep(A, D, 0.05)
         want = reference_path(F, Lq, Linf, total, 21)
         monkeypatch.setattr(trajectory_mod, "_DRAW_ROWS", 3)
-        monkeypatch.setattr(trajectory_mod, "_PRODUCT_ROWS", 2)
+        monkeypatch.setattr(trajectory_mod, "_product_rows", lambda n, k: 2)
+        monkeypatch.setattr(trajectory_mod, "_CARRIED_ROWS", 32)
         got = sample_exact_ou(A, D, TrajectoryConfig(dt=0.05, n_steps=total, master_seed=21))
         assert np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 6])
+    def test_contiguous_transposed_factor_draws_as_the_strided_view(self, width):
+        """The prepared stream draws its noise as z @ LT with LT the
+        contiguous copy of Lnoise.T; on every chunk length a draw can have
+        (2 to _DRAW_ROWS rows: a lone row keeps the strided view), it gives
+        the strided view's numbers bit for bit, over random factors."""
+        rng = np.random.default_rng(width)
+        for _ in range(20):
+            G = rng.standard_normal((width, width))
+            for L in (_psd_factor(G @ G.T), np.diag(rng.random(width)), np.tril(G)):
+                LT = np.ascontiguousarray(L.T)
+                for rows in (2, 3, 15, 16, 17, 255, 1000, 4095, 4096):
+                    z = rng.standard_normal((rows, width))
+                    assert np.array_equal(z @ LT, z @ L.T)
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_every_product_stays_below_the_gemm_thread_size(self, monkeypatch, width):
+        """Every block-Toeplitz and carried-state chunk keeps m n k below
+        262,144, where OpenBLAS's gemm may start threads, at 64 and 96
+        columns, and the block product takes as many rows as that allows:
+        62 or 63 at 64 columns, 27 or 28 at 96."""
+        shapes = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, *args, **kwargs)
+
+        f = np.linspace(0.5, 0.99, width)
+        x = np.random.default_rng(width).standard_normal((96_000, width))
+        monkeypatch.setattr(np, "matmul", spy)
+        _linear_recurrence(_Recurrence(np.diag(f)), x)
+        monkeypatch.undo()
+        cols = 16 * width
+        block = [m for m, n, k in shapes if n == k == cols]
+        carried = [m for m, n, k in shapes if (n, k) == (width, cols)]
+        assert block and carried
+        assert all(m * n * k < 262_144 for m, n, k in shapes if k == cols)
+        assert max(block) >= {4: 62, 6: 27}[width]
+        assert (max(block) + 2) * cols * cols >= 262_144
 
     def test_exact_ou_holds_one_record_and_little_more(self):
         """The path's input buffer becomes its samples: 1.13 records traced,
@@ -274,7 +322,7 @@ class TestAr1Kernel:
         want = np.column_stack(
             [lfilter([1.0], [1.0, -f[j]], np.r_[r0[j], w[:, j]]) for j in range(width)]
         )
-        got = _linear_recurrence(np.diag(f), np.vstack([r0, w]))
+        got = _linear_recurrence(_Recurrence(np.diag(f)), np.vstack([r0, w]))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -314,6 +362,52 @@ class TestEulerMaruyama:
         r_ou = sample_exact_ou(A, D, cfg_ou)
         r_em = sample_euler_maruyama(A, D, cfg_em)
         assert not np.allclose(r_ou.samples, r_em.samples)
+
+
+def _jordan_dynamics():
+    """A stable defective drift, one eigenvalue -1/2 with a single Jordan chain."""
+    return -0.5 * np.eye(4) + np.eye(4, k=1), np.eye(4)
+
+
+def _detuned_tms_dynamics():
+    p = ModelParams(G=0.2, kappa_a=1.0, kappa_b=0.6, n_a=0.3, n_b=0.1,
+                    delta_a=0.3, delta_b=-0.2)
+    return build_drift(p), build_diffusion(p)
+
+
+STREAM_DYNAMICS = {
+    "closed_form": lambda: closed_form_dynamics(0.25, 1.0, 0.5),
+    "tms_detuned": _detuned_tms_dynamics,
+    "jordan": _jordan_dynamics,
+}
+
+
+class TestPreparedStream:
+    # totals 1 to 96,005: one short of, on and past a block end, 33 carried
+    # states, and four levels of recursion; a path of 2 draws one noise row
+    LENGTHS = [1, 16, 17, 543, 96_000]
+
+    @pytest.mark.parametrize("scheme", [Scheme.EXACT_OU, Scheme.EULER_MARUYAMA])
+    @pytest.mark.parametrize("dynamics", sorted(STREAM_DYNAMICS))
+    def test_shared_stream_draws_solo_records_bit_for_bit(self, dynamics, scheme):
+        """Records drawn one after another from one prepared stream, longest
+        first and shortest first, equal records drawn alone, each from a
+        stream of its own, bit for bit and with the same meta."""
+        A, D = STREAM_DYNAMICS[dynamics]()
+        if scheme is Scheme.EXACT_OU:
+            stream, solo = _exact_stream(A, D, 0.05), sample_exact_ou
+        else:
+            stream, solo = _euler_stream(A, D, 0.05), sample_euler_maruyama
+        for burn_in in (0, 1, 5):
+            for n_steps in sorted(self.LENGTHS, reverse=burn_in != 1):
+                seed = 7 * n_steps + burn_in
+                cfg = TrajectoryConfig(dt=0.05, n_steps=n_steps, burn_in=burn_in,
+                                       scheme=scheme, master_seed=seed)
+                (shared,) = _records(stream, cfg, scheme, SourceTag.QUANTUM, None, [(seed, {})])
+                want = solo(A, D, cfg)
+                assert shared.samples.shape == (n_steps, 4)
+                assert np.array_equal(shared.samples, want.samples)
+                assert shared.meta == want.meta and shared.seed == want.seed
 
 
 class TestEnsembles:
