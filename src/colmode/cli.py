@@ -671,12 +671,13 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
     rows = []
     groups: dict[str, list] = {}
     factors = {"default_kappa": [], "per_file": {}}
+    filters = {}  # the records of one dt and length share one prepared filter
     for path in record_paths:
         fname = Path(path).name
         record = load_record(path)
         if "kappa" not in record.meta:
             factors["default_kappa"].append(fname)
-        est = analyze_record(record, pconf)
+        est = analyze_record(record, pconf, filters)
         rep = witness_from_estimate(est)
         del record  # let go before the next file is read: one record at a time
         factors["per_file"][fname] = {"calibration": est.calibration}

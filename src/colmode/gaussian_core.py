@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._fields import ConfigFields, real
 from .errors import (
@@ -197,6 +196,20 @@ def solve_steady_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     return V
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """e^M for a square M.  A diagonal M gives the exponential of its
+    diagonal, as scipy.linalg.expm computes it for one; any other M goes to
+    scipy.linalg.expm, which is imported on the first such call, so a run
+    whose drifts are all diagonal never loads scipy.linalg."""
+    M = np.asarray(M, dtype=float)
+    diagonal = np.diagonal(M)
+    if np.count_nonzero(M) == np.count_nonzero(diagonal):
+        return np.diag(np.exp(diagonal))
+    import scipy.linalg
+
+    return scipy.linalg.expm(M)
+
+
 def evolve_covariance(V0: np.ndarray, A: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
     """Propagate dV/dt = A V + V A^T + D for a duration t >= 0, for any drift.
 
@@ -220,7 +233,7 @@ def evolve_covariance(V0: np.ndarray, A: np.ndarray, D: np.ndarray, t: float) ->
     M[:n, :n] = A
     M[:n, n:] = D
     M[n:, n:] = -A.T
-    E = scipy.linalg.expm(M * (t / 2**k))
+    E = _expm(M * (t / 2**k))
     F = E[:n, :n]
     Q = symmetrize(E[:n, n:] @ F.T)
     for _ in range(k):

@@ -38,7 +38,6 @@ from .trajectory import (
     _row_ranges,
     _Stream,
     derive_stream_seed,
-    sample_exact_ou,
 )
 
 __all__ = [
@@ -212,6 +211,15 @@ def gen_shared_noise(
     return _null_record(spec, config, kappa, buf, rng, correlation=rho)
 
 
+#: Null model B's drift is -kappa/2 I + g K with K symmetric and K^2 = I.
+#: Its columns are K's eigenvectors: (X_a - P_b) / sqrt 2 and (P_a - X_b) /
+#: sqrt 2 at eigenvalue +1 (rate kappa/2 - g), (X_a + P_b) / sqrt 2 and
+#: (P_a + X_b) / sqrt 2 at -1 (rate kappa/2 + g).
+_PARAMP_MODES = np.array(
+    [[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0], [1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+).T / math.sqrt(2.0)
+
+
 def _paramp_dynamics(spec: NullModelSpec, kappa: float):
     """Drift, classical diffusion and classical occupancy of null model B."""
     g = spec.gain
@@ -221,6 +229,15 @@ def _paramp_dynamics(spec: NullModelSpec, kappa: float):
     n_cl = spec.target_power * (kappa**2 - 4.0 * g**2) / kappa**2
     A = build_drift(ModelParams(G=g, kappa_a=kappa, kappa_b=kappa, n_a=0.0, n_b=0.0))
     return A, kappa * n_cl * np.eye(4), n_cl
+
+
+def _paramp_modes(g: float, kappa: float, n_cl: float):
+    """(rates, variances) of null model B's classical part along the columns
+    of _PARAMP_MODES: four independent OU streams, since the isotropic
+    diffusion kappa n_cl I stays isotropic in that orthonormal basis; each
+    variance is kappa n_cl / (2 rate)."""
+    rates = [kappa / 2.0 - g] * 2 + [kappa / 2.0 + g] * 2
+    return rates, [kappa * n_cl / (2.0 * r) for r in rates]
 
 
 def gen_classical_paramp(
@@ -233,16 +250,19 @@ def gen_classical_paramp(
     Same drift as the two-mode-squeezing quantum model at the given gain,
     driven by purely classical noise (no vacuum term in the diffusion),
     then lifted by the vacuum floor.  Exhibits phase-sensitive
-    cross-correlations while remaining positive-P by construction.
+    cross-correlations while remaining positive-P by construction.  The
+    classical part is drawn in the drift's fixed eigenbasis, as four
+    stationary OU streams from spec.seed mixed by _PARAMP_MODES, so it needs
+    no matrix exponential and no factor of a degenerate covariance.
     """
     config = _checked_config(spec, NullKind.CLASSICAL_PARAMP, config)
-    A, D_cl, n_cl = _paramp_dynamics(spec, kappa)
+    _, _, n_cl = _paramp_dynamics(spec, kappa)
     total = config.burn_in + config.n_steps
     if n_cl > 0:
-        cl_cfg = TrajectoryConfig(
-            dt=config.dt, n_steps=total, scheme=Scheme.EXACT_OU, master_seed=spec.seed
-        )
-        classical = sample_exact_ou(A, D_cl, cl_cfg).samples
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        modes = _streams(*_paramp_modes(spec.gain, kappa, n_cl), total, rng, config.dt)
+        classical = modes @ _PARAMP_MODES.T
+        del modes  # freed before the vacuum streams are drawn
     else:
         classical = np.zeros((total, 4))
     vac_rng = np.random.Generator(np.random.PCG64(derive_stream_seed(spec.seed, 1)))

@@ -1,6 +1,6 @@
 """The single analysis path applied identically to every dataset.
 
-Records are band-limited, demodulated into the rotating frame, segmented,
+Records are demodulated into the rotating frame, band-limited, segmented,
 and reduced to an empirical covariance matrix from which both witnesses are
 computed; the filter's closed-form vacuum transfer calibrates it.  No code
 in this module branches on the record's provenance tag: quantum and
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
 
 from ._fields import ConfigFields, count, real
 from .errors import (
@@ -37,7 +36,8 @@ from .errors import (
 from .entanglement import WitnessReport, _checked_witnesses, _duan_sum, _nu_minus, make_report
 from .gaussian_core import closed_form_dynamics, symmetrize
 from .trajectory import (
-    _MAX_PATH_ROWS, TrajectoryConfig, TrajectoryRecord, _ensemble, derive_stream_seed,
+    _MAX_PATH_ROWS, TrajectoryConfig, TrajectoryRecord, _ensemble, _linear_recurrence,
+    _Recurrence, derive_stream_seed,
 )
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _BOOT_STREAM = 0xBEEF
+# rows of a record demodulated at a time
+_ROTATE_ROWS = 4096
 
 
 def _segment_statistic(value) -> str:
@@ -153,48 +155,62 @@ def vacuum_transfer(B: float, dt: float, kappa: float) -> float:
     return g * ((1.0 + a * a) * (1.0 + a * r) / (1.0 + a) ** 2 + 2.0 * a * r * g)
 
 
-def _zero_phase_lowpass(x: np.ndarray, a: float, padlen: int) -> np.ndarray:
+class _Lowpass:
     """The single pole 1 - a over 1 - a z^-1 run forward and backward over
-    the columns of x, after odd extension by padlen samples at each end;
-    x is overwritten with the result and returned.
+    the four columns of a record, after odd extension by padlen samples at each
+    end, prepared once for every record it filters.
 
     Each pass starts from the filter's steady state for its first input, so
     this is scipy.signal.filtfilt([1 - a], [1, -a], x, axis=0, padlen=padlen)
-    up to rounding.  The forward pass is the unit lower bidiagonal L with
-    subdiagonal -a, the backward pass its transpose, so both are one
-    symmetric tridiagonal solve of L diag(d) L^T: the forward steady state
-    zi x_0 enters row 0 of the input, and d[-1] = b0 / (zi + b0) starts the
-    backward pass from its steady state zi y_last.  One channel at a time is
-    extended into one contiguous scratch, which LAPACK solves in place, so
-    the filter holds that scratch, d and e: three quarters of x's size.
+    up to rounding.  Both passes are the sampler's AR(1) kernel, F = a I with
+    gain 1 - a, over the record's own rows: forward, then reversed.  The odd
+    extensions never exist.  Each pass over the padding ends in a state
+    linear in the padding, which enters the record's first row (forward) or
+    last row (backward) as a weighted sum:
+      - forward, the extension sample 2 x_0 - x_k weighs a^k, k = 1 ..
+        padlen, and the first one zi/b0 a^padlen more, zi x_0 being the
+        filter's steady state and b0 = 1 - a;
+      - backward, 2 x_last - x_(last-k) runs forward and back through the
+        padding: it weighs b0 (a^k (1 - a^(2 (padlen - k + 1))) / (1 - a^2)
+        + zi/b0 a^(2 padlen - k)), and the record's forward-filtered last
+        row the same at k = 0, divided by b0.
     """
-    b0 = 1.0 - a
-    zi = a * b0 / (1.0 - a)  # scipy.signal.lfilter_zi's value, computed as it computes it
-    n = x.shape[0]
-    ext = np.empty(n + 2 * padlen)
-    d = np.ones(ext.shape[0])
-    d[-1] = b0 / (zi + b0)
-    # the LAPACK wrapper refuses an empty e, so a one-sample record gets one unread entry
-    e = np.full(max(ext.shape[0] - 1, 1), -a)
-    head, body, tail = ext[:padlen], ext[padlen : padlen + n], ext[padlen + n :]
-    for col in x.T:
-        np.subtract(2 * col[0], col[padlen:0:-1], out=head)
-        np.subtract(2 * col[-1], col[-2 : -(padlen + 2) : -1], out=tail)
-        first = zi * (head[0] if padlen else col[0])
-        # the input scaled by b0 as it is copied in, the padding in place
-        head *= b0
-        tail *= b0
-        np.multiply(col, b0, out=body)
-        ext[0] += first
-        y = dpttrs(d, e, ext, overwrite_b=True)[0]
-        np.multiply(y[padlen : padlen + n], b0, out=col)
-    return x
+
+    def __init__(self, a: float, padlen: int):
+        b0 = 1.0 - a
+        zi = a * b0 / (1.0 - a)  # scipy.signal.lfilter_zi's value, computed as it computes it
+        k = np.arange(padlen + 1)
+        ak = a**k
+        self.head = ak.copy()
+        self.head[-1] *= 1.0 + zi / b0
+        tail = ak * -np.expm1(2.0 * math.log(a) * (padlen + 1 - k)) / (b0 * (1.0 + a))
+        tail += (zi / b0) * ak[-1] * ak[::-1]
+        self.last, self.tail = tail[0], b0 * tail[1:]
+        self.padlen = padlen
+        self.ops = _Recurrence(a * np.eye(4), gain=b0)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """x filtered in its own buffer, or, if x is not C-contiguous, in a
+        C-contiguous copy that is written back; returns x."""
+        y = x if x.flags.c_contiguous else np.ascontiguousarray(x)
+        # the padding's sums, from the samples before either pass
+        first = self.head[1:] @ (2.0 * y[0] - y[1 : self.padlen + 1])
+        last = self.tail @ (2.0 * y[-1] - y[-2 : -(self.padlen + 2) : -1])
+        y[0] *= self.head[0]
+        y[0] += first
+        _linear_recurrence(self.ops, y)
+        y[-1] *= self.last
+        y[-1] += last
+        _linear_recurrence(self.ops, y, reverse=True)
+        if y is not x:
+            x[:] = y
+        return x
 
 
-def _bandlimit_in_place(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
-    """bandlimit's filter run in record's own samples, a writable buffer, with
-    the pass entered in record's own meta; returns record.  B and every meta
-    field the pass reads are checked before a sample is touched."""
+def _bandlimit_pass(record: TrajectoryRecord, B: float):
+    """(pole a, padlen, meta entries) of bandlimit's pass over record.  B and
+    every meta field the pass reads are checked here, so a caller that runs
+    the pass in place can refuse a record before a sample is touched."""
     B = real(B, "bandwidth", above=0.0)
     nyquist = 1.0 / (2.0 * record.dt)
     if B > nyquist:
@@ -204,9 +220,8 @@ def _bandlimit_in_place(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     a = filter_pole_coefficient(B, record.dt)
     if a == 1.0:
         raise ValidationError(f"bandwidth {B:g} is too small for dt {record.dt:g}: pole rounds to 1")
-    n = record.n_steps
     tau = -1.0 / math.log(a)
-    padlen = int(min(n - 1, max(6, 10.0 * tau)))
+    padlen = int(min(record.n_steps - 1, max(6, 10.0 * tau)))
     bands = record.meta.get("bandlimit", [])
     if not isinstance(bands, list):
         raise ValidationError(f"bandlimit must be a list of bandwidths, got {bands!r}")
@@ -214,10 +229,7 @@ def _bandlimit_in_place(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     cal = _record_calibration(record) * vacuum_transfer(
         B, record.dt, real(record.meta.get("kappa", 1.0), "kappa", above=0.0)
     )
-    _zero_phase_lowpass(record.samples, a, padlen)
-    record.meta["bandlimit"] = bands
-    record.meta["bandlimit_cal"] = cal
-    return record
+    return a, padlen, {"bandlimit": bands, "bandlimit_cal": cal}
 
 
 def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
@@ -231,28 +243,41 @@ def bandlimit(record: TrajectoryRecord, B: float) -> TrajectoryRecord:
     a verdict, never make one.  The input record is left as it was: the
     filter runs in a copy of the record.
     """
-    return _bandlimit_in_place(replace(record, samples=record.samples.copy()), B)
+    a, padlen, entries = _bandlimit_pass(record, B)
+    out = replace(record, samples=record.samples.copy())
+    _Lowpass(a, padlen)(out.samples)
+    out.meta.update(entries)
+    return out
+
+
+def _rotate(samples: np.ndarray, dt: float, f0: float) -> None:
+    """Rotate each mode's (X, P) pair of samples, in their own buffer, by the
+    angle -2 pi f0 t at t = k dt, _ROTATE_ROWS rows at a time."""
+    for start in range(0, samples.shape[0], _ROTATE_ROWS):
+        rows = samples[start : start + _ROTATE_ROWS]
+        theta = -2.0 * math.pi * f0 * (np.arange(start, start + rows.shape[0]) * dt)
+        c, s = np.cos(theta), np.sin(theta)
+        for x, p in ((rows[:, 0], rows[:, 1]), (rows[:, 2], rows[:, 3])):
+            rotated = c * x - s * p
+            p *= c
+            p += s * x
+            x[:] = rotated
 
 
 def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     """Rotate each mode's (X, P) pair by the angle -2 pi f0 t.
 
     f0 = 0 is the exact identity; simulator output is already in the
-    rotating frame.
+    rotating frame.  The input record is left as it was: the rotation runs
+    in a copy of the record.
     """
     f0 = real(f0, "demodulation frequency")
     demod = real(record.meta.get("demod", 0.0), "demod")
-    if f0 == 0.0:
-        return record
-    theta = -2.0 * math.pi * f0 * record.times()
-    c, s = np.cos(theta), np.sin(theta)
-    X = record.samples
-    out = np.empty_like(X)
-    out[:, 0] = c * X[:, 0] - s * X[:, 1]
-    out[:, 1] = s * X[:, 0] + c * X[:, 1]
-    out[:, 2] = c * X[:, 2] - s * X[:, 3]
-    out[:, 3] = s * X[:, 2] + c * X[:, 3]
-    return replace(record, samples=out, meta=dict(record.meta, demod=demod + f0))
+    out = replace(record, samples=record.samples.copy())
+    if f0 != 0.0:
+        _rotate(out.samples, out.dt, f0)
+        out.meta["demod"] = demod + f0
+    return out
 
 
 def _mean_of_moments(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -344,21 +369,39 @@ def witness_with_uncertainty(estimates) -> WitnessReport:
     return make_report(nu_mean, duan_mean, nu_se, duan_se)
 
 
-def analyze_record(record: TrajectoryRecord, config: PipelineConfig) -> EstimatedCovariance:
-    """The shared entry point: band-limit, demodulate, estimate.
+def analyze_record(
+    record: TrajectoryRecord, config: PipelineConfig, filters: dict | None = None
+) -> EstimatedCovariance:
+    """The shared entry point: demodulate, band-limit, estimate.
 
     Applied identically to every record; nothing in this path inspects the
-    record's provenance tag.  The record is consumed: its samples are
-    band-limited in their own buffer and the pass is entered in its meta,
-    unless the buffer is read-only, when a copy of the record is filtered
-    instead.  Use bandlimit to keep a record as it is.  Every meta field the
-    path reads is checked before a sample is touched.
+    record's provenance tag.  The mode is brought to DC before the low-pass
+    keeps the band around DC.  The record is consumed: its samples are
+    demodulated and band-limited in their own buffer and both passes are
+    entered in its meta, unless the buffer is read-only, when a copy of the
+    record is used instead.  Use demodulate and bandlimit to keep a record
+    as it is.  Every meta field the path reads is checked before a sample
+    is touched.
+
+    filters, if given, is a dict that keeps the prepared filter of each
+    (pole, padding) it meets for the next record that has them: the records
+    of one run can share one dict, so each filter is prepared once.  The
+    estimate is the same with or without it.
     """
-    real(record.meta.get("demod", 0.0), "demod")
+    demod = real(record.meta.get("demod", 0.0), "demod")
+    a, padlen, entries = _bandlimit_pass(record, config.bandwidth)
     if not record.samples.flags.writeable:
         record = replace(record, samples=record.samples.copy())
-    record = _bandlimit_in_place(record, config.bandwidth)
-    return estimate_covariance(demodulate(record, config.demod_frequency), config)
+    f0 = config.demod_frequency
+    if f0 != 0.0:
+        _rotate(record.samples, record.dt, f0)
+        record.meta["demod"] = demod + f0
+    filters = {} if filters is None else filters
+    if (a, padlen) not in filters:
+        filters[a, padlen] = _Lowpass(a, padlen)
+    filters[a, padlen](record.samples)
+    record.meta.update(entries)
+    return estimate_covariance(record, config)
 
 
 def _checked_cells(cells) -> list[tuple[float, float]]:
@@ -411,10 +454,10 @@ def _cell_witness(A, D, kappa, plan, runs, seed) -> WitnessReport:
     which calibrates the band-limit filter.  The ensemble witness reads only
     each record's V_hat.  Records are drawn one at a time and map lets go of
     each once it is estimated, which consumes it, so one record is alive
-    however many runs the cell has."""
+    however many runs the cell has.  The records share one prepared filter."""
     pconf, cfg = plan
     records = _ensemble(A, D, replace(cfg, master_seed=seed), runs, meta={"kappa": kappa})
-    return witness_with_uncertainty(map(partial(analyze_record, config=pconf), records))
+    return witness_with_uncertainty(map(partial(analyze_record, config=pconf, filters={}), records))
 
 
 def convergence_sweep(

@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from ._fields import ConfigFields, count, real
 from .errors import StepTooLargeError, ValidationError
-from .gaussian_core import is_stable, solve_steady_lyapunov, symmetrize
+from .gaussian_core import _expm, is_stable, solve_steady_lyapunov, symmetrize
 
 __all__ = [
     "Scheme",
@@ -187,15 +186,21 @@ def _row_ranges(rows: int, size: int):
     return zip(edges[:-1], edges[1:])
 
 
-def _block_toeplitz(powers: np.ndarray) -> np.ndarray:
+def _block_toeplitz(powers: np.ndarray, reverse: bool = False) -> np.ndarray:
     """The (b n, b n) matrix whose block (i, j) is powers[j - i].T for j >= i,
     else 0, for the (b, n, n) powers F^0 .. F^(b-1) of an n x n F: rows are
-    states, so each power acts on the right as its transpose."""
+    states, so each power acts on the right as its transpose.  Reversed, its
+    block reversal, whose block (i, j) is powers[i - j].T for i >= j.  It is
+    one copy of a strided view of the transposed powers after b - 1 zero
+    blocks."""
     b, n = powers.shape[:2]
-    lag = np.subtract.outer(np.arange(b), np.arange(b))
-    blocks = powers.transpose(0, 2, 1)[np.maximum(-lag, 0)]
-    blocks[lag > 0] = 0.0
-    return blocks.transpose(0, 2, 1, 3).reshape(b * n, b * n)
+    stacked = np.zeros((2 * b - 1, n, n))
+    stacked[b - 1 :] = powers.transpose(0, 2, 1)
+    step, row, col = stacked.strides
+    lag = -step if reverse else step
+    # element (i, c, j, c') is stacked[b - 1 + j - i, c, c'], reversed stacked[b - 1 + i - j, c, c']
+    grid = np.ndarray((b, n, b, n), float, stacked, (b - 1) * step, (-lag, row, lag, col))
+    return grid.reshape(b * n, b * n)
 
 
 def _product_rows(n: int, k: int) -> int:
@@ -215,21 +220,23 @@ def _block_product(y: np.ndarray, toeplitz: np.ndarray) -> None:
 
 
 class _Recurrence:
-    """The powers of one n x n F that _linear_recurrence reads, each taken
-    once and kept for every later series: F^0 .. F^_BLOCK as far as a series
-    has needed them, so an unstable F's unused powers never overflow; the
-    carried-state response [F^1 .. F^_BLOCK]^T, a view of them; and
-    `carried`, the _Recurrence of F^_BLOCK that the carried states follow.
-    Each series gathers its block-Toeplitz matrix from the kept powers: at
-    (_BLOCK n)^2 floats a level, 128 kB over the four levels of a 1e5-step
-    quantum path, keeping it would put a converge cell's record and its
-    analysis over 1.8 records (tests/test_pipeline.py's working-set bound)."""
+    """The operators of y_k = F y_{k-1} + gain x_k for one n x n F that
+    _linear_recurrence reads, each taken once and kept for every later
+    series: F^0 .. F^_BLOCK as far as a series has needed them, so an
+    unstable F's unused powers never overflow; the block-Toeplitz matrix,
+    times gain, of each block length and direction a series has needed,
+    (_BLOCK n)^2 floats, 32 kB at n = 4; the carried-state response
+    [F^1 .. F^_BLOCK]^T, a view of the powers, and its block reversal; and
+    `carried`, the _Recurrence of F^_BLOCK (gain 1) that the carried states,
+    already scaled, follow."""
 
-    def __init__(self, F: np.ndarray):
+    def __init__(self, F: np.ndarray, gain: float = 1.0):
         self.F = F
+        self.gain = gain
         self.powers = np.empty((_BLOCK + 1, *F.shape))
         self.powers[0] = np.eye(F.shape[0])
         self.known = 1
+        self.toeplitz = {}
 
     def upto(self, count: int) -> np.ndarray:
         """F^0 .. F^(count - 1) as a (count, n, n) view, each F @ F^(k - 1)."""
@@ -238,19 +245,36 @@ class _Recurrence:
         self.known = max(self.known, count)
         return self.powers[:count]
 
+    def blocks(self, b: int, reverse: bool = False) -> np.ndarray:
+        """_block_toeplitz of F^0 .. F^(b - 1), or its block reversal, times gain."""
+        if (b, reverse) not in self.toeplitz:
+            toeplitz = _block_toeplitz(self.upto(b), reverse)
+            if self.gain != 1.0:
+                toeplitz *= self.gain
+            self.toeplitz[b, reverse] = toeplitz
+        return self.toeplitz[b, reverse]
+
     @functools.cached_property
     def response(self) -> np.ndarray:
         n = self.F.shape[0]
         return self.upto(_BLOCK + 1)[1:].reshape(_BLOCK * n, n).T
 
     @functools.cached_property
+    def reversed_response(self) -> np.ndarray:
+        """[F^_BLOCK .. F^1]^T: a block's rows take the state carried in from
+        the next block by these in the backward recurrence."""
+        n = self.F.shape[0]
+        return self.response.reshape(n, _BLOCK, n)[:, ::-1].reshape(n, _BLOCK * n)
+
+    @functools.cached_property
     def carried(self) -> "_Recurrence":
         return _Recurrence(self.upto(_BLOCK + 1)[_BLOCK])
 
 
-def _linear_recurrence(ops: _Recurrence, x: np.ndarray) -> np.ndarray:
-    """y_0 = x_0, y_k = F y_{k-1} + x_k over the rows of x (m, n), for the F
-    of ops.
+def _linear_recurrence(ops: _Recurrence, x: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """y_0 = g x_0, y_k = F y_{k-1} + g x_k over the rows of x (m, n), for
+    the F and gain g of ops; reversed, y_{m-1} = g x_{m-1}, y_k = F y_{k+1}
+    + g x_k.
 
     Works in the original basis for any n x n F, defective or unstable.
     Within each block of _BLOCK rows, y is the block's own response, one
@@ -258,43 +282,76 @@ def _linear_recurrence(ops: _Recurrence, x: np.ndarray) -> np.ndarray:
     F^1 .. F^_BLOCK to the state carried in from the previous block.  The
     carried states are the block-end values, which obey the same recurrence
     with F^_BLOCK, so each level of recursion shortens the series _BLOCK-fold.
-    Each level's powers and carried-state response come from ops and its
-    chain of `carried` recurrences, taken once for every series drawn with
-    ops; only the block-Toeplitz matrix is gathered again for each series.
+    Reversed, each block takes the block reversal of the same matrices, and
+    the carried states, the blocks' first rows, run through the same chain
+    of recurrences from the last block to the first.  Every operator comes
+    from ops and its chain of `carried` recurrences, taken once for every
+    series run with ops.
 
-    A C-contiguous x of _whole_blocks(m) rows is overwritten with y and
-    returned; any other x is solved in a zero-padded copy, and y is a view
-    of that copy.  The scratch of each level is freed before the next
-    level's, so the recursion adds about a sixteenth of x.
+    A C-contiguous x is overwritten with y and returned; any other x is
+    solved in a C-contiguous copy, which is returned.  Rows past the last
+    whole block (before the first, reversed) are solved as one zero-padded
+    block in a small scratch.  The scratch of each level is freed before
+    the next level's, so the recursion adds about a sixteenth of x.
     """
+    if not x.flags.c_contiguous:
+        return _linear_recurrence(ops, np.ascontiguousarray(x), reverse)
     m, n = x.shape
     # a series shorter than a block is one block: no power of F beyond its span
     b = min(m, _BLOCK)
-    nb = -(-m // b)
-    if nb * b != m or not x.flags.c_contiguous:
-        padded = np.zeros((nb * b, n))
-        padded[:m] = x
-        return _linear_recurrence(ops, padded)[:m]
-    y = x.reshape(nb, b * n)
-    _block_product(y, _block_toeplitz(ops.upto(b)))
-    if nb > 1:
-        rows = nb - 1
-        # a zero row past the end: a lone carried state joins it in a two-row product
-        carried = np.zeros((_whole_blocks(rows) + 1, n))
-        carried[:rows] = y[:-1, -n:]
-        _linear_recurrence(ops.carried, carried[:-1])
-        # y[1:] += carried @ [F^1 .. F^b]^T, _CARRIED_ROWS rows at a time through one scratch
-        scratch = np.empty((min(max(rows, 2), _CARRIED_ROWS + 1), b * n))
-        for start, stop in _row_ranges(max(rows, 2), _CARRIED_ROWS):
-            part = np.matmul(carried[start:stop], ops.response, out=scratch[: stop - start])
-            y[1 + start : 1 + stop] += part[: rows - start]
+    nb, r = divmod(m, b)
+    if nb == 1 and r:
+        # BLAS would take the one whole block as a one-row product, which
+        # rounds apart from a matrix product: solve two blocks, zero-padded
+        padded = np.zeros((2 * b, n))
+        (padded[-m:] if reverse else padded[:m])[:] = x
+        _linear_recurrence(ops, padded, reverse)
+        x[:] = padded[-m:] if reverse else padded[:m]
+        return x
+    toeplitz = ops.blocks(b, reverse)
+    rest = x[:r] if reverse else x[nb * b :]
+    y = (x[r:] if reverse else x[: nb * b]).reshape(nb, b * n)
+    _block_product(y, toeplitz)
+    if r:
+        # the rest, zero-padded to a block, and a zero row: a two-row product
+        # rounds as the block product's rows do
+        padded = np.zeros((2, b, n))
+        (padded[0, b - r :] if reverse else padded[0, :r])[:] = rest
+        last = np.matmul(padded.reshape(2, b * n), toeplitz)
+    rows = nb - (r == 0)  # carried states: every block's but the last block's
+    if rows:
+        # the carried states, the blocks' last rows (first rows, reversed), in
+        # a zero-padded series of whole blocks, then a zero row: a lone
+        # carried state joins it in a two-row product
+        whole = _whole_blocks(rows)
+        carried = np.zeros((whole + 1, n))
+        if reverse:
+            carried[whole - rows : whole] = y[nb - rows :, :n]
+        else:
+            carried[:rows] = y[:rows, -n:]
+        _linear_recurrence(ops.carried, carried[:-1], reverse)
+        response = ops.reversed_response if reverse else ops.response
+        # block k + 1 takes carried state k; reversed, block k takes the next block's
+        states = carried[whole - (nb - 1) :] if reverse else carried
+        if nb > 1:
+            # the takers += states @ response, _CARRIED_ROWS rows at a time through one scratch
+            takers = y[:-1] if reverse else y[1:]
+            scratch = np.empty((min(max(nb - 1, 2), _CARRIED_ROWS + 1), b * n))
+            for start, stop in _row_ranges(max(nb - 1, 2), _CARRIED_ROWS):
+                part = np.matmul(states[start:stop], response, out=scratch[: stop - start])
+                takers[start:stop] += part[: nb - 1 - start]
+        if r:
+            k = whole - rows if reverse else nb - 1
+            last[0] += np.matmul(carried[k : k + 2], response)[0]
+    if r:
+        rest[:] = last[0].reshape(b, n)[b - r :] if reverse else last[0].reshape(b, n)[:r]
     return x
 
 
 def _steady_prep(A: np.ndarray, D: np.ndarray, dt: float):
     """Shared precomputation for exact-OU sampling: (F, Lq, Linf)."""
     Vinf = solve_steady_lyapunov(A, D)
-    F = scipy.linalg.expm(np.asarray(A, dtype=float) * dt)
+    F = _expm(np.asarray(A, dtype=float) * dt)
     Q = symmetrize(Vinf - F @ Vinf @ F.T)
     return F, _psd_factor(Q), _psd_factor(Vinf)
 

@@ -1508,14 +1508,67 @@ def test_manifest_records_blas_and_its_thread_variables(tmp_path):
 
 
 def test_cli_imports_no_scipy_signal_integrate_or_stats():
-    """Every command pays for colmode.cli's imports at start-up; scipy.linalg
-    is the only part of scipy the runtime needs."""
+    """Every command pays for colmode.cli's imports at start-up; none of them
+    is a scipy subpackage, and scipy.linalg is loaded only by the first
+    exponential of a non-diagonal drift (test_commands_never_load_scipy_linalg)."""
     probe = (
         "import sys, colmode.cli; "
         "print(sorted(m for m in ('scipy.signal', 'scipy.integrate', 'scipy.stats') "
         "if m in sys.modules))"
     )
     assert _run_python(["-c", probe], os.environ).stdout.strip() == "[]"
+
+
+def test_commands_never_load_scipy_linalg(tmp_path):
+    """In one fresh interpreter, scipy.linalg is not loaded by importing
+    colmode.cli, nor by phase-diagram, converge, simulate of a CLOSED_FORM
+    ensemble with the null trio, or analyze of those records: their drifts
+    are diagonal, and null model B is drawn in its drift's eigenbasis."""
+    sim = small_simulate_config(ensemble=2, null_trio=True)
+    sim["trajectory"]["n_steps"] = 4000
+    configs = {
+        "phase-diagram": _small_phase_config() | {"preset": "CLOSED_FORM"},
+        "converge": {
+            "params": sim["params"], "master_seed": 3,
+            "cells": [{"T": 8.0, "B": 1.0}, {"T": 16.0, "B": 1.0}],
+            "runs_per_cell": 2, "segments_per_record": 4,
+            "crossing": {"n": 0.5, "g_values": [0.1, 0.2], "cells": [{"T": 8.0, "B": 1.0}],
+                         "runs_per_cell": 2, "segments_per_record": 4},
+        },
+        "simulate": sim,
+        "analyze": {"pipeline": {"bandwidth": 1.0, "integration_time": 10.0,
+                                 "bootstrap_resamples": 20}},
+    }
+    runs = [[command, "-c", write_config(tmp_path, f"{command}.json", cfg),
+             "--out-dir", str(tmp_path / command)] for command, cfg in configs.items()]
+    probe = (
+        "import sys, pathlib, colmode.cli\n"
+        "print('loaded', 'import', 'scipy.linalg' in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    if argv[0] == 'analyze':\n"
+        f"        argv += sorted(map(str, pathlib.Path({str(tmp_path / 'simulate')!r}).glob('*.npy')))\n"
+        "    assert colmode.cli.main(argv) == 0, argv\n"
+        "    print('loaded', argv[0], 'scipy.linalg' in sys.modules)\n"
+    )
+    lines = _run_python(["-c", probe], os.environ).stdout.splitlines()
+    assert [ln for ln in lines if ln.startswith("loaded")] == [
+        f"loaded {step} False" for step in ("import", *configs)]
+    assert len(list((tmp_path / "simulate").glob("*.npy"))) == 5
+
+
+def test_a_non_diagonal_drift_loads_scipy_linalg():
+    """A TMS_HAMILTONIAN drift is not diagonal: sampling it takes
+    scipy.linalg.expm, imported on that first call."""
+    probe = (
+        "import sys\n"
+        "from colmode.gaussian_core import ModelParams, steady_dynamics\n"
+        "from colmode.trajectory import TrajectoryConfig, sample_exact_ou\n"
+        "p = ModelParams(G=0.2, kappa_a=1.0, kappa_b=1.0, n_a=0.0, n_b=0.0)\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "sample_exact_ou(*steady_dynamics(p), TrajectoryConfig(dt=0.05, n_steps=100))\n"
+        "print(before, 'scipy.linalg' in sys.modules)\n"
+    )
+    assert _run_python(["-c", probe], os.environ).stdout.strip() == "False True"
 
 
 class _Mallinfo2(ctypes.Structure):

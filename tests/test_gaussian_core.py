@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,6 +17,7 @@ from colmode.gaussian_core import (
     Preset,
     build_diffusion,
     build_drift,
+    _expm,
     check_physicality,
     closed_form_covariance,
     closed_form_dynamics,
@@ -26,7 +29,26 @@ from colmode.gaussian_core import (
 )
 from colmode.entanglement import ppt_nu_minus
 
+from colmode import trajectory as trajectory_mod
+from colmode.pipeline import _cell_plan
+from colmode.trajectory import TrajectoryConfig, sample_ensemble
+
 from conftest import evolve_affine, evolve_by_vanloan, random_stable_params
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_steps() -> set[float]:
+    """Every sampling step of the shipped configs: simulate's dt and the dt
+    of each converge cell and crossing cell.  The bench samples at the
+    same steps (certify at 0.01, converge on the same cells)."""
+    steps = {json.loads((CONFIGS / "simulate.json").read_text())["trajectory"]["dt"]}
+    converge = json.loads((CONFIGS / "converge.json").read_text())
+    for cells, segments in ((converge["cells"], converge["segments_per_record"]),
+                            (converge["crossing"]["cells"],
+                             converge["crossing"]["segments_per_record"])):
+        steps.update(_cell_plan(c["T"], c["B"], segments)[1].dt for c in cells)
+    return steps
 
 
 def ivp_covariance(V0, A, D, t, rtol=1e-12, atol=1e-13, method="DOP853"):
@@ -257,6 +279,48 @@ class TestEvolveCovariance:
         assert np.max(
             np.abs(evolve_covariance(V0, A, D, 5.0) - evolve_affine(V0, A, D, 5.0))
         ) < 1e-10
+
+
+class TestExpm:
+    def test_diagonal_matches_scipy_bit_for_bit(self):
+        """A diagonal matrix's exponential is scipy.linalg.expm's, bit for
+        bit, over random diagonals of sizes 1 to 8 and magnitudes to 30."""
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            size = int(rng.integers(1, 9))
+            M = np.diag(rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.uniform(-8, 1.5))
+            assert np.array_equal(_expm(M), scipy.linalg.expm(M))
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    def test_shipped_closed_form_steps_match_scipy_bit_for_bit(self, kappa):
+        """-kappa/2 I dt, the CLOSED_FORM drift over each shipped step."""
+        assert shipped_steps() == {0.01, 0.0625, 0.1}
+        for dt in sorted(shipped_steps()) + [0.05]:
+            A = closed_form_dynamics(0.25 * kappa, kappa, 0.0)[0]
+            assert np.array_equal(_expm(A * dt), scipy.linalg.expm(A * dt))
+
+    @pytest.mark.parametrize("name", ["tms", "jordan", "van_loan"])
+    def test_other_matrices_are_scipys(self, name):
+        """TMS, defective and 8 x 8 Van Loan blocks go to scipy.linalg.expm."""
+        p = sym_params(G=0.3, n=0.5, delta_a=0.2)
+        A, D = build_drift(p), build_diffusion(p)
+        M = {
+            "tms": A * 0.05,
+            "jordan": (-0.5 * np.eye(4) + np.eye(4, k=1)) * 0.05,
+            "van_loan": np.block([[A, D], [np.zeros((4, 4)), -A.T]]) * 0.3,
+        }[name]
+        assert np.array_equal(_expm(M), scipy.linalg.expm(M))
+
+    def test_closed_form_ensemble_is_the_scipy_ensemble(self, monkeypatch):
+        """A CLOSED_FORM ensemble is byte for byte the one drawn with
+        scipy.linalg.expm for its step."""
+        A, D = closed_form_dynamics(0.25, 1.0, 0.5)
+        cfg = TrajectoryConfig(dt=0.01, n_steps=5000, master_seed=26)
+        ours = sample_ensemble(A, D, cfg, 3)
+        monkeypatch.setattr(trajectory_mod, "_expm", scipy.linalg.expm)
+        theirs = sample_ensemble(A, D, cfg, 3)
+        for a, b in zip(ours, theirs):
+            assert a.samples.tobytes() == b.samples.tobytes()
 
 
 class TestClosedForm:

@@ -11,9 +11,9 @@ import colmode
 
 PACKAGE = Path(colmode.__file__).parent
 
-#: expm for the propagators, dpttrs for the band-limit filter, and the
-#: version the manifest records
-RUNTIME_SCIPY_NAMES = {"scipy.linalg.expm", "scipy.linalg.lapack.dpttrs", "scipy.__version__"}
+#: expm for the exponential of a non-diagonal drift, imported on its first
+#: call, and the version the manifest records
+RUNTIME_SCIPY_NAMES = {"scipy.linalg.expm", "scipy.__version__"}
 
 
 def _dotted(node) -> list[str] | None:
@@ -51,7 +51,7 @@ def scipy_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_runtime_scipy_names_are_expm_dpttrs_and_the_version():
+def test_runtime_scipy_names_are_expm_and_the_version():
     used = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         for name in scipy_names(ast.parse(path.read_text(), str(path))):

@@ -11,7 +11,7 @@ from conftest import RECORD_STEPS, traced_peak_records
 from colmode import null_models
 from colmode.entanglement import _duan_sum, _nu_minus, duan_witness, ppt_nu_minus
 from colmode.errors import NotPsdError, UnstableGainError, ValidationError
-from colmode.gaussian_core import check_physicality, closed_form_covariance
+from colmode.gaussian_core import check_physicality, closed_form_covariance, solve_steady_lyapunov
 from colmode.null_models import (
     NullKind,
     NullModelSpec,
@@ -24,7 +24,9 @@ from colmode.null_models import (
     matched_null_specs,
     mixture_state,
 )
-from colmode.trajectory import SourceTag, TrajectoryConfig, _Recurrence, _linear_recurrence
+from colmode.trajectory import (
+    SourceTag, TrajectoryConfig, _Recurrence, _linear_recurrence, derive_stream_seed,
+)
 
 
 BW = matched_bandwidth(1.0)
@@ -219,6 +221,34 @@ class TestClassicalParamp:
         bound = 5.0 * np.sqrt((np.outer(d, d) + V**2) * inflation / cfg.n_steps)
         assert np.all(np.abs(emp - V) <= bound)
 
+    @pytest.mark.parametrize("gain", [0.05, 0.15, 0.25, 0.35, 0.45])
+    def test_eigenbasis_streams_hold_the_lyapunov_state(self, gain):
+        """The drift's eigenbasis is orthonormal and fixed, the four streams'
+        rates are its eigenvalues, and U diag(variances) U^T is the classical
+        steady state the Lyapunov solve gives, to 1e-12."""
+        A, D_cl, n_cl = null_models._paramp_dynamics(self.spec(gain=gain), 1.0)
+        U = null_models._PARAMP_MODES
+        rates, variances = null_models._paramp_modes(gain, 1.0, n_cl)
+        assert np.max(np.abs(U.T @ U - np.eye(4))) <= 1e-15
+        assert np.max(np.abs(A @ U + U * rates)) <= 1e-15
+        V = solve_steady_lyapunov(A, D_cl)
+        assert np.max(np.abs(U @ np.diag(variances) @ U.T - V)) <= 1e-12 * np.max(np.abs(V))
+
+    def test_record_is_the_mixed_mode_streams_plus_vacuum(self):
+        """The record is the four stationary mode streams drawn from
+        spec.seed and mixed by the eigenbasis, plus the vacuum streams of
+        its own seed, burn-in dropped, bit for bit."""
+        spec = self.spec()
+        cfg = TrajectoryConfig(dt=0.05, n_steps=3000, burn_in=5)
+        total = cfg.n_steps + cfg.burn_in
+        _, _, n_cl = null_models._paramp_dynamics(spec, 1.0)
+        modes = oracle_streams(*null_models._paramp_modes(spec.gain, 1.0, n_cl), total,
+                               np.random.Generator(np.random.PCG64(spec.seed)), cfg.dt)
+        vacuum = oracle_streams([0.5] * 4, [0.5] * 4, total, np.random.Generator(
+            np.random.PCG64(derive_stream_seed(spec.seed, 1))), cfg.dt)
+        want = (modes @ null_models._PARAMP_MODES.T + vacuum)[cfg.burn_in :]
+        assert np.array_equal(gen_classical_paramp(spec, cfg).samples, want)
+
     def test_zero_power_limit(self):
         spec = self.spec(target_power=1e-9)
         rec = gen_classical_paramp(spec, TrajectoryConfig(dt=0.1, n_steps=20_000))
@@ -357,9 +387,10 @@ class TestWorkingSet:
     def test_generator_holds_at_most_two_and_a_half_records(self, generate, kind):
         """The classical streams are freed before the vacuum streams are
         drawn, and the vacuum is added in place: null A mixes its six streams
-        into their own buffer and peaks at 2.16 records, B and C at 2.12
-        (4.73, 3.23 and 3.73 when the streams were held and summed into a
-        third array; 2.50 for null A when it mixed into a fourth)."""
+        into their own buffer and peaks at 2.18 records, B and C at 2.14,
+        their streams' kept operators included (4.73, 3.23 and 3.73 when the
+        streams were held and summed into a third array; 2.50 for null A when
+        it mixed into a fourth)."""
         spec = matched_null_specs(closed_form_covariance(0.25, 1.0, 0.0), seed=3)[kind]
         cfg = TrajectoryConfig(dt=0.05, n_steps=RECORD_STEPS, master_seed=0)
         peak, out = traced_peak_records(generate, spec, cfg)

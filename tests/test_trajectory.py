@@ -238,9 +238,36 @@ class TestAr1Kernel:
         got = _linear_recurrence(_Recurrence(F), x)
         assert got is x
         assert np.array_equal(got[: n + 1], want)
-        # any other length is solved in a padded copy, with the same numbers
+        # any other length is solved in its own buffer too, with the same numbers
         w = rng.standard_normal((n + 1, 4))
-        assert np.array_equal(_linear_recurrence(_Recurrence(F), w.copy()), out_of_place_ar1(F, w))
+        want = out_of_place_ar1(F, w.copy())
+        got = _linear_recurrence(_Recurrence(F), w)
+        assert got is w
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("drift", sorted(AR1_DRIFTS))
+    @pytest.mark.parametrize("n", [0, 1, 14, 15, 16, 30, 31, 82, 254, 255, 543, 20000, 99999])
+    def test_reversed_matches_plain_backward_loop(self, drift, n):
+        """Reversed, y_k = F y_(k+1) + x_k from the last row, in the input's
+        own buffer, for every length: the loop over the reversed rows."""
+        F = AR1_DRIFTS[drift]()
+        rng = np.random.default_rng(n + 7)
+        x = rng.standard_normal((n + 1, 4))
+        want = loop_ar1(F, x[-1], x[-2::-1])[::-1]
+        got = _linear_recurrence(_Recurrence(F), x, reverse=True)
+        assert got is x
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gain_scales_the_input(self, reverse):
+        """_Recurrence(F, gain) runs y_k = F y_(k-1) + gain x_k: the series of
+        gain times the input, to rounding."""
+        F = AR1_DRIFTS["tms_detuned"]()
+        x = np.random.default_rng(3).standard_normal((5001, 4))
+        want = _linear_recurrence(_Recurrence(F), 0.37 * x, reverse)
+        got = _linear_recurrence(_Recurrence(F, gain=0.37), x.copy(), reverse)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 7, 9, 10, 11])
     def test_row_ranges_cover_in_order_with_no_lone_row(self, rows):
@@ -305,8 +332,9 @@ class TestAr1Kernel:
         assert (max(block) + 2) * cols * cols >= 262_144
 
     def test_exact_ou_holds_one_record_and_little_more(self):
-        """The path's input buffer becomes its samples: 1.13 records traced,
-        where a separate normals buffer and output took 2.23."""
+        """The path's input buffer becomes its samples: 1.17 records traced,
+        the stream's kept operators included, where a separate normals
+        buffer and output took 2.23."""
         A, D = closed_form_dynamics(0.25, 1.0, 0.0)
         cfg = TrajectoryConfig(dt=0.1, n_steps=RECORD_STEPS, master_seed=4)
         peak, rec = traced_peak_records(sample_exact_ou, A, D, cfg)
