@@ -8,10 +8,11 @@ The primary scheme is the exact Ornstein-Uhlenbeck discretization
 which is statistically exact for any step size; Euler-Maruyama is kept as a
 cross-validation scheme.  Both iterate the same linear recurrence, evaluated
 in blocks of 16 steps: the steps inside a block are one block-Toeplitz
-matrix product, and the states that cross block ends follow the same
-recurrence with F^16.  A drift's stream is prepared once (_Stream) and every
-path drawn from it reuses its noise factors and powers of F.  Every
-trajectory owns an independent RNG stream
+matrix product (for F = c I, one 16 x 16 product per channel), and the
+states that cross block ends follow the same recurrence with F^16.  A
+drift's stream is prepared once (_Stream) and every path drawn from it
+reuses its noise factors and powers of F.  Every trajectory owns an
+independent RNG stream
 (numpy PCG64) whose seed is derived deterministically from a master seed, so
 ensembles are reproducible sample-for-sample regardless of scheduling.
 """
@@ -54,6 +55,9 @@ _GEMM_THREAD_MNK = 262_144
 # far below _GEMM_THREAD_MNK, with a scratch of 2 % of a 1e5-step path (432
 # states, 7 %, would save about 0.3 % of a converge run)
 _CARRIED_ROWS = 128
+# blocks taken at a time by a scalar drift's per-channel block product: a
+# scratch of 128 kB at four channels
+_CHANNEL_BLOCKS = 256
 # rows of normals drawn and transformed at a time
 _DRAW_ROWS = 4096
 # the longest path whose buffer, padded to whole blocks, numpy can size: the
@@ -200,7 +204,8 @@ def _block_toeplitz(powers: np.ndarray, reverse: bool = False) -> np.ndarray:
     lag = -step if reverse else step
     # element (i, c, j, c') is stacked[b - 1 + j - i, c, c'], reversed stacked[b - 1 + i - j, c, c']
     grid = np.ndarray((b, n, b, n), float, stacked, (b - 1) * step, (-lag, row, lag, col))
-    return grid.reshape(b * n, b * n)
+    # at n = 1 the reshape is a view with a negative stride, which BLAS cannot take
+    return np.ascontiguousarray(grid.reshape(b * n, b * n))
 
 
 def _product_rows(n: int, k: int) -> int:
@@ -210,9 +215,19 @@ def _product_rows(n: int, k: int) -> int:
     return max(2, (_GEMM_THREAD_MNK - 1) // (n * k) - 1)
 
 
-def _block_product(y: np.ndarray, toeplitz: np.ndarray) -> None:
-    """y = y @ toeplitz in place, _product_rows rows at a time through one
-    small scratch array: rows of the product are independent."""
+def _block_product(y: np.ndarray, toeplitz: np.ndarray, channel=None) -> None:
+    """y = y @ toeplitz in place through one small scratch array: rows of the
+    product are independent.  Given the per-channel matrix L of a toeplitz
+    that is kron(L^T, I_n) (_Recurrence.channel), each row of y, as a
+    (_BLOCK, n) matrix, becomes L @ it, _CHANNEL_BLOCKS rows at a time;
+    otherwise _product_rows rows at a time."""
+    if channel is not None:
+        blocks = y.reshape(y.shape[0], _BLOCK, -1)
+        scratch = np.empty((min(y.shape[0], _CHANNEL_BLOCKS), *blocks.shape[1:]))
+        for start in range(0, y.shape[0], _CHANNEL_BLOCKS):
+            stop = min(start + _CHANNEL_BLOCKS, y.shape[0])
+            blocks[start:stop] = np.matmul(channel, blocks[start:stop], out=scratch[: stop - start])
+        return
     size = _product_rows(*toeplitz.shape)
     scratch = np.empty((min(y.shape[0], size + 1), y.shape[1]))
     for start, stop in _row_ranges(y.shape[0], size):
@@ -226,7 +241,8 @@ class _Recurrence:
     unstable F's unused powers never overflow; the block-Toeplitz matrix,
     times gain, of each block length and direction a series has needed,
     (_BLOCK n)^2 floats, 32 kB at n = 4; the carried-state response
-    [F^1 .. F^_BLOCK]^T, a view of the powers, and its block reversal; and
+    [F^1 .. F^_BLOCK]^T, a view of the powers, and its block reversal; for F
+    = c I with n > 1, the per-channel matrix of each direction; and
     `carried`, the _Recurrence of F^_BLOCK (gain 1) that the carried states,
     already scaled, follow."""
 
@@ -237,6 +253,10 @@ class _Recurrence:
         self.powers[0] = np.eye(F.shape[0])
         self.known = 1
         self.toeplitz = {}
+        n = F.shape[0]
+        # at n = 1 the block-Toeplitz matrix is already one channel's
+        self.scalar = n > 1 and np.array_equal(F, F[0, 0] * np.eye(n))
+        self.channels = {}
 
     def upto(self, count: int) -> np.ndarray:
         """F^0 .. F^(count - 1) as a (count, n, n) view, each F @ F^(k - 1)."""
@@ -253,6 +273,15 @@ class _Recurrence:
                 toeplitz *= self.gain
             self.toeplitz[b, reverse] = toeplitz
         return self.toeplitz[b, reverse]
+
+    def channel(self, reverse: bool = False) -> np.ndarray | None:
+        """For F = c I, whose blocks(_BLOCK, reverse) is kron(T, I_n): the
+        16 x 16 L = T^T, F-ordered (a C-ordered copy rounds apart from the
+        full product); else None."""
+        if self.scalar and reverse not in self.channels:
+            n = self.F.shape[0]
+            self.channels[reverse] = self.blocks(_BLOCK, reverse)[::n, ::n].copy().T
+        return self.channels.get(reverse)
 
     @functools.cached_property
     def response(self) -> np.ndarray:
@@ -282,6 +311,8 @@ def _linear_recurrence(ops: _Recurrence, x: np.ndarray, reverse: bool = False) -
     F^1 .. F^_BLOCK to the state carried in from the previous block.  The
     carried states are the block-end values, which obey the same recurrence
     with F^_BLOCK, so each level of recursion shortens the series _BLOCK-fold.
+    For F = c I the block-Toeplitz matrix is kron(T, I_n), and two or more
+    whole blocks take it one channel at a time (_Recurrence.channel).
     Reversed, each block takes the block reversal of the same matrices, and
     the carried states, the blocks' first rows, run through the same chain
     of recurrences from the last block to the first.  Every operator comes
@@ -292,7 +323,8 @@ def _linear_recurrence(ops: _Recurrence, x: np.ndarray, reverse: bool = False) -
     solved in a C-contiguous copy, which is returned.  Rows past the last
     whole block (before the first, reversed) are solved as one zero-padded
     block in a small scratch.  The scratch of each level is freed before
-    the next level's, so the recursion adds about a sixteenth of x.
+    the next level's, so the recursion adds about a sixteenth of x and a
+    block-product scratch of at most _CHANNEL_BLOCKS blocks.
     """
     if not x.flags.c_contiguous:
         return _linear_recurrence(ops, np.ascontiguousarray(x), reverse)
@@ -311,7 +343,9 @@ def _linear_recurrence(ops: _Recurrence, x: np.ndarray, reverse: bool = False) -
     toeplitz = ops.blocks(b, reverse)
     rest = x[:r] if reverse else x[nb * b :]
     y = (x[r:] if reverse else x[: nb * b]).reshape(nb, b * n)
-    _block_product(y, toeplitz)
+    # one block, whole or shorter, is a one-row product, which BLAS takes as
+    # a vector product: it keeps the full product to keep its rounding
+    _block_product(y, toeplitz, ops.channel(reverse) if nb > 1 else None)
     if r:
         # the rest, zero-padded to a block, and a zero row: a two-row product
         # rounds as the block product's rows do

@@ -171,10 +171,12 @@ AR1_DRIFTS = {
 }
 
 
-def out_of_place_ar1(F, x, block=16):
-    """The blocked recurrence as one whole block-Toeplitz product into a new
-    array, and a fresh padded copy at every level, with the carried states
-    added by the same BLAS call: the in-place kernel's bit-for-bit reference."""
+def out_of_place_ar1(F, x, block=16, reverse=False, gain=1.0):
+    """The blocked recurrence as one whole block-Toeplitz product, times gain,
+    into a new array, and a fresh padded copy at every level, with the carried
+    states added by the same BLAS call: the in-place kernel's bit-for-bit
+    reference.  Reversed, the block reversal of the same matrices, the padding
+    before the first row, and the blocks' first rows carried backwards."""
     m, n = x.shape
     b = min(m, block)
     nb = -(-m // b)
@@ -182,16 +184,27 @@ def out_of_place_ar1(F, x, block=16):
     for _ in range(b):
         powers.append(F @ powers[-1])
     lag = np.subtract.outer(np.arange(b), np.arange(b))
+    if reverse:
+        lag = -lag
     blocks = np.stack(powers[:b]).transpose(0, 2, 1)[np.maximum(-lag, 0)]
     blocks[lag > 0] = 0.0
     toeplitz = blocks.transpose(0, 2, 1, 3).reshape(b * n, b * n)
+    if gain != 1.0:
+        toeplitz *= gain
     if m % b:
-        x = np.concatenate((x, np.zeros((nb * b - m, n))))
+        pad = np.zeros((nb * b - m, n))
+        x = np.concatenate((pad, x) if reverse else (x, pad))
     y = x.reshape(nb, b * n) @ toeplitz
     if nb > 1:
-        carried = out_of_place_ar1(powers[b], y[:-1, -n:], block)
-        dgemm(1.0, np.vstack(powers[1:]), carried.T, beta=1.0, c=y[1:].T, overwrite_c=True)
-    return y.reshape(nb * b, n)[:m]
+        if reverse:
+            carried = out_of_place_ar1(powers[b], y[1:, :n].copy(), block, True)
+            dgemm(1.0, np.vstack(powers[b:0:-1]), carried.T, beta=1.0, c=y[:-1].T,
+                  overwrite_c=True)
+        else:
+            carried = out_of_place_ar1(powers[b], y[:-1, -n:].copy(), block)
+            dgemm(1.0, np.vstack(powers[1:]), carried.T, beta=1.0, c=y[1:].T, overwrite_c=True)
+    y = y.reshape(nb * b, n)
+    return y[nb * b - m :] if reverse else y[:m]
 
 
 def reference_path(F, Lnoise, L0, total, seed):
@@ -202,6 +215,19 @@ def reference_path(F, Lnoise, L0, total, seed):
     x[0] = L0 @ rng.standard_normal(F.shape[0])
     x[1:] = rng.standard_normal((total - 1, F.shape[0])) @ Lnoise.T
     return out_of_place_ar1(F, x)
+
+
+def spy_products(monkeypatch):
+    """The (left, right) operand shapes of every np.matmul call from now on."""
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        products.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return products
 
 
 class TestAr1Kernel:
@@ -268,6 +294,52 @@ class TestAr1Kernel:
         got = _linear_recurrence(_Recurrence(F, gain=0.37), x.copy(), reverse)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    # 2 and 3 blocks are the fewest that take the per-channel product; 255 to
+    # 257 put one carried level on, one short of and one past 16 blocks; 6000
+    # is a converge record's pass; a chunk of 2 blocks puts chunk ends everywhere
+    @pytest.mark.parametrize("chunk", [2, None])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("blocks", [2, 3, 255, 256, 257, 6000])
+    @pytest.mark.parametrize("width", [1, 4, 6])
+    def test_scalar_drift_takes_the_per_channel_product_bit_for_bit(
+        self, monkeypatch, width, blocks, reverse, chunk
+    ):
+        """For F = c I the block product is one 16 x 16 product per channel,
+        never the (16 n)^2 one, and gives the whole product's numbers exactly;
+        at n = 1 the block-Toeplitz matrix is already one channel's."""
+        if chunk:
+            monkeypatch.setattr(trajectory_mod, "_CHANNEL_BLOCKS", chunk)
+        F = 0.97 * np.eye(width)
+        x = np.random.default_rng(blocks + width).standard_normal((16 * blocks, width))
+        want = out_of_place_ar1(F, x.copy(), reverse=reverse, gain=0.37)
+        products = spy_products(monkeypatch)
+        got = _linear_recurrence(_Recurrence(F, gain=0.37), x, reverse)
+        monkeypatch.undo()
+        assert got is x
+        assert np.array_equal(got, want)
+        cols = 16 * width
+        assert all(b != (cols, cols) for _, b in products) or width == 1
+        per_channel = [b for a, b in products if len(b) == 3]
+        assert bool(per_channel) == (width > 1)
+        most = chunk or trajectory_mod._CHANNEL_BLOCKS
+        assert all(b[0] <= most and b[1:] == (16, width) for b in per_channel)
+
+    @pytest.mark.parametrize("case", ["one_block", "diagonal", "tms_resonant"])
+    def test_other_series_keep_the_whole_block_product(self, monkeypatch, case):
+        """A 16-row series of F = c I (its one block is a one-row product) and
+        an F not a multiple of the identity take the (16 n)^2 block-Toeplitz
+        product and no per-channel one."""
+        F = {
+            "one_block": 0.97 * np.eye(4),
+            "diagonal": np.diag(np.linspace(0.5, 0.99, 4)),
+            "tms_resonant": _tms_step(),
+        }[case]
+        x = np.random.default_rng(5).standard_normal((16 if case == "one_block" else 96_000, 4))
+        products = spy_products(monkeypatch)
+        _linear_recurrence(_Recurrence(F), x)
+        monkeypatch.undo()
+        assert (64, 64) in [b for _, b in products]
+        assert not any(len(b) == 3 for _, b in products)
 
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 7, 9, 10, 11])
     def test_row_ranges_cover_in_order_with_no_lone_row(self, rows):
@@ -310,26 +382,29 @@ class TestAr1Kernel:
         """Every block-Toeplitz and carried-state chunk keeps m n k below
         262,144, where OpenBLAS's gemm may start threads, at 64 and 96
         columns, and the block product takes as many rows as that allows:
-        62 or 63 at 64 columns, 27 or 28 at 96."""
-        shapes = []
-        matmul = np.matmul
-
-        def spy(a, b, *args, **kwargs):
-            shapes.append((a.shape[0], a.shape[1], b.shape[1]))
-            return matmul(a, b, *args, **kwargs)
-
-        f = np.linspace(0.5, 0.99, width)
-        x = np.random.default_rng(width).standard_normal((96_000, width))
-        monkeypatch.setattr(np, "matmul", spy)
-        _linear_recurrence(_Recurrence(np.diag(f)), x)
-        monkeypatch.undo()
+        62 or 63 at 64 columns, 27 or 28 at 96.  For F = c I the block
+        product is (16, 16) @ (16, n) per block, _CHANNEL_BLOCKS at a time."""
         cols = 16 * width
-        block = [m for m, n, k in shapes if n == k == cols]
-        carried = [m for m, n, k in shapes if (n, k) == (width, cols)]
-        assert block and carried
-        assert all(m * n * k < 262_144 for m, n, k in shapes if k == cols)
-        assert max(block) >= {4: 62, 6: 27}[width]
-        assert (max(block) + 2) * cols * cols >= 262_144
+        x = np.random.default_rng(width).standard_normal((96_000, width))
+        for F in (np.diag(np.linspace(0.5, 0.99, width)), 0.97 * np.eye(width)):
+            products = spy_products(monkeypatch)
+            _linear_recurrence(_Recurrence(F), x.copy())
+            monkeypatch.undo()
+            shapes = [(*a, b[1]) for a, b in products if len(b) == 2]
+            block = [m for m, n, k in shapes if n == k == cols]
+            carried = [m for m, n, k in shapes if (n, k) == (width, cols)]
+            per_channel = [(a, b) for a, b in products if len(b) == 3]
+            assert carried
+            assert all(m * n * k < 262_144 for m, n, k in shapes if k == cols)
+            if F[0, 0] != F[-1, -1]:
+                assert block and not per_channel
+                assert max(block) >= {4: 62, 6: 27}[width]
+                assert (max(block) + 2) * cols * cols >= 262_144
+            else:
+                assert per_channel and not block
+                most = trajectory_mod._CHANNEL_BLOCKS
+                assert all(a == (16, 16) and b[0] <= most and b[1:] == (16, width)
+                           for a, b in per_channel)
 
     def test_exact_ou_holds_one_record_and_little_more(self):
         """The path's input buffer becomes its samples: 1.17 records traced,
