@@ -343,6 +343,14 @@ def _blas() -> dict:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
+#: (section, sorted keys) of the fields older configs set that no longer have
+#: an effect, by command: accepted, and listed in the manifest's ignored_fields.
+_RETIRED_FIELDS = {
+    "analyze": ("pipeline", ("bootstrap_resamples",)),
+    "simulate": ("null_trio", ("max_evals", "restarts")),
+}
+
+
 def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict | None = None):
     name = f"manifest_{command.replace('-', '_')}_{config_digest(config)}.json"
     body = {
@@ -367,6 +375,10 @@ def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict |
         "inputs": inputs or {},
         "outputs": [],
     }
+    if command in _RETIRED_FIELDS:
+        section, keys = _RETIRED_FIELDS[command]
+        given = config.get(section) or {}
+        body["ignored_fields"] = [f"{section}.{k}" for k in keys if k in given]
     return name, body
 
 

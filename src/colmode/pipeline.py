@@ -11,11 +11,14 @@ matrix S_i = mean_k R_k R_k^T over segment i (records are zero-mean by
 construction).  Averaging the S_i gives an estimate of V that is unbiased
 for any stationary record regardless of its spectral composition, which
 matters because null-model records mix classical and vacuum correlation
-times, and two-mode-squeezed records relax at two rates; segment-level
-bootstrap resampling supplies the uncertainties, with each segment of
-length T at bandwidth B carrying N_eff = T * B effective samples; one
-bootstrap draw per record gives both witness standard errors.  Singular
-estimates are refused, never scored: see witness_from_estimate.
+times, and two-mode-squeezed records relax at two rates; each segment of
+length T at bandwidth B carries N_eff = T * B effective samples.  An
+ensemble is more segments: its estimate is the segment-weighted mean of its
+records' estimates.  One rule gives every standard error, the delete-one
+jackknife (Quenouille 1956, Tukey 1958): leave one unit out, a segment of
+a record or a record of an ensemble, and take the spread of both witnesses
+over the k estimates that remain.  Singular estimates are refused, never
+scored: see witness_from_estimate.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ __all__ = [
     "crossing_scan",
 ]
 
-_BOOT_STREAM = 0xBEEF
 # rows of a record demodulated at a time
 _ROTATE_ROWS = 4096
 
@@ -75,6 +77,9 @@ class PipelineConfig(ConfigFields):
     independent samples per segment and must be >= 1.  segment_statistic
     has the one value "second_moment"; the field stays so that configs
     naming it, and the digests of every config, keep working.
+    bootstrap_resamples is ignored: the jackknife needs no draws.  It is
+    still checked as a count, and keeps its default in every digest, so
+    that older configs that set it keep working.
     """
 
     bandwidth: float
@@ -101,21 +106,20 @@ class PipelineConfig(ConfigFields):
 
 @dataclass
 class EstimatedCovariance:
-    """Empirical covariance with segment-bootstrap witness standard errors.
+    """Empirical covariance and the per-segment moments it is the mean of.
 
-    stderr_nu and stderr_duan come from the same replicates (NaN if one has
-    no real PT root; both are NaN with fewer than two replicates).
-    calibration is the accumulated vacuum-reference transfer of any applied
-    band-limit filters, already divided out of V_hat and the replicates, and
-    reported, never hidden.  source is the record's provenance tag, which
-    only groups the outputs.
+    moments are the record's (n_segments, 4, 4) per-segment second
+    moments, from which witness_from_estimate takes the delete-one jackknife
+    standard errors.  calibration is the accumulated vacuum-reference
+    transfer of any applied band-limit filters, already divided out of V_hat
+    and the moments, and reported, never hidden.  source is the record's
+    provenance tag, which only groups the outputs.
     """
 
     V_hat: np.ndarray
     n_segments: int
     n_eff: float
-    stderr_nu: float
-    stderr_duan: float
+    moments: np.ndarray
     calibration: float
     source: str
 
@@ -280,33 +284,13 @@ def demodulate(record: TrajectoryRecord, f0: float) -> TrajectoryRecord:
     return out
 
 
-def _mean_of_moments(stats: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """stats[idx].mean(axis=-3) for the (..., n_seg) draws idx of (n_seg, 4, 4)
-    second moments, without the (..., n_seg, 4, 4) gather.
-
-    numpy sums an outer axis in index order, and so does this, one draw
-    column at a time into one accumulator, so the two agree bit for bit.
-    take writes into `drawn` directly only in a mode other than "raise";
-    "clip" changes no draw of rng.integers(0, n_seg).
-    """
-    total = np.take(stats, idx[..., 0], axis=0)
-    drawn = np.empty_like(total)
-    for j in range(1, idx.shape[-1]):
-        total += np.take(stats, idx[..., j], axis=0, out=drawn, mode="clip")
-    total /= idx.shape[-1]
-    return total
-
-
 def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> EstimatedCovariance:
-    """Segmented covariance estimate with bootstrap uncertainties.
+    """Segmented covariance estimate.
 
     The record, row- or channel-major, is split into floor(duration / T)
     non-overlapping segment views of length T = config.integration_time, each
     giving one second-moment matrix.  Their mean is the covariance estimate,
-    and each segment-level bootstrap replicate is the same sum over its draws,
-    whose spread gives the witness standard errors.
-    Replicates are summed draw by draw, so the bootstrap holds no
-    (resamples, n_seg, 4, 4) array.  N_eff = T * B is reported alongside.
+    and they are kept for its jackknife.  N_eff = T * B is reported alongside.
     """
     m = int(round(config.integration_time / record.dt))
     if m < 1:
@@ -319,54 +303,53 @@ def estimate_covariance(record: TrajectoryRecord, config: PipelineConfig) -> Est
     X = record.samples[: n_seg * m].T.reshape(4, n_seg, m).transpose(1, 2, 0)
     cal = _record_calibration(record)
     stats = X.swapaxes(1, 2) @ X / m
-    V_hat = symmetrize(stats.mean(axis=0)) / cal
-
-    resamples = config.bootstrap_resamples
-    if resamples >= 2:
-        rng = np.random.Generator(
-            np.random.PCG64(derive_stream_seed(record.seed, _BOOT_STREAM))
-        )
-        idx = rng.integers(0, n_seg, size=(resamples, n_seg))
-        boot = symmetrize(_mean_of_moments(stats, idx) / cal)
-        stderr_nu = float(_nu_minus(boot).std(ddof=1))
-        stderr_duan = float(_duan_sum(boot).std(ddof=1))
-    else:
-        # fewer than two replicates have no spread: no standard error, no verdict
-        stderr_nu = stderr_duan = math.nan
-
     return EstimatedCovariance(
-        V_hat=V_hat,
+        V_hat=symmetrize(stats.mean(axis=0)) / cal,
         n_segments=int(n_seg),
         n_eff=config.integration_time * config.bandwidth,
-        stderr_nu=stderr_nu,
-        stderr_duan=stderr_duan,
+        moments=stats / cal,
         calibration=cal,
         source=record.source.value,
     )
 
 
-def witness_from_estimate(est: EstimatedCovariance) -> WitnessReport:
-    """Witness pair for one estimate, with its segment-bootstrap standard errors.
+def _jackknife(point: np.ndarray, units: np.ndarray, weights: np.ndarray) -> WitnessReport:
+    """Witness pair of point, the weights-weighted mean of the (k, 4, 4)
+    units, with its delete-one jackknife standard errors.
 
-    A NaN witness standard error fails every 3-sigma test, so a bootstrap
-    replicate without a real PT root, or a run with fewer than two
-    replicates, can block a verdict but never make one.
+    Leaving unit i out gives (W point - w_i U_i) / (W - w_i), W the sum of
+    the weights; each witness's variance is (k - 1)/k times the sum of
+    squared deviations of its k delete-one values from their mean.  A
+    delete-one estimate with no real PT root makes the nu_minus standard
+    error NaN, which fails every 3-sigma test: it can block a verdict but
+    never make one.  A point with no real PT root raises ComplexRootError.
     """
-    nu, duan = _checked_witnesses(est.V_hat)
-    return make_report(nu, duan, est.stderr_nu, est.stderr_duan)
+    nu, duan = _checked_witnesses(point)
+    total = weights.sum()
+    loo = (total * point - weights[:, None, None] * units) / (total - weights)[:, None, None]
+    loo = symmetrize(loo)
+    theta = np.stack((_nu_minus(loo), _duan_sum(loo)))
+    return make_report(nu, duan, *np.sqrt((len(units) - 1) * theta.var(axis=1)))
+
+
+def witness_from_estimate(est: EstimatedCovariance) -> WitnessReport:
+    """Witness pair for one estimate, with standard errors from the
+    delete-one-segment jackknife over its moments."""
+    return _jackknife(est.V_hat, est.moments, np.ones(est.n_segments))
 
 
 def witness_with_uncertainty(estimates) -> WitnessReport:
-    """Ensemble witness: mean and standard error over independent estimates."""
-    estimates = list(estimates)
-    if len(estimates) < 2:
+    """Ensemble witness over independent estimates: the witnesses of the
+    pooled estimate, the segment-weighted mean of their V_hat, with standard
+    errors from the delete-one-record jackknife.  Only each estimate's V_hat
+    and n_segments are kept, so an estimate can be let go as it is read.  A
+    member with no real PT root raises ComplexRootError, as it does alone."""
+    members = [(e.V_hat, e.n_segments) for e in estimates]
+    if len(members) < 2:
         raise InsufficientEnsembleError("need at least two independent estimates")
-    vals = np.column_stack(_checked_witnesses(np.stack([e.V_hat for e in estimates])))
-    m = len(estimates)
-    nu_mean, duan_mean = vals.mean(axis=0)
-    nu_se = float(vals[:, 0].std(ddof=1)) / math.sqrt(m)
-    duan_se = float(vals[:, 1].std(ddof=1)) / math.sqrt(m)
-    return make_report(nu_mean, duan_mean, nu_se, duan_se)
+    V, weights = np.stack([v for v, _ in members]), np.array([n for _, n in members], float)
+    _checked_witnesses(V)
+    return _jackknife(np.tensordot(weights, V, 1) / weights.sum(), V, weights)
 
 
 def analyze_record(
@@ -423,11 +406,11 @@ def _checked_couplings(g_values) -> list[float]:
 
 def _cell_plan(T, B, segments_per_record):
     """(PipelineConfig, TrajectoryConfig) of one (T, B) cell's records:
-    segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)), with
-    no bootstrap.  PipelineConfig's T * B >= 1 leaves every segment >= 8
-    samples long.  A cell whose records numpy cannot hold is refused by its
-    own fields, not by TrajectoryConfig's, which a cell does not have."""
-    pconf = PipelineConfig(bandwidth=B, integration_time=T, bootstrap_resamples=0)
+    segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)).
+    PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long.  A
+    cell whose records numpy cannot hold is refused by its own fields, not
+    by TrajectoryConfig's, which a cell does not have."""
+    pconf = PipelineConfig(bandwidth=B, integration_time=T)
     dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
     m = int(round(pconf.integration_time / dt))
     if segments_per_record * m > _MAX_PATH_ROWS:
@@ -452,9 +435,10 @@ def _cell_witness(A, D, kappa, plan, runs, seed) -> WitnessReport:
     """Ensemble witness of one cell over `runs` fresh records of its
     _cell_plan, re-seeded with seed, each carrying the mode linewidth kappa,
     which calibrates the band-limit filter.  The ensemble witness reads only
-    each record's V_hat.  Records are drawn one at a time and map lets go of
-    each once it is estimated, which consumes it, so one record is alive
-    however many runs the cell has.  The records share one prepared filter."""
+    each record's V_hat and n_segments.  Records are drawn one at a time and
+    map lets go of each once it is estimated, which consumes it, so one
+    record is alive however many runs the cell has.  The records share one
+    prepared filter."""
     pconf, cfg = plan
     records = _ensemble(A, D, replace(cfg, master_seed=seed), runs, meta={"kappa": kappa})
     return witness_with_uncertainty(map(partial(analyze_record, config=pconf, filters={}), records))
@@ -469,11 +453,12 @@ def convergence_sweep(
     master_seed: int = 0,
     kappa: float = 1.0,
 ) -> dict:
-    """Witness mean and standard error versus N_eff = T * B.
+    """Ensemble witness and standard error versus N_eff = T * B.
 
     For each (T, B) cell, fresh trajectories are generated, pushed through
-    the pipeline, and reduced to the ensemble witness; the fitted slope of
-    log(stderr) against log(N_eff) is returned along with the per-cell rows.
+    the pipeline, and reduced to the ensemble witness of their pooled
+    estimate; the fitted slope of log(stderr) against log(N_eff) is returned
+    along with the per-cell rows.
     With the number of runs and segments held fixed across cells, the
     standard error scales as N_eff^(-1/2).  The slope needs cells at two or
     more distinct N_eff values.  kappa is the mode linewidth of the dynamics
@@ -519,10 +504,10 @@ def crossing_scan(
     """Estimated location of the separability threshold for each (T, B) cell.
 
     Scans the coupling ratio g = G/kappa across the boundary, estimates the
-    ensemble-mean smallest PT symplectic eigenvalue per grid point, and
-    interpolates the crossing of the 1/2 bound.  The crossing location is a
-    state property; within uncertainty it must not depend on T or B.  Every
-    argument is checked before the first record is drawn.
+    smallest PT symplectic eigenvalue of each grid point's pooled ensemble
+    estimate, and interpolates the crossing of the 1/2 bound.  The crossing
+    location is a state property; within uncertainty it must not depend on T
+    or B.  Every argument is checked before the first record is drawn.
     """
     n = real(n, "n", at_least=0.0)
     g_values = _checked_couplings(g_values)

@@ -51,6 +51,7 @@ from colmode.gaussian_core import (
     solve_steady_lyapunov,
     steady_state_covariance,
 )
+from colmode import pipeline as pipeline_mod
 from colmode.pipeline import crossing_scan, vacuum_transfer
 from colmode.trajectory import SourceTag, TrajectoryConfig, TrajectoryRecord, sample_exact_ou
 
@@ -617,29 +618,41 @@ class TestAnalyze:
         assert err == ["error: segment_statistic must be 'second_moment', got 'mean'"]
         assert not any(out.iterdir())
 
-    def test_zero_resamples_never_certify_null_c(self, tmp_path):
-        # null model C sits on nu_minus = 1/2; with no bootstrap replicates its
-        # record read 0.494 +- 0.0 and entangled_ppt True on this config
-        cfg = json.loads((CONFIGS / "simulate.json").read_text())
-        cfg["ensemble"] = 3
-        cfg["trajectory"]["n_steps"] = 20000
-        out = tmp_path / "out"
-        assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
-                     "--out-dir", str(out)]) == 0
+    def test_manifests_list_the_ignored_fields_a_config_sets(self, tmp_path):
+        """Retired fields are accepted, change no record or witness, and are
+        listed, sorted, under the manifest's ignored_fields: simulate's
+        null_trio.restarts and null_trio.max_evals, and analyze's
+        pipeline.bootstrap_resamples.  Only the names that follow from the
+        config's digest (the manifest's, and the one each output cites) move."""
+        def run(command, cfg, out, *records):
+            path = write_config(tmp_path, f"{out}.json", cfg)
+            assert main([command, *records, "-c", path, "--out-dir", str(tmp_path / out)]) == 0
+            manifest = json.loads(next((tmp_path / out).glob("manifest_*.json")).read_text())
+            return manifest["ignored_fields"], {
+                p.name: p.read_bytes() for p in (tmp_path / out).iterdir()
+                if p.suffix in (".npy", ".csv") or p.name == "witness_report.json"
+            }
+
+        sim = small_simulate_config(ensemble=1, null_trio=True)
+        sim["trajectory"]["n_steps"] = 4000
+        ignored, with_fields = run("simulate", sim, "sim")
+        assert ignored == ["null_trio.max_evals", "null_trio.restarts"]
+        del sim["null_trio"]["restarts"], sim["null_trio"]["max_evals"]
+        ignored, without = run("simulate", sim, "sim_bare")
+        assert ignored == [] and without == with_fields
+
+        records = sorted(str(p) for p in (tmp_path / "sim").glob("*.npy"))
         an = json.loads((CONFIGS / "analyze.json").read_text())
-        an["pipeline"]["bootstrap_resamples"] = 0
-        records = sorted(str(p) for p in out.glob("*.npy"))
-        assert main(["analyze", *records, "-c", write_config(tmp_path, "an.json", an),
-                     "--out-dir", str(out)]) == 0
-        lines = (out / "witness_distribution.csv").read_text().splitlines()
-        rows = {r.split(",")[0]: dict(zip(lines[1].split(","), r.split(",")))
-                for r in lines[2:]}
-        assert float(rows["null_c.npy"]["nu_minus"]) < 0.5
-        for row in rows.values():
-            assert row["stderr_nu"] == row["stderr_duan"] == "nan"
-            assert row["entangled_ppt"] == row["entangled_duan"] == "False"
-        report = json.loads((out / "witness_report.json").read_text())
-        assert report["groups"]["NULL_C"]["entangled_ppt"] is False
+        ignored, without = run("analyze", an, "an_bare", *records)
+        assert ignored == []
+        for resamples in (0, 1000):
+            an["pipeline"]["bootstrap_resamples"] = resamples
+            ignored, with_field = run("analyze", an, f"an_{resamples}", *records)
+            assert ignored == ["pipeline.bootstrap_resamples"]
+            assert with_field["witness_distribution.csv"].splitlines()[1:] == \
+                without["witness_distribution.csv"].splitlines()[1:]
+            report, bare = (json.loads(d["witness_report.json"]) for d in (with_field, without))
+            assert report["groups"] == bare["groups"]
 
     def test_manifest_lists_factors_and_default_kappa(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -1342,19 +1355,18 @@ class TestNumberPolicy:
         argv = ["analyze", str(path), "-c", str(CONFIGS / "analyze.json")]
         self._assert_refused(capsys, argv, tmp_path / "out", "dt")
 
-    def test_json_outputs_are_strict(self, tmp_path):
-        # without bootstrap replicates the standard errors are NaN, which
-        # strict JSON cannot hold: they are written as null
+    def test_json_outputs_are_strict(self, tmp_path, monkeypatch):
+        # a delete-one estimate with no real PT root makes the nu_minus
+        # standard error NaN, which strict JSON cannot hold: it is written as null
         cfg = small_simulate_config(ensemble=1, null_trio=True)
         cfg["trajectory"]["n_steps"] = 4000
         records = tmp_path / "records"
         assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
                      "--out-dir", str(records)]) == 0
-        an = json.loads((CONFIGS / "analyze.json").read_text())
-        an["pipeline"]["bootstrap_resamples"] = 0
+        monkeypatch.setattr(pipeline_mod, "_nu_minus", lambda V: np.full(len(V), np.nan))
         out = tmp_path / "out"
         assert main(["analyze", str(records / "null_c.npy"), str(records / "quantum_0000.npy"),
-                     "-c", write_config(tmp_path, "an.json", an), "--out-dir", str(out)]) == 0
+                     "-c", str(CONFIGS / "analyze.json"), "--out-dir", str(out)]) == 0
 
         def refuse(token):
             raise ValueError(f"non-standard JSON constant {token}")
@@ -1362,7 +1374,7 @@ class TestNumberPolicy:
         written = sorted(out.glob("*.json")) + sorted(records.glob("*.json"))
         docs = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in written}
         for group in docs["witness_report.json"]["groups"].values():
-            assert group["stderr_nu"] is None and group["stderr_duan"] is None
+            assert group["stderr_nu"] is None and group["stderr_duan"] > 0.0
 
 
 class TestThresholdSources:
