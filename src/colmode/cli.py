@@ -6,10 +6,10 @@ physics parameters come from JSON config files; the only flag overrides are
 number of worker processes for its ensemble members; the other commands run
 in one process and only record the value in the manifest.  Every run writes
 a manifest JSON naming its config hash, seed, and the SHA-256 digest of each
-output file, and every output file references its manifest.  Data files
-carry no timestamps, so a rerun with the same config and seed is
-byte-identical; parallel execution changes scheduling but never sample
-streams, which are fixed entirely by derived per-task seeds.
+output file, taken as the file was written, and every output file references
+its manifest.  Data files carry no timestamps, so a rerun with the same config
+and seed is byte-identical; parallel execution changes scheduling but never
+sample streams, which are fixed entirely by derived per-task seeds.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import ctypes
 import datetime
@@ -25,7 +24,6 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import platform
 import sys
@@ -109,11 +107,12 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-#: Bytes read at a time when a file is hashed, so hashing never holds the file.
+#: Bytes hashed at a time, so hashing never holds the file.
 HASH_BLOCK_BYTES = 1 << 20
 
 
 def sha256_file(path) -> str:
+    """The SHA-256 of a file this process did not write (analyze's inputs)."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(HASH_BLOCK_BYTES), b""):
@@ -121,25 +120,29 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def write_bytes(path, chunks) -> str:
+    """Write each chunk of bytes to path in turn, hashing it as it goes;
+    returns the file's SHA-256.  Every output goes through here, so no
+    output is read back to be hashed."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_npy(path, array: np.ndarray) -> str:
     """np.save's bytes for array at path, written from the array's own memory
-    HASH_BLOCK_BYTES at a time and hashed as they are written; returns the
-    file's SHA-256, so the file need not be read back to be hashed."""
+    HASH_BLOCK_BYTES at a time; returns the file's SHA-256."""
     info = np.lib.format.header_data_from_array_1_0(array)
     buffer = io.BytesIO()
     np.lib.format.write_array_header_1_0(buffer, info)
-    header = buffer.getvalue()
     # np.save writes a Fortran-ordered array's bytes in Fortran order, any other in C order
     body = array.T if info["fortran_order"] else np.ascontiguousarray(array)
     data = memoryview(body).cast("B")
-    digest = hashlib.sha256(header)
-    with open(path, "wb") as f:
-        f.write(header)
-        for start in range(0, data.nbytes, HASH_BLOCK_BYTES):
-            block = data[start : start + HASH_BLOCK_BYTES]
-            f.write(block)
-            digest.update(block)
-    return digest.hexdigest()
+    starts = range(0, data.nbytes, HASH_BLOCK_BYTES)
+    return write_bytes(path, [buffer.getvalue(), *(data[s : s + HASH_BLOCK_BYTES] for s in starts)])
 
 
 def config_digest(config: dict) -> str:
@@ -166,21 +169,19 @@ def text_columns(names, rows) -> list[list[str]]:
     return [[_fmt(row[name]) for row in rows] for name in names]
 
 
-def write_csv(path, names, blocks, manifest_name: str) -> int:
-    """A CSV with the named columns under a manifest comment; returns the
-    number of rows written.  Each block holds one list of text per column,
-    all of one length, and is written before the next is taken, so one
-    block's text is in memory at a time."""
-    n_rows = 0
-    with open(path, "w") as f:
-        f.write(f"# manifest={manifest_name}\n{','.join(names)}\n")
+def write_csv(path, names, blocks, manifest_name: str) -> str:
+    """A CSV with the named columns under a manifest comment; returns its
+    SHA-256.  Each block holds one list of text per column, all of one
+    length, and is written before the next is taken, so one block's text
+    is in memory at a time."""
+    def text():
+        yield f"# manifest={manifest_name}\n{','.join(names)}\n".encode()
         for block in blocks:
             if len(block) != len(names):
                 raise ValueError(f"{len(block)} text columns for {len(names)} names")
-            rows = list(map(",".join, zip(*block, strict=True)))
-            f.write("\n".join([*rows, ""]))
-            n_rows += len(rows)
-    return n_rows
+            yield "\n".join([*map(",".join, zip(*block, strict=True)), ""]).encode()
+
+    return write_bytes(path, text())
 
 
 def _strict(obj):
@@ -194,10 +195,11 @@ def _strict(obj):
     return obj
 
 
-def write_json(path, obj) -> None:
-    """Strict JSON: a NaN or infinity is written as null, never as a bare NaN."""
+def write_json(path, obj) -> str:
+    """Strict JSON: a NaN or infinity is written as null, never as a bare NaN;
+    returns the file's SHA-256."""
     text = json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    return write_bytes(path, [f"{text}\n".encode()])
 
 
 def _load_json(path, what: str) -> dict:
@@ -282,12 +284,11 @@ RECORD_COLUMNS = ["t", "X_a", "P_a", "X_b", "P_b"]
 
 
 def save_record(
-    record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str, digests: dict | None = None
-) -> list[Path]:
+    record: TrajectoryRecord, base: Path, fmt: str, manifest_name: str
+) -> dict[Path, str]:
     """Persist one record's samples as .npy or as a CSV with a time column,
-    and its metadata in the .meta.json sidecar; returns the written paths.
-    A .npy file is hashed as it is written, and its SHA-256 is entered in
-    digests, when given, under its path."""
+    and its metadata in the .meta.json sidecar; returns {path: SHA-256} of
+    the two files, in the order written."""
     data = base.with_suffix(f".{fmt}")
     if fmt == "csv":
         columns = [record.times(), *record.samples.T]
@@ -295,18 +296,16 @@ def save_record(
             [list(map(repr, x[start:start + CSV_BLOCK_ROWS].tolist())) for x in columns]
             for start in range(0, record.n_steps, CSV_BLOCK_ROWS)
         )
-        write_csv(data, RECORD_COLUMNS, blocks, manifest_name)
+        written = {data: write_csv(data, RECORD_COLUMNS, blocks, manifest_name)}
     else:
-        digest = write_npy(data, record.samples)
-        if digests is not None:
-            digests[data] = digest
+        written = {data: write_npy(data, record.samples)}
     side = record_sidecar(data)
     meta = dict(record.meta, manifest=manifest_name)
-    write_json(
+    written[side] = write_json(
         side,
         {"dt": record.dt, "source": record.source.value, "seed": record.seed, "meta": meta},
     )
-    return [data, side]
+    return written
 
 
 def load_record(path) -> TrajectoryRecord:
@@ -382,14 +381,11 @@ def make_manifest(command: str, config: dict, seed, threads: int, inputs: dict |
     return name, body
 
 
-def finish_manifest(
-    out_dir: Path, name: str, body: dict, outputs: list[Path], digests: dict | None = None
-) -> None:
-    """Write the manifest with the SHA-256 of each output: taken from digests
-    where it holds the path (hashed as it was written), else read from the file."""
-    digests = digests or {}
+def finish_manifest(out_dir: Path, name: str, body: dict, outputs: dict[Path, str]) -> None:
+    """Write the manifest with the SHA-256 of each output, {path: digest} as
+    its writer returned it; no output is read back."""
     body["outputs"] = sorted(
-        ({"path": p.name, "sha256": digests.get(p) or sha256_file(p)} for p in outputs),
+        ({"path": p.name, "sha256": digest} for p, digest in outputs.items()),
         key=lambda e: e["path"],
     )
     write_json(out_dir / name, body)
@@ -467,6 +463,9 @@ def _pmap(fn, items, threads: int):
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    import concurrent.futures  # imported here: a run of one process never loads them
+    import multiprocessing
+
     spawn = multiprocessing.get_context("spawn")
     with _one_blas_thread_for_children(), concurrent.futures.ProcessPoolExecutor(
         max_workers=threads, mp_context=spawn, initializer=_fix_heap_thresholds
@@ -567,23 +566,21 @@ def cmd_phase_diagram(config: dict, out_dir: Path, seed, threads: int) -> int:
     name, manifest = make_manifest("phase-diagram", config, seed, threads)
     blocks = phase_diagram_columns(config)
     out = out_dir / "phase_diagram.csv"
-    n_cells = write_csv(out, PHASE_COLUMNS, blocks, name)
-    finish_manifest(out_dir, name, manifest, [out])
-    print(f"wrote {out} ({n_cells} cells) and {name}")
+    finish_manifest(out_dir, name, manifest, {out: write_csv(out, PHASE_COLUMNS, blocks, name)})
+    print(f"wrote {out} and {name}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def _simulate_member(args) -> tuple[list[Path], dict[Path, str]]:
+def _simulate_member(args) -> dict[Path, str]:
     """Draw member k of a simulate ensemble from the prepared stream, which
     a spawned worker receives pickled, and save it."""
     stream, traj, k, meta, base, fmt, manifest_name = args
     members = [(derive_stream_seed(traj.master_seed, k), {"member": k})]
     record = next(_records(stream, traj, traj.scheme, SourceTag.QUANTUM, meta, members))
-    digests: dict[Path, str] = {}
-    return save_record(record, Path(base), fmt, manifest_name, digests), digests
+    return save_record(record, Path(base), fmt, manifest_name)
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
@@ -607,9 +604,8 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
                 gain=_field(trio, "gain", real, None),
             )
     name, manifest = make_manifest("simulate", config, config["trajectory"].get("master_seed"), threads)
-    written: list[Path] = []
-    # the SHA-256 of each .npy record, taken as it was written (in a worker or here)
-    digests: dict[Path, str] = {}
+    # {path: SHA-256} of each file, taken as it was written (in a worker or here)
+    written: dict[Path, str] = {}
     # prepared once, and handed to every member here or pickled to its worker
     A, D = steady_dynamics(params)
     if traj.scheme is Scheme.EULER_MARUYAMA:
@@ -621,28 +617,27 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
         (stream, traj, k, meta, str(out_dir / f"quantum_{k:04d}"), fmt, name)
         for k in range(n_members)
     ]
-    for paths, member_digests in _pmap(_simulate_member, members, threads):
-        written.extend(paths)
-        digests.update(member_digests)
+    for member in _pmap(_simulate_member, members, threads):
+        written.update(member)
 
     if specs:
         # each null record is saved before the next is drawn, and no name holds
         # it, so one is alive at a time
         kappa = params.kappa_a
-        written.extend(save_record(
+        written.update(save_record(
             gen_shared_noise(specs[NullKind.SHARED_NOISE], traj, kappa=kappa),
-            out_dir / "null_a", fmt, name, digests,
+            out_dir / "null_a", fmt, name,
         ))
-        written.extend(save_record(
+        written.update(save_record(
             gen_classical_paramp(specs[NullKind.CLASSICAL_PARAMP], traj, kappa=kappa),
-            out_dir / "null_b", fmt, name, digests,
+            out_dir / "null_b", fmt, name,
         ))
-        written.extend(save_record(
+        written.update(save_record(
             gen_optimized_mixture(specs[NullKind.OPTIMIZED_MIXTURE], config=traj, kappa=kappa)[0],
-            out_dir / "null_c", fmt, name, digests,
+            out_dir / "null_c", fmt, name,
         ))
 
-    finish_manifest(out_dir, name, manifest, written, digests)
+    finish_manifest(out_dir, name, manifest, written)
     print(f"wrote {len(written)} record files and {name}")
     return 0
 
@@ -720,11 +715,12 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
     rows.sort(key=lambda r: r["file"])
     csv_path = out_dir / "witness_distribution.csv"
     json_path = out_dir / "witness_report.json"
-    write_csv(csv_path, ANALYZE_COLUMNS, [text_columns(ANALYZE_COLUMNS, rows)], name)
-    write_json(json_path, summary)
+    table = [text_columns(ANALYZE_COLUMNS, rows)]
+    outputs = {csv_path: write_csv(csv_path, ANALYZE_COLUMNS, table, name),
+               json_path: write_json(json_path, summary)}
     factors["default_kappa"].sort()
     manifest["factors"] = factors
-    finish_manifest(out_dir, name, manifest, [csv_path, json_path])
+    finish_manifest(out_dir, name, manifest, outputs)
     print(f"analyzed {len(rows)} records into {csv_path} / {json_path}")
     return 0
 
@@ -770,25 +766,24 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )
     csv_path = out_dir / "converge.csv"
-    write_csv(csv_path, CONVERGE_COLUMNS, [text_columns(CONVERGE_COLUMNS, result["rows"])], name)
+    table = [text_columns(CONVERGE_COLUMNS, result["rows"])]
+    outputs = {csv_path: write_csv(csv_path, CONVERGE_COLUMNS, table, name)}
     summary = {
         "manifest": name,
         "slope_nu": result["slope_nu"],
         "slope_duan": result["slope_duan"],
         "cells": len(cells),
     }
-    outputs = [csv_path]
 
     if crossing:
         rows = _crossing_rows(params.kappa_a, n, g_values, *plans, master_seed)
         cross_path = out_dir / "crossing.csv"
-        write_csv(cross_path, CROSSING_COLUMNS, [text_columns(CROSSING_COLUMNS, rows)], name)
-        outputs.append(cross_path)
+        table = [text_columns(CROSSING_COLUMNS, rows)]
+        outputs[cross_path] = write_csv(cross_path, CROSSING_COLUMNS, table, name)
         summary["crossing_cells"] = len(rows)
 
     json_path = out_dir / "converge_summary.json"
-    write_json(json_path, summary)
-    outputs.append(json_path)
+    outputs[json_path] = write_json(json_path, summary)
     finish_manifest(out_dir, name, manifest, outputs)
     print(f"wrote {csv_path} (slopes: nu {result['slope_nu']:.3f}, duan {result['slope_duan']:.3f})")
     return 0
@@ -890,8 +885,7 @@ def cmd_thresholds(config: dict, out_dir: Path, seed, threads: int) -> int:
     report = _threshold_report(config)
     report["manifest"] = name
     out = out_dir / "thresholds.json"
-    write_json(out, report)
-    finish_manifest(out_dir, name, manifest, [out])
+    finish_manifest(out_dir, name, manifest, {out: write_json(out, report)})
     print(f"wrote {out}")
     return 0
 

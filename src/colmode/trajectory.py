@@ -142,6 +142,8 @@ class TrajectoryRecord:
         self.samples = samples.astype(float, copy=False)
         if self.samples.ndim != 2 or self.samples.shape[1] != 4:
             raise ValidationError("samples must have shape (n_steps, 4)")
+        if not self.samples.size:
+            raise ValidationError("samples must hold at least one row (n_steps >= 1)")
         if not np.all(np.isfinite(self.samples)):
             raise ValidationError("trajectory contains non-finite samples")
         self.source = SourceTag(self.source)

@@ -102,7 +102,8 @@ def test_traced_analyze_spans_each_pipeline_layer_once_per_record(tmp_path):
     for seed in (1, 2):
         cfg = TrajectoryConfig(dt=0.05, n_steps=4000, master_seed=seed)
         record = sample_exact_ou(A, D, cfg, meta={"kappa": 1.0})
-        paths.append(str(save_record(record, tmp_path / f"r{seed}", "npy", "m.json")[0]))
+        npy, _ = save_record(record, tmp_path / f"r{seed}", "npy", "m.json")
+        paths.append(str(npy))
     config = tmp_path / "analyze.json"
     config.write_text(json.dumps({"pipeline": {
         "bandwidth": 1.0, "integration_time": 10.0, "bootstrap_resamples": 20}}))

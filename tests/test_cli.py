@@ -100,6 +100,28 @@ def output_digests(out_dir: Path) -> dict:
     }
 
 
+@pytest.fixture
+def files_hashed(monkeypatch) -> list[str]:
+    """The name of each file cli.sha256_file reads, in call order."""
+    import colmode.cli as cli_mod
+
+    names = []
+    monkeypatch.setattr(cli_mod, "sha256_file",
+                        lambda path: names.append(Path(path).name) or sha256_file(path))
+    return names
+
+
+def manifest_outputs(out_dir: Path) -> list[dict]:
+    """The manifest's outputs, after checking that they name every other
+    file in out_dir and that each digest is hashlib over the file's bytes."""
+    (manifest,) = out_dir.glob("manifest_*.json")
+    outputs = json.loads(manifest.read_text())["outputs"]
+    assert {e["path"] for e in outputs} == {p.name for p in out_dir.iterdir()} - {manifest.name}
+    for entry in outputs:
+        assert entry["sha256"] == hashlib.sha256((out_dir / entry["path"]).read_bytes()).hexdigest()
+    return outputs
+
+
 class TestPhaseDiagram:
     def test_grid_matches_analytic_boundary(self, tmp_path):
         cfg = {
@@ -437,11 +459,14 @@ class TestCsvOutput:
             write_csv(tmp_path / "t.csv", ["a", "b"], [[["1", "2"]]], "m")
 
     def test_write_csv_writes_each_block_in_turn(self, tmp_path):
+        """Its rows are each block's rows in turn, and it returns hashlib's
+        digest of the bytes it wrote."""
         path = tmp_path / "t.csv"
         blocks = [[["1", "2"], ["x", "y"]], [[], []], [["3"], [""]]]
-        assert write_csv(path, ["a", "b"], iter(blocks), "m") == 3
-        assert path.read_text() == "# manifest=m\na,b\n1,x\n2,y\n3,\n"
-        assert write_csv(path, ["a"], [], "m") == 0
+        text = b"# manifest=m\na,b\n1,x\n2,y\n3,\n"
+        assert write_csv(path, ["a", "b"], iter(blocks), "m") == hashlib.sha256(text).hexdigest()
+        assert path.read_bytes() == text
+        assert write_csv(path, ["a"], [], "m") == hashlib.sha256(b"# manifest=m\na\n").hexdigest()
         assert path.read_text() == "# manifest=m\na\n"
 
     @pytest.mark.parametrize("size", [0, 1000, HASH_BLOCK_BYTES, 2 * HASH_BLOCK_BYTES + 3])
@@ -474,33 +499,26 @@ class TestSimulate:
         assert len(output_digests(seq)) == 2 * 9
         assert output_digests(seq) == output_digests(par)
 
+    @pytest.mark.parametrize("fmt", ["npy", "csv"])
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_records_are_hashed_as_they_are_written(self, tmp_path, monkeypatch, threads):
-        """Each .npy record holds np.save's bytes, and its manifest digest,
-        taken as it was written (in a worker with --threads 2), equals
-        hashlib over the file; only the other outputs are read back."""
-        import colmode.cli as cli_mod
-
-        read_back = []
-        monkeypatch.setattr(cli_mod, "sha256_file",
-                            lambda path: read_back.append(path.name) or sha256_file(path))
-        cfg = small_simulate_config(ensemble=2, null_trio=True)
+    def test_records_are_hashed_as_they_are_written(self, tmp_path, files_hashed, fmt, threads):
+        """Each record and sidecar is hashed as it is written (the members in
+        a worker with --threads 2): its manifest digest equals hashlib over
+        the file, an .npy record holds np.save's bytes, and nothing is read
+        back to be hashed."""
+        cfg = small_simulate_config(ensemble=2, null_trio=True, fmt=fmt)
         cfg["trajectory"]["n_steps"] = 3000
         out = tmp_path / "out"
         assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
                      "--out-dir", str(out), "--threads", threads]) == 0
-        (manifest,) = out.glob("manifest_*.json")
-        outputs = json.loads(manifest.read_text())["outputs"]
+        outputs = manifest_outputs(out)
         assert len(outputs) == 2 * 5
         for entry in outputs:
-            data = (out / entry["path"]).read_bytes()
-            assert entry["sha256"] == hashlib.sha256(data).hexdigest()
             if entry["path"].endswith(".npy"):
                 saved = io.BytesIO()
                 np.save(saved, np.load(out / entry["path"]), allow_pickle=False)
-                assert data == saved.getvalue()
-        assert sorted(read_back) == sorted(
-            e["path"] for e in outputs if e["path"].endswith(".meta.json"))
+                assert (out / entry["path"]).read_bytes() == saved.getvalue()
+        assert files_hashed == []
 
     def test_workers_start_with_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
@@ -661,7 +679,8 @@ class TestAnalyze:
         for name, meta in (("given", {"kappa": 2.0}), ("defaulted", {})):
             rec = TrajectoryRecord(samples=rng.standard_normal((2000, 4)), dt=0.1,
                                    source=SourceTag.QUANTUM, seed=4, meta=meta)
-            paths.append(str(save_record(rec, tmp_path / name, "npy", "m")[0]))
+            npy, _ = save_record(rec, tmp_path / name, "npy", "m")
+            paths.append(str(npy))
         an = json.loads((CONFIGS / "analyze.json").read_text())
         an["pipeline"]["bootstrap_resamples"] = 10
         assert main(["analyze", *paths, "-c", write_config(tmp_path, "an.json", an),
@@ -673,12 +692,16 @@ class TestAnalyze:
         for data in ("witness_distribution.csv", "witness_report.json"):
             assert "factors" not in (out / data).read_text()
 
-    def test_manifest_hashes_each_record_and_its_sidecar(self, tmp_path):
-        # the sidecar's dt, kappa and bandlimit_cal change the verdict
+    def test_manifest_hashes_each_record_and_its_sidecar(self, tmp_path, files_hashed):
+        """The inputs, which this process did not write, are each read once
+        to be hashed (the sidecar's dt, kappa and bandlimit_cal change the
+        verdict); the outputs are hashed as they are written."""
         rec = TrajectoryRecord(samples=np.random.default_rng(9).standard_normal((2000, 4)),
                                dt=0.1, source=SourceTag.QUANTUM, seed=9, meta={"kappa": 1.0})
-        files = save_record(rec, tmp_path / "rec", "npy", "m")
-        files += save_record(rec, tmp_path / "other", "csv", "m")
+        npy = save_record(rec, tmp_path / "rec", "npy", "m")
+        csv = save_record(rec, tmp_path / "other", "csv", "m")
+        files = [*npy, *csv]
+        assert {**npy, **csv} == {f: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
         an = json.loads((CONFIGS / "analyze.json").read_text())
         an["pipeline"]["bootstrap_resamples"] = 10
         out = tmp_path / "out"
@@ -686,6 +709,9 @@ class TestAnalyze:
                      write_config(tmp_path, "an.json", an), "--out-dir", str(out)]) == 0
         inputs = json.loads(next(out.glob("manifest_*.json")).read_text())["inputs"]
         assert inputs == {f.name: sha256_file(f) for f in files}
+        assert sorted(files_hashed) == sorted(f.name for f in files)
+        assert [e["path"] for e in manifest_outputs(out)] == [
+            "witness_distribution.csv", "witness_report.json"]
 
     def test_distinct_sidecars_sharing_a_name_exit_2_before_any_output(self, tmp_path, capsys):
         # a/rec.npy and b/rec.csv have distinct names but sidecars of one name
@@ -710,7 +736,8 @@ class TestAnalyze:
             (tmp_path / folder).mkdir()
             rec = TrajectoryRecord(samples=rng.standard_normal((2000, 4)), dt=0.1,
                                    source=SourceTag.QUANTUM, seed=8, meta={"kappa": 1.0})
-            paths.append(str(save_record(rec, tmp_path / folder / "rec", "npy", "m")[0]))
+            npy, _ = save_record(rec, tmp_path / folder / "rec", "npy", "m")
+            paths.append(str(npy))
         out = tmp_path / "out"
         assert main(["analyze", *paths, "-c", str(CONFIGS / "analyze.json"),
                      "--out-dir", str(out)]) == 2
@@ -781,6 +808,20 @@ class TestAnalyze:
         assert main(["analyze", str(path), "-c", str(CONFIGS / "analyze.json"),
                      "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
+        assert not any(out.iterdir())
+
+    def test_npy_record_without_rows_exits_2(self, tmp_path, capsys):
+        """An .npy record of shape (0, 4) has the right width and no sample:
+        it is refused by name, not left to fail in the band-limit filter."""
+        rec = TrajectoryRecord(samples=np.ones((20, 4)), dt=0.1, source=SourceTag.QUANTUM,
+                               seed=1, meta={"kappa": 1.0})
+        path, _ = save_record(rec, tmp_path / "rec", "npy", "m")
+        np.save(path, np.zeros((0, 4)))
+        out = tmp_path / "out"
+        assert main(["analyze", str(path), "-c", str(CONFIGS / "analyze.json"),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot load record {path}: samples must hold at least one row (n_steps >= 1)"]
         assert not any(out.iterdir())
 
 
@@ -1478,6 +1519,31 @@ def test_shipped_config_runs(tmp_path, command, config, outputs):
     assert main([command, "-c", str(CONFIGS / config), "--out-dir", str(out)]) == 0
     for name, n_lines in outputs.items():
         assert len((out / name).read_text().splitlines()) == n_lines
+
+
+@pytest.mark.parametrize("command", ["phase-diagram", "thresholds", "converge"])
+def test_no_output_is_read_back(tmp_path, files_hashed, command):
+    """Every output of a command with no input files is hashed as it is
+    written: cli.sha256_file is never called, and each manifest digest
+    equals hashlib over the file."""
+    configs = {
+        "phase-diagram": _small_phase_config(),
+        "thresholds": json.loads((CONFIGS / "thresholds_room_temperature.json").read_text()),
+        "converge": {
+            "params": small_simulate_config()["params"], "master_seed": 3,
+            "cells": [{"T": 8.0, "B": 1.0}, {"T": 16.0, "B": 1.0}],
+            "runs_per_cell": 2, "segments_per_record": 4,
+            "crossing": {"n": 0.5, "g_values": [0.1, 0.2], "cells": [{"T": 8.0, "B": 1.0}],
+                         "runs_per_cell": 2, "segments_per_record": 4},
+        },
+    }
+    out = tmp_path / "out"
+    assert main([command, "-c", write_config(tmp_path, "cfg.json", configs[command]),
+                 "--out-dir", str(out)]) == 0
+    written = {"phase-diagram": ["phase_diagram.csv"], "thresholds": ["thresholds.json"],
+               "converge": ["converge.csv", "converge_summary.json", "crossing.csv"]}
+    assert [e["path"] for e in manifest_outputs(out)] == written[command]
+    assert files_hashed == []
 
 
 def _run_python(args, env):

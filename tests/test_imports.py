@@ -5,6 +5,9 @@ set of scipy names its modules use is pinned here and may only shrink.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import colmode
@@ -74,3 +77,17 @@ sla.solve(a, b)
         "scipy.__version__", "scipy.linalg.expm", "scipy.linalg.solve",
         "scipy.linalg.blas.dgemm", "scipy.signal",
     }
+
+
+def test_cli_import_loads_no_process_pool():
+    """multiprocessing and concurrent.futures are imported only when simulate
+    runs its members in worker processes, so a fresh interpreter that imports
+    colmode.cli has loaded neither."""
+    probe = ("import sys, colmode.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+             "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -557,6 +557,8 @@ class TestRecordValidation:
         bad[3, 2] = np.inf
         with pytest.raises(ValidationError):
             TrajectoryRecord(samples=bad, dt=0.1, source=SourceTag.QUANTUM, seed=0)
+        with pytest.raises(ValidationError, match="at least one row"):
+            TrajectoryRecord(samples=np.zeros((0, 4)), dt=0.1, source=SourceTag.QUANTUM, seed=0)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
