@@ -4,6 +4,7 @@ A real is a finite int or float, numpy scalars included; a count is an
 integral real, so 1e5 is a count and 2.5 is not.  bool, str and None are
 never numbers: ``true`` never reads as 1 and ``"0.5"`` never as 0.5.  Every
 failure is a ValidationError whose message starts with the field's name.
+The rule lives in ``check``; a config field declares its kind and bounds with ``checked``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,29 @@ def count(value, name: str, *, at_least=None) -> int:
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def check(kind, value, name: str, **bounds):
+    """value as kind: real and count check it under name within bounds; another kind is called."""
+    if kind is real or kind is count:
+        return kind(value, name, **bounds)
+    return kind(value)
+
+
+def checked(kind, default=dataclasses.MISSING, **bounds):
+    """A dataclass field that ConfigFields.__post_init__ checks as kind within bounds."""
+    return dataclasses.field(default=default, metadata={"check": (kind, bounds)})
+
+
 class ConfigFields:
-    """to_dict, from_dict and digest for a frozen config dataclass."""
+    """Checks, to_dict, from_dict and digest for a frozen config dataclass.  Each
+    field is declared with ``checked`` and checked in declaration order (one whose
+    default is None may stay None); cross-field checks follow super().__post_init__()."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                kind, bounds = f.metadata["check"]
+                object.__setattr__(self, f.name, check(kind, value, f.name, **bounds))
 
     def to_dict(self) -> dict:
         """Fields in declaration order; enums as their values."""

@@ -35,7 +35,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._fields import count, real
+from ._fields import check, count, real
 from .entanglement import (
     PPT_BOUND,
     _checked_witnesses,
@@ -221,33 +221,36 @@ def _load_json(path, what: str) -> dict:
 _REQUIRED = object()
 
 
-def _field(section: dict, key: str, kind, default=_REQUIRED, **bounds):
-    """section[key] read by kind, or default when it is absent or null; a
-    missing or malformed field raises a ValidationError that names it.
-    real and count check the value under the field's own name, within bounds."""
+def _field(section: dict, key: str, kind, default=_REQUIRED, *, path=None, **bounds):
+    """section[key] checked as kind within bounds (_fields.check), or default
+    when it is absent or null; a missing or malformed field raises a
+    ValidationError that names it by path, the key itself by default."""
+    name = path or key
     value = section.get(key)
     if value is None:
         if default is _REQUIRED:
-            raise ValidationError(f"missing field '{key}'")
+            raise ValidationError(f"missing field '{name}'")
         return default
-    if kind is real or kind is count:
-        return kind(value, key, **bounds)
     try:
-        return kind(value)
+        return check(kind, value, name, **bounds)
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field '{key}': {exc}") from exc
+        raise ValidationError(f"field '{name}': {exc}") from exc
 
 
 @contextlib.contextmanager
 def _section(key: str, section: dict):
-    """Name the path key.field in an error raised inside the block whose
-    message starts with the name of one of section's fields (a field name
-    leads every number-policy message), so that a section field and a
-    top-level field of the same name give different messages."""
+    """A reader of section's fields that names each by its path key.field,
+    so that a section field and a top-level field of the same name give
+    different messages.  An error raised inside the block whose message
+    starts with the name of one of section's fields (a field name leads
+    every number-policy message) is named by its path too."""
+    def read(field: str, *args, **bounds):
+        return _field(section, field, *args, path=f"{key}.{field}", **bounds)
+
     try:
-        yield
+        yield read
     except ValidationError as exc:
         if str(exc).split(" ", 1)[0] not in section:
             raise
@@ -256,7 +259,7 @@ def _section(key: str, section: dict):
 
 def _object(value) -> dict:
     if not isinstance(value, dict):
-        raise ValidationError(f"expected a JSON object, got {value!r}")
+        raise TypeError(f"expected a JSON object, got {value!r}")
     return value
 
 
@@ -593,17 +596,17 @@ def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
     n_members = _field(config, "ensemble", count, 1, at_least=1)
     trio = _field(config, "null_trio", _object, {})
     specs = None
-    with _section("null_trio", trio):
-        if _field(trio, "enabled", _bool, False):
+    with _section("null_trio", trio) as read:
+        if read("enabled", _bool, False):
             # built before any record is written, so a bad trio field writes nothing
             specs = matched_null_specs(
                 steady_state_covariance(params),
                 kappa=params.kappa_a,
                 seed=traj.master_seed,
-                correlation=_field(trio, "correlation", real, 0.7),
-                gain=_field(trio, "gain", real, None),
+                correlation=read("correlation", real, 0.7),
+                gain=read("gain", real, None),
             )
-    name, manifest = make_manifest("simulate", config, config["trajectory"].get("master_seed"), threads)
+    name, manifest = make_manifest("simulate", config, traj.master_seed, threads)
     # {path: SHA-256} of each file, taken as it was written (in a worker or here)
     written: dict[Path, str] = {}
     # prepared once, and handed to every member here or pickled to its worker
@@ -752,19 +755,20 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
     cells = _field(config, "cells", _cells)
     _field(config, "segment_statistic", _segment_statistic, None)
     sweep = _ensemble_fields(config, 16)
-    crossing = config.get("crossing")
-    if crossing:
-        # read in full before the sweep draws a record, so a bad field writes nothing
-        crossing = _field(config, "crossing", _object)
-        with _section("crossing", crossing):
-            n = _field(crossing, "n", real, at_least=0.0)
-            g_values = _field(crossing, "g_values", _checked_couplings)
-            plans = _cell_plans(
-                _field(crossing, "cells", _cells), **_ensemble_fields(crossing, 12)
-            )
+    # absent or null means no scan; any other value is read in full before the
+    # sweep draws a record, so a bad field writes nothing
+    crossing = _field(config, "crossing", _object, None)
+    if crossing is not None:
+        with _section("crossing", crossing) as read:
+            n = read("n", real, at_least=0.0)
+            g_values = read("g_values", _checked_couplings)
+            plans = _cell_plans(read("cells", _cells), **_ensemble_fields(crossing, 12))
     result = convergence_sweep(
         A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
     )
+    # every number is computed before any output is opened
+    if crossing is not None:
+        rows = _crossing_rows(params.kappa_a, n, g_values, *plans, master_seed)
     csv_path = out_dir / "converge.csv"
     table = [text_columns(CONVERGE_COLUMNS, result["rows"])]
     outputs = {csv_path: write_csv(csv_path, CONVERGE_COLUMNS, table, name)}
@@ -775,8 +779,7 @@ def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
         "cells": len(cells),
     }
 
-    if crossing:
-        rows = _crossing_rows(params.kappa_a, n, g_values, *plans, master_seed)
+    if crossing is not None:
         cross_path = out_dir / "crossing.csv"
         table = [text_columns(CROSSING_COLUMNS, rows)]
         outputs[cross_path] = write_csv(cross_path, CROSSING_COLUMNS, table, name)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import ConfigFields, real
+from ._fields import ConfigFields, checked, real
 from .errors import (
     NegativeTimeError,
     SingularSolveError,
@@ -80,19 +80,6 @@ class Preset(str, enum.Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
-#: Each ModelParams rate and occupancy with its bound: damping rates are
-#: positive, coupling and occupancies nonnegative, detunings any real.
-_PARAM_BOUNDS = {
-    "G": {"at_least": 0.0},
-    "kappa_a": {"above": 0.0},
-    "kappa_b": {"above": 0.0},
-    "n_a": {"at_least": 0.0},
-    "n_b": {"at_least": 0.0},
-    "delta_a": {},
-    "delta_b": {},
-}
-
-
 @dataclass(frozen=True)
 class ModelParams(ConfigFields):
     """Reduced open-system parameter set; the single source of truth for dynamics.
@@ -101,19 +88,17 @@ class ModelParams(ConfigFields):
     occupancies n_a, n_b are effective in-band quantities, not assumed thermal.
     """
 
-    G: float
-    kappa_a: float
-    kappa_b: float
-    n_a: float
-    n_b: float
-    delta_a: float = 0.0
-    delta_b: float = 0.0
-    preset: Preset = Preset.TMS_HAMILTONIAN
+    G: float = checked(real, at_least=0.0)
+    kappa_a: float = checked(real, above=0.0)
+    kappa_b: float = checked(real, above=0.0)
+    n_a: float = checked(real, at_least=0.0)
+    n_b: float = checked(real, at_least=0.0)
+    delta_a: float = checked(real, 0.0)
+    delta_b: float = checked(real, 0.0)
+    preset: Preset = checked(Preset, Preset.TMS_HAMILTONIAN)
 
     def __post_init__(self):
-        for name, bound in _PARAM_BOUNDS.items():
-            object.__setattr__(self, name, real(getattr(self, name), name, **bound))
-        object.__setattr__(self, "preset", Preset(self.preset))
+        super().__post_init__()
         if self.preset is Preset.CLOSED_FORM and not self.symmetric_resonant:
             raise ValidationError(
                 "CLOSED_FORM preset requires kappa_a = kappa_b, n_a = n_b, zero detunings"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import ConfigFields, count, real
+from ._fields import ConfigFields, checked, count, real
 from .entanglement import _require_symmetric, witness_report_from_covariance
 from .errors import NotPsdError, UnstableGainError, ValidationError
 from .gaussian_core import ModelParams, build_drift, solve_steady_lyapunov
@@ -82,23 +82,15 @@ class NullModelSpec(ConfigFields):
     parametric drive rate for CLASSICAL_PARAMP, in the same units as kappa.
     """
 
-    kind: NullKind
-    target_bandwidth: float
-    target_power: float
-    correlation: float = 0.0
-    gain: float = 0.0
-    seed: int = 0
+    kind: NullKind = checked(NullKind)
+    target_bandwidth: float = checked(real, above=0.0)
+    target_power: float = checked(real, above=0.0)
+    correlation: float = checked(real, 0.0, at_least=0.0)
+    gain: float = checked(real, 0.0, at_least=0.0)
+    seed: int = checked(count, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", NullKind(self.kind))
-        for name, bound in (
-            ("target_bandwidth", {"above": 0.0}),
-            ("target_power", {"above": 0.0}),
-            ("correlation", {"at_least": 0.0}),
-            ("gain", {"at_least": 0.0}),
-        ):
-            object.__setattr__(self, name, real(getattr(self, name), name, **bound))
-        object.__setattr__(self, "seed", count(self.seed, "seed"))
+        super().__post_init__()
         if self.correlation > 1.0:
             raise ValidationError("correlation must lie in [0, 1]")
 

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from ._fields import ConfigFields, count, real
+from ._fields import ConfigFields, checked, count, real
 from .errors import (
     BandwidthExceedsNyquistError,
     InsufficientEnsembleError,
@@ -82,26 +82,16 @@ class PipelineConfig(ConfigFields):
     that older configs that set it keep working.
     """
 
-    bandwidth: float
-    integration_time: float
-    demod_frequency: float = 0.0
-    bootstrap_resamples: int = 1000
-    segment_statistic: str = "second_moment"
+    bandwidth: float = checked(real, above=0.0)
+    integration_time: float = checked(real, above=0.0)
+    demod_frequency: float = checked(real, 0.0)
+    bootstrap_resamples: int = checked(count, 1000, at_least=0)
+    segment_statistic: str = checked(_segment_statistic, "second_moment")
 
     def __post_init__(self):
-        object.__setattr__(self, "bandwidth", real(self.bandwidth, "bandwidth", above=0.0))
-        object.__setattr__(
-            self, "integration_time", real(self.integration_time, "integration_time", above=0.0)
-        )
-        object.__setattr__(self, "demod_frequency", real(self.demod_frequency, "demod_frequency"))
-        object.__setattr__(
-            self,
-            "bootstrap_resamples",
-            count(self.bootstrap_resamples, "bootstrap_resamples", at_least=0),
-        )
+        super().__post_init__()
         if self.integration_time * self.bandwidth < 1.0:
             raise ValidationError("need integration_time * bandwidth >= 1")
-        _segment_statistic(self.segment_statistic)
 
 
 @dataclass

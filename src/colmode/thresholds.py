@@ -10,14 +10,13 @@ G(d).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import ConfigFields, real
+from ._fields import ConfigFields, checked, real
 from .errors import (
     MissingNoiseInputError,
     OutOfRangeError,
@@ -68,22 +67,19 @@ class NoiseInputSpec(ConfigFields):
     refused; S_V0 with R_eff is not, because THERMAL reads R_eff itself.
     """
 
-    B: float  # bandwidth, Hz
-    C_eff: float  # effective capacitance, F
-    omega_col: float  # collective envelope angular frequency, rad/s
-    T_amb: float  # ambient temperature, K
-    S_V0: float | None = None  # voltage noise density at band center, V^2/Hz
-    R_eff: float | None = None  # effective series resistance, Ohm
-    Re_Y_eff: float | None = None  # real part of effective admittance, S
+    B: float = checked(real, above=0.0)  # bandwidth, Hz
+    C_eff: float = checked(real, above=0.0)  # effective capacitance, F
+    omega_col: float = checked(real, above=0.0)  # collective envelope angular frequency, rad/s
+    T_amb: float = checked(real, above=0.0)  # ambient temperature, K
+    S_V0: float | None = checked(real, None, above=0.0)  # voltage noise density at band center
+    R_eff: float | None = checked(real, None, above=0.0)  # effective series resistance, Ohm
+    Re_Y_eff: float | None = checked(real, None, above=0.0)  # real part of effective admittance, S
 
     def __post_init__(self):
         for other in ("S_V0", "R_eff"):
             if self.Re_Y_eff is not None and getattr(self, other) is not None:
                 raise ValidationError(f"give '{other}' or 'Re_Y_eff', not both")
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is not None or f.default is dataclasses.MISSING:
-                object.__setattr__(self, f.name, real(v, f.name, above=0.0))
+        super().__post_init__()
 
     def resolved_S_V0(self) -> float:
         """S_V(0), taken directly or supplied by R_eff or Re_Y_eff."""

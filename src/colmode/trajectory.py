@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fields import ConfigFields, count, real
+from ._fields import ConfigFields, checked, count, real
 from .errors import StepTooLargeError, ValidationError
 from .gaussian_core import _expm, is_stable, solve_steady_lyapunov, symmetrize
 
@@ -103,18 +103,14 @@ def derive_stream_seed(master_seed: int, task_index: int) -> int:
 class TrajectoryConfig(ConfigFields):
     """Sampling plan: step dt (units 1/kappa), record length, scheme, seeding."""
 
-    dt: float
-    n_steps: int
-    scheme: Scheme = Scheme.EXACT_OU
-    master_seed: int = 0
-    burn_in: int = 0
+    dt: float = checked(real, above=0.0)
+    n_steps: int = checked(count, at_least=1)
+    scheme: Scheme = checked(Scheme, Scheme.EXACT_OU)
+    master_seed: int = checked(count, 0)
+    burn_in: int = checked(count, 0, at_least=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dt", real(self.dt, "dt", above=0.0))
-        object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps", at_least=1))
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "master_seed", count(self.master_seed, "master_seed"))
-        object.__setattr__(self, "burn_in", count(self.burn_in, "burn_in", at_least=0))
+        super().__post_init__()
         rows = self.burn_in + self.n_steps
         if rows > _MAX_PATH_ROWS:
             raise ValidationError(

@@ -535,6 +535,24 @@ class TestSimulate:
         main(["simulate", "-c", cfg_path, "--out-dir", str(b), "--seed", "999"])
         assert output_digests(a) != output_digests(b)
 
+    def test_manifest_seed_is_the_master_seed_used(self, tmp_path):
+        """A trajectory without master_seed is drawn from master seed 0, and
+        the manifest says so; the records equal those of an explicit 0."""
+        cfg = small_simulate_config(ensemble=2)
+        cfg["trajectory"]["n_steps"] = 2000
+        del cfg["trajectory"]["master_seed"]
+        omitted, zero = tmp_path / "omitted", tmp_path / "zero"
+        assert main(["simulate", "-c", write_config(tmp_path, "a.json", cfg),
+                     "--out-dir", str(omitted)]) == 0
+        cfg["trajectory"]["master_seed"] = 0
+        assert main(["simulate", "-c", write_config(tmp_path, "b.json", cfg),
+                     "--out-dir", str(zero)]) == 0
+        (manifest,) = omitted.glob("manifest_*.json")
+        assert json.loads(manifest.read_text())["seed"] == 0
+        records = sorted(p.name for p in omitted.glob("*.npy"))
+        assert len(records) == 2
+        assert all((omitted / r).read_bytes() == (zero / r).read_bytes() for r in records)
+
     def test_each_null_record_is_written_before_the_next_is_drawn(self, tmp_path, monkeypatch):
         import colmode.cli as cli_mod
 
@@ -561,7 +579,8 @@ class TestSimulate:
         ({"correlation": 1.5}, "null_trio.correlation must lie in [0, 1]"),
         ({"correlation": -0.2}, "null_trio.correlation must be >= 0, got -0.2"),
         ({"gain": -0.1}, "null_trio.gain must be >= 0, got -0.1"),
-    ], ids=["correlation-high", "correlation-negative", "gain"])
+        ({"enabled": 3}, "field 'null_trio.enabled': expected true or false, got 3"),
+    ], ids=["correlation-high", "correlation-negative", "gain", "enabled"])
     def test_bad_null_trio_field_names_its_path(self, tmp_path, capsys, edit, message):
         """The trio is checked before any record is written; restarts and
         max_evals, which small_simulate_config still sends, are ignored."""
@@ -967,6 +986,26 @@ class TestConverge:
         lines = (out / "crossing.csv").read_text().splitlines()[2:]
         assert lines == [",".join(row) for row in zip(*text_columns(CROSSING_COLUMNS, rows))]
 
+    def test_failed_crossing_scan_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """The crossing rows are computed before any output is opened, so a
+        numerical failure in the scan leaves no converge.csv naming a
+        manifest that was never written."""
+        import colmode.cli as cli_mod
+        from colmode.errors import NumericalError
+
+        def fail(*args):
+            raise NumericalError("scan failed")
+
+        monkeypatch.setattr(cli_mod, "_crossing_rows", fail)
+        cfg = json.loads((CONFIGS / "converge.json").read_text())
+        cfg.update(cells=[{"T": 8.0, "B": 1.0}, {"T": 16.0, "B": 1.0}],
+                   runs_per_cell=2, segments_per_record=4)
+        out = tmp_path / "out"
+        assert main(["converge", "-c", write_config(tmp_path, "conv.json", cfg),
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["numerical failure: scan failed"]
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("cells", [[], [{"T": 50.0, "B": 0.04}]])
     def test_fewer_than_two_n_eff_is_validation_error(self, tmp_path, capsys, cells):
         cfg_path = write_config(tmp_path, "conv.json", {
@@ -988,20 +1027,31 @@ class TestConverge:
         ("crossing", {"n": -0.5}, "crossing.n must be >= 0, got -0.5"),
         ("crossing", {"cells": [{"T": 8.0, "B": 1.0}, {"T": 0.5, "B": 1.0}]},
          "crossing.cells need T * B >= 1, got T 0.5 and B 1.0"),
+        ("crossing", {"cells": 5}, "field 'crossing.cells': 'int' object is not iterable"),
+        ("crossing-drop", "cells", "missing field 'crossing.cells'"),
+        ("crossing-set", {}, "missing field 'crossing.n'"),
+        ("crossing-set", [], "field 'crossing': expected a JSON object, got []"),
         ("top", {"runs_per_cell": 1}, "runs_per_cell must be >= 2, got 1"),
         ("top", {"segments_per_record": 1}, "segments_per_record must be >= 2, got 1"),
         ("top", {"cells": [{"T": 50.0, "B": 0.04}, {"T": 10.0, "B": 0.04}]},
          "cells need T * B >= 1, got T 10.0 and B 0.04"),
     ], ids=["crossing-runs", "crossing-segments", "crossing-g-high", "crossing-g-negative",
-            "crossing-n", "crossing-cells", "runs", "segments", "cells"])
+            "crossing-n", "crossing-cells", "crossing-cells-number", "crossing-cells-missing",
+            "crossing-empty", "crossing-list", "runs", "segments", "cells"])
     def test_bad_section_field_exits_2_before_any_output(
         self, tmp_path, capsys, section, edit, message
     ):
         """Every converge field, the crossing section's included, is checked
         before the first record is drawn, so no converge.csv is written; a
-        crossing field's message names its path."""
+        crossing field's message names its path, and a crossing that is
+        present, even empty, is read as a scan."""
         cfg = json.loads((CONFIGS / "converge.json").read_text())
-        (cfg if section == "top" else cfg["crossing"]).update(edit)
+        if section == "crossing-drop":
+            del cfg["crossing"][edit]
+        elif section == "crossing-set":
+            cfg["crossing"] = edit
+        else:
+            (cfg if section == "top" else cfg["crossing"]).update(edit)
         out = tmp_path / "out"
         assert main(["converge", "-c", write_config(tmp_path, "conv.json", cfg),
                      "--out-dir", str(out)]) == 2
@@ -1221,7 +1271,7 @@ class TestExitCodes:
                           "R_eff": 50.0, "ringdown_time": t}, "ringdown_time")
           for t in (0.0, -15e-6, float("nan"), float("inf"))],
         ("simulate", small_simulate_config(fmt="xml"), "format"),
-        ("simulate", small_simulate_config(null_trio="false"), "enabled"),
+        ("simulate", small_simulate_config(null_trio="false"), "null_trio.enabled"),
         *[("simulate", small_simulate_config(ensemble=n), "ensemble") for n in (0, -3)],
     ])
     def test_missing_or_malformed_field_is_validation_error(

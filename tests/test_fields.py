@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from colmode._fields import count, real
+from colmode._fields import ConfigFields, count, real
 from colmode.errors import ValidationError
 from colmode.gaussian_core import ModelParams, Preset
 from colmode.null_models import NullKind, NullModelSpec
@@ -93,6 +95,22 @@ class TestConfigClasses:
             TrajectoryConfig.from_dict({"dt": 0.1})
         with pytest.raises(ValidationError, match="needs a JSON object"):
             NullModelSpec.from_dict([1, 2])
+
+    def test_every_field_is_checked_by_the_one_rule(self):
+        """Every field of every config class is declared with checked, and
+        each real or count field refuses True under its own name (the fields
+        that may be None left out, so that no cross-field check runs first)."""
+        examples = {type(c): c for c in _configs(lambda v: v)}
+        assert set(ConfigFields.__subclasses__()) == set(examples)
+        for cls, example in examples.items():
+            fields = dataclasses.fields(cls)
+            optional = {f.name: None for f in fields if f.default is None}
+            for f in fields:
+                assert "check" in f.metadata, f"{cls.__name__}.{f.name}"
+                kind, _ = f.metadata["check"]
+                if kind is real or kind is count:
+                    with pytest.raises(ValidationError, match=f"^{f.name} must be"):
+                        dataclasses.replace(example, **{**optional, f.name: True})
 
     def test_digests_are_pinned(self):
         # record params_hash and analysis config_hash values must never drift
