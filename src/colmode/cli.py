@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import datetime
 import hashlib
 import io
@@ -35,7 +36,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._fields import check, count, real
+from ._fields import count, fields_of, json_object, real
 from .entanglement import (
     PPT_BOUND,
     _checked_witnesses,
@@ -218,69 +219,24 @@ def _load_json(path, what: str) -> dict:
     return obj
 
 
-_REQUIRED = object()
-
-
-def _field(section: dict, key: str, kind, default=_REQUIRED, *, path=None, **bounds):
-    """section[key] checked as kind within bounds (_fields.check), or default
-    when it is absent or null; a missing or malformed field raises a
-    ValidationError that names it by path, the key itself by default."""
-    name = path or key
-    value = section.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValidationError(f"missing field '{name}'")
-        return default
-    try:
-        return check(kind, value, name, **bounds)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"field '{name}': {exc}") from exc
-
-
-@contextlib.contextmanager
-def _section(key: str, section: dict):
-    """A reader of section's fields that names each by its path key.field,
-    so that a section field and a top-level field of the same name give
-    different messages.  An error raised inside the block whose message
-    starts with the name of one of section's fields (a field name leads
-    every number-policy message) is named by its path too."""
-    def read(field: str, *args, **bounds):
-        return _field(section, field, *args, path=f"{key}.{field}", **bounds)
-
-    try:
-        yield read
-    except ValidationError as exc:
-        if str(exc).split(" ", 1)[0] not in section:
-            raise
-        raise ValidationError(f"{key}.{exc}") from exc
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {value!r}")
-    return value
-
-
-def _bool(value) -> bool:
+def _bool(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"expected true or false, got {value!r}")
     return value
 
 
-def _record_format(value) -> str:
+def _record_format(value, name: str) -> str:
     if value not in ("npy", "csv"):
         raise ValueError(f"must be 'npy' or 'csv', got {value!r}")
     return value
 
 
 def record_sidecar(path) -> Path:
-    """The .meta.json sidecar that holds the metadata of a .npy or .csv record."""
+    """The <stem>.meta.json sidecar beside a .npy or .csv record, whatever dots its stem holds."""
     path = Path(path)
     if path.suffix not in (".npy", ".csv"):
         raise ValidationError(f"unsupported record file {path}")
-    return path.with_suffix("").with_suffix(".meta.json")
+    return path.with_name(f"{path.stem}.meta.json")
 
 
 RECORD_COLUMNS = ["t", "X_a", "P_a", "X_b", "P_b"]
@@ -291,8 +247,8 @@ def save_record(
 ) -> dict[Path, str]:
     """Persist one record's samples as .npy or as a CSV with a time column,
     and its metadata in the .meta.json sidecar; returns {path: SHA-256} of
-    the two files, in the order written."""
-    data = base.with_suffix(f".{fmt}")
+    the two files, in the order written.  The record is <base name>.<fmt>."""
+    data = base.with_name(f"{base.name}.{fmt}")
     if fmt == "csv":
         columns = [record.times(), *record.samples.T]
         blocks = (
@@ -324,13 +280,10 @@ def load_record(path) -> TrajectoryRecord:
                 samples = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)[:, 1:]
         else:
             samples = np.load(path, allow_pickle=False)
-        return TrajectoryRecord(
-            samples=samples,
-            dt=_field(info, "dt", real),
-            source=_field(info, "source", SourceTag),
-            seed=_field(info, "seed", count),
-            meta=_field(info, "meta", _object, {}),
-        )
+        with fields_of(info) as read:
+            return TrajectoryRecord(samples=samples, dt=read("dt", real),
+                                    source=read("source", SourceTag), seed=read("seed", count),
+                                    meta=read("meta", json_object, {}))
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot load record {path}: {exc}") from exc
 
@@ -479,10 +432,10 @@ def _pmap(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 # phase-diagram
 
-def _axis_values(axis: dict) -> np.ndarray:
-    axis = _object(axis)
-    lo, hi = _field(axis, "min", real), _field(axis, "max", real)
-    steps = _field(axis, "steps", count, at_least=2)
+def _axis_values(axis, name: str) -> np.ndarray:
+    with fields_of(axis, name) as read:
+        lo, hi = read("min", real), read("max", real)
+        steps = read("steps", count, at_least=2)
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.linspace(lo, hi, steps)
     if not np.isfinite(values).all():
@@ -508,10 +461,11 @@ def phase_diagram_columns(config: dict) -> Iterator[list[list[str]]]:
     Every number is computed before this returns, so a failing cell raises
     before any output is opened; only the text is made lazily, block by block.
     """
-    preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
-    kappa = _field(config, "kappa", real, 1.0, above=0.0)
-    g_values = _field(config, "g_over_kappa", _axis_values)
-    n_values = _field(config, "n_eff", _axis_values)
+    with fields_of(config) as read:
+        preset = read("preset", Preset, Preset.CLOSED_FORM)
+        kappa = read("kappa", real, 1.0, above=0.0)
+        g_values = read("g_over_kappa", _axis_values)
+        n_values = read("n_eff", _axis_values)
     if preset is Preset.TMS_HAMILTONIAN:
         # the diffusion depends on n_eff alone: one stack serves every row
         D = np.stack([
@@ -587,25 +541,26 @@ def _simulate_member(args) -> dict[Path, str]:
 
 
 def cmd_simulate(config: dict, out_dir: Path, seed, threads: int) -> int:
+    # every field is read, the trio's too when it is off, before any record is written
+    with fields_of(config) as read:
+        params = read("params", ModelParams)
+        trajectory = read("trajectory", json_object)
+        traj = TrajectoryConfig.from_dict(trajectory, "trajectory")
+        fmt = read("format", _record_format, "npy")
+        n_members = read("ensemble", count, 1, at_least=1)
+        with fields_of(read("null_trio", json_object, {}), "null_trio") as trio:
+            enabled = trio("enabled", _bool, False)
+            correlation = trio("correlation", real, 0.7, at_least=0.0, at_most=1.0)
+            # null model B is stable only below kappa/2
+            gain = trio("gain", real, None, at_least=0.0, below=params.kappa_a / 2)
+            trio("restarts", count, None)
+            trio("max_evals", count, None)
     if seed is not None:
-        config = dict(config)
-        config["trajectory"] = dict(_field(config, "trajectory", _object), master_seed=seed)
-    params = _field(config, "params", ModelParams.from_dict)
-    traj = _field(config, "trajectory", TrajectoryConfig.from_dict)
-    fmt = _field(config, "format", _record_format, "npy")
-    n_members = _field(config, "ensemble", count, 1, at_least=1)
-    trio = _field(config, "null_trio", _object, {})
-    specs = None
-    with _section("null_trio", trio) as read:
-        if read("enabled", _bool, False):
-            # built before any record is written, so a bad trio field writes nothing
-            specs = matched_null_specs(
-                steady_state_covariance(params),
-                kappa=params.kappa_a,
-                seed=traj.master_seed,
-                correlation=read("correlation", real, 0.7),
-                gain=read("gain", real, None),
-            )
+        # the config as run, which the manifest records, holds the seed used
+        config = dict(config, trajectory=dict(trajectory, master_seed=seed))
+        traj = dataclasses.replace(traj, master_seed=seed)
+    specs = enabled and matched_null_specs(steady_state_covariance(params), kappa=params.kappa_a,
+                                           seed=traj.master_seed, correlation=correlation, gain=gain)
     name, manifest = make_manifest("simulate", config, traj.master_seed, threads)
     # {path: SHA-256} of each file, taken as it was written (in a worker or here)
     written: dict[Path, str] = {}
@@ -655,7 +610,8 @@ ANALYZE_COLUMNS = [
 
 
 def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -> int:
-    pconf = _field(config, "pipeline", PipelineConfig.from_dict)
+    with fields_of(config) as read:
+        pconf = read("pipeline", PipelineConfig)
     path_of: dict[str, str] = {}
     sidecars: dict[str, Path] = {}
     for path in record_paths:
@@ -731,43 +687,48 @@ def cmd_analyze(record_paths, config: dict, out_dir: Path, seed, threads: int) -
 # ---------------------------------------------------------------------------
 # converge
 
-def _cells(cells) -> list[tuple[float, float]]:
-    return _checked_cells([(_field(_object(c), "T", real), _field(c, "B", real)) for c in cells])
+def _cells(cells, name: str) -> list[tuple[float, float]]:
+    """The (T, B) of each cell of a JSON list, its fields named by place (name[i].T)."""
+    def cell(i, c):
+        with fields_of(c, f"{name}[{i}]") as read:
+            return read("T", real), read("B", real)
+
+    return _checked_cells([cell(i, c) for i, c in enumerate(cells)], name)
 
 
 CONVERGE_COLUMNS = ["T", "B", "n_eff", "nu_mean", "nu_stderr", "duan_mean", "duan_stderr", "n_runs"]
 CROSSING_COLUMNS = ["T", "B", "g_cross", "sigma"]
 
 
-def _ensemble_fields(section: dict, runs_per_cell: int) -> dict:
-    """runs_per_cell and segments_per_record of a converge section, each >= 2."""
-    return {
-        "runs_per_cell": _field(section, "runs_per_cell", count, runs_per_cell, at_least=2),
-        "segments_per_record": _field(section, "segments_per_record", count, 24, at_least=2),
-    }
+def _crossing(section, name: str):
+    """(n, g_values, (runs_per_cell, plans)) of a crossing section: every cell
+    is planned before the sweep draws a record."""
+    with fields_of(section, name) as read:
+        n, g_values = read("n", real, at_least=0.0), read("g_values", _checked_couplings)
+        plans = _cell_plans(read("cells", _cells), read("runs_per_cell", count, 12, at_least=2),
+                            read("segments_per_record", count, 24, at_least=2), f"{name}.cells")
+    return n, g_values, plans
 
 
 def cmd_converge(config: dict, out_dir: Path, seed, threads: int) -> int:
-    master_seed = seed if seed is not None else _field(config, "master_seed", count, 0)
+    with fields_of(config) as read:
+        master_seed = read("master_seed", count, 0)
+        params = read("params", ModelParams)
+        cells = read("cells", _cells)
+        read("segment_statistic", _segment_statistic, None)
+        runs_per_cell = read("runs_per_cell", count, 16, at_least=2)
+        segments_per_record = read("segments_per_record", count, 24, at_least=2)
+        # absent or null means no scan; a bad field writes nothing
+        crossing = read("crossing", _crossing, None)
+    master_seed = master_seed if seed is None else seed
     name, manifest = make_manifest("converge", config, master_seed, threads)
-    params = _field(config, "params", ModelParams.from_dict)
     A, D = steady_dynamics(params)
-    cells = _field(config, "cells", _cells)
-    _field(config, "segment_statistic", _segment_statistic, None)
-    sweep = _ensemble_fields(config, 16)
-    # absent or null means no scan; any other value is read in full before the
-    # sweep draws a record, so a bad field writes nothing
-    crossing = _field(config, "crossing", _object, None)
-    if crossing is not None:
-        with _section("crossing", crossing) as read:
-            n = read("n", real, at_least=0.0)
-            g_values = read("g_values", _checked_couplings)
-            plans = _cell_plans(read("cells", _cells), **_ensemble_fields(crossing, 12))
     result = convergence_sweep(
-        A, D, cells, master_seed=master_seed, kappa=params.kappa_a, **sweep
+        A, D, cells, runs_per_cell, segments_per_record, master_seed, params.kappa_a
     )
     # every number is computed before any output is opened
     if crossing is not None:
+        n, g_values, plans = crossing
         rows = _crossing_rows(params.kappa_a, n, g_values, *plans, master_seed)
     csv_path = out_dir / "converge.csv"
     table = [text_columns(CONVERGE_COLUMNS, result["rows"])]
@@ -800,23 +761,24 @@ def _threshold_report(config: dict) -> dict:
     for pair in (("kappa", "ringdown_time"), ("omega_col", "f_col"), ("G_over_kappa", "C_corr")):
         if all(config.get(key) is not None for key in pair):
             raise ValidationError("give '{}' or '{}', not both".format(*pair))
-    kappa = _field(config, "kappa", real, None, above=0.0)
+    with fields_of(config) as read:
+        kappa = read("kappa", real, None, above=0.0)
+        ringdown_time = read("ringdown_time", real, None, above=0.0)
+        f_col = read("f_col", real, None)
+        # NoiseInputSpec checks its own fields, in its own order
+        inputs = {f.name: read(f.name, lambda value, name: value, None)
+                  for f in dataclasses.fields(NoiseInputSpec)}
+        c_corr = read("C_corr", real, None)
+        g_over_kappa = read("G_over_kappa", real, None, at_least=0.0)
+        v_col = read("V_col", real, None)
+        t_int = read("T_int", real, 1.0)
     kappa_formula = "given"
-    if config.get("ringdown_time") is not None:
-        kappa = 1.0 / _field(config, "ringdown_time", real, above=0.0)
+    if ringdown_time is not None:
+        kappa = 1.0 / ringdown_time
         kappa_formula = "1/ringdown_time"
-    omega = config.get("omega_col")
-    if config.get("f_col") is not None:
-        omega = 2.0 * np.pi * _field(config, "f_col", real)
-    spec = NoiseInputSpec(
-        B=config.get("B"),
-        C_eff=config.get("C_eff"),
-        omega_col=omega,
-        T_amb=config.get("T_amb"),
-        S_V0=config.get("S_V0"),
-        R_eff=config.get("R_eff"),
-        Re_Y_eff=config.get("Re_Y_eff"),
-    )
+    if f_col is not None:
+        inputs["omega_col"] = 2.0 * np.pi * f_col
+    spec = NoiseInputSpec(**inputs)
     report: dict = {"inputs": spec.to_dict()}
     if kappa is not None:
         report["kappa"] = {"value": kappa, "formula": kappa_formula}
@@ -830,8 +792,6 @@ def _threshold_report(config: dict) -> dict:
 
     # C_corr is given, or derived from G_over_kappa; a G_over_kappa that
     # cannot give one is refused, never dropped
-    c_corr = _field(config, "C_corr", real, None)
-    g_over_kappa = _field(config, "G_over_kappa", real, None, at_least=0.0)
     if g_over_kappa is not None:
         if kappa is None:
             raise ValidationError("G_over_kappa needs 'kappa' or 'ringdown_time'")
@@ -867,12 +827,10 @@ def _threshold_report(config: dict) -> dict:
     if vmin:
         report["v_min"] = vmin
 
-    v_col = _field(config, "V_col", real, None)
     if v_col is not None:
         n_col = collective_occupation(v_col, spec.C_eff, spec.omega_col)
         report["N_col"] = {"value": n_col, "formula": "C_eff*V_col^2/(2*hbar*omega_col)"}
         if kappa is not None:
-            t_int = _field(config, "T_int", real, 1.0)
             d_phi, sigma2 = phase_diffusion(kappa, n_eff, n_col, t_int)
             report["phase_diffusion"] = {
                 "D_phi": d_phi,

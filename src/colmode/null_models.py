@@ -85,14 +85,9 @@ class NullModelSpec(ConfigFields):
     kind: NullKind = checked(NullKind)
     target_bandwidth: float = checked(real, above=0.0)
     target_power: float = checked(real, above=0.0)
-    correlation: float = checked(real, 0.0, at_least=0.0)
+    correlation: float = checked(real, 0.0, at_least=0.0, at_most=1.0)
     gain: float = checked(real, 0.0, at_least=0.0)
     seed: int = checked(count, 0)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.correlation > 1.0:
-            raise ValidationError("correlation must lie in [0, 1]")
 
 
 def enforce_classicality(V_cl: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -60,10 +60,10 @@ __all__ = [
 _ROTATE_ROWS = 4096
 
 
-def _segment_statistic(value) -> str:
+def _segment_statistic(value, name: str) -> str:
     """The one segment statistic, "second_moment"; any other value is refused."""
     if value != "second_moment":
-        raise ValidationError(f"segment_statistic must be 'second_moment', got {value!r}")
+        raise ValidationError(f"{name} must be 'second_moment', got {value!r}")
     return value
 
 
@@ -377,48 +377,49 @@ def analyze_record(
     return estimate_covariance(record, config)
 
 
-def _checked_cells(cells) -> list[tuple[float, float]]:
-    """(T, B) pairs of positive reals, each with N_eff = T * B >= 1."""
-    cells = [(real(T, "T", above=0.0), real(B, "B", above=0.0)) for T, B in cells]
+def _checked_cells(cells, name: str = "cells") -> list[tuple[float, float]]:
+    """(T, B) pairs of positive reals, each with N_eff = T * B >= 1, named by place (name[i].T)."""
+    cells = [(real(T, f"{name}[{i}].T", above=0.0), real(B, f"{name}[{i}].B", above=0.0))
+             for i, (T, B) in enumerate(cells)]
     for T, B in cells:
         if T * B < 1.0:
-            raise ValidationError(f"cells need T * B >= 1, got T {T!r} and B {B!r}")
+            raise ValidationError(f"{name} need T * B >= 1, got T {T!r} and B {B!r}")
     return cells
 
 
-def _checked_couplings(g_values) -> list[float]:
-    """Coupling ratios g = G/kappa, sorted, each with 0 <= g < 1/2 (2G < kappa)."""
-    g_values = sorted(real(g, "g_values", at_least=0.0) for g in g_values)
+def _checked_couplings(g_values, name: str = "g_values") -> list[float]:
+    """Coupling ratios g = G/kappa named name, sorted, each with 0 <= g < 1/2 (2G < kappa)."""
+    g_values = sorted(real(g, name, at_least=0.0) for g in g_values)
     if g_values and g_values[-1] >= 0.5:
-        raise ValidationError(f"g_values must be < 0.5 (2G < kappa), got {g_values[-1]!r}")
+        raise ValidationError(f"{name} must be < 0.5 (2G < kappa), got {g_values[-1]!r}")
     return g_values
 
 
-def _cell_plan(T, B, segments_per_record):
+def _cell_plan(T, B, segments_per_record, name="cells"):
     """(PipelineConfig, TrajectoryConfig) of one (T, B) cell's records:
     segments_per_record segments each, sampled at dt = min(0.1, 1/(8B)).
     PipelineConfig's T * B >= 1 leaves every segment >= 8 samples long.  A
     cell whose records numpy cannot hold is refused by its own fields, not
-    by TrajectoryConfig's, which a cell does not have."""
+    by TrajectoryConfig's, which a cell does not have; its list is named name."""
     pconf = PipelineConfig(bandwidth=B, integration_time=T)
     dt = min(0.1, 1.0 / (8.0 * pconf.bandwidth))
     m = int(round(pconf.integration_time / dt))
     if segments_per_record * m > _MAX_PATH_ROWS:
         raise ValidationError(
-            f"cells need records of at most {_MAX_PATH_ROWS} samples, the most numpy can hold, "
+            f"{name} need records of at most {_MAX_PATH_ROWS} samples, the most numpy can hold, "
             f"got T {T!r} and B {B!r} at segments_per_record {segments_per_record}"
         )
     return pconf, TrajectoryConfig(dt=dt, n_steps=segments_per_record * m)
 
 
-def _cell_plans(cells, runs_per_cell, segments_per_record):
-    """(runs_per_cell, [_cell_plan of each cell]) of a scan: the cells, then
-    runs_per_cell and segments_per_record (each >= 2) are checked, and every
-    cell is planned once, before the scan draws its first record."""
-    cells = _checked_cells(cells)
+def _cell_plans(cells, runs_per_cell, segments_per_record, name: str = "cells"):
+    """(runs_per_cell, [_cell_plan of each cell]) of a scan: the cells (named
+    name), then runs_per_cell and segments_per_record (each >= 2) are checked,
+    and every cell is planned once, before the scan draws its first record."""
+    cells = _checked_cells(cells, name)
     runs_per_cell = count(runs_per_cell, "runs_per_cell", at_least=2)
     segments_per_record = count(segments_per_record, "segments_per_record", at_least=2)
-    return runs_per_cell, [_cell_plan(T, B, segments_per_record) for T, B in cells]
+    return runs_per_cell, [_cell_plan(T, B, segments_per_record, name) for T, B in cells]
 
 
 def _cell_witness(A, D, kappa, plan, runs, seed) -> WitnessReport:

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,13 +15,12 @@ import pytest
 import scipy
 
 import colmode
-from colmode._fields import real
+from colmode._fields import fields_of, real
 from colmode.cli import (
     CROSSING_COLUMNS,
     HASH_BLOCK_BYTES,
     PHASE_COLUMNS,
     _axis_values,
-    _field,
     _pmap,
     load_record,
     main,
@@ -53,7 +53,14 @@ from colmode.gaussian_core import (
 )
 from colmode import pipeline as pipeline_mod
 from colmode.pipeline import crossing_scan, vacuum_transfer
-from colmode.trajectory import SourceTag, TrajectoryConfig, TrajectoryRecord, sample_exact_ou
+from colmode.trajectory import (
+    SourceTag,
+    TrajectoryConfig,
+    TrajectoryRecord,
+    derive_stream_seed,
+    sample_euler_maruyama,
+    sample_exact_ou,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -270,10 +277,11 @@ def _oracle_fmt(value) -> str:
 
 
 def oracle_phase_csv(config: dict, manifest_name: str) -> str:
-    preset = _field(config, "preset", Preset, Preset.CLOSED_FORM)
-    kappa = _field(config, "kappa", real, 1.0, above=0.0)
-    g_values = _field(config, "g_over_kappa", _axis_values)
-    n_values = _field(config, "n_eff", _axis_values)
+    with fields_of(config) as read:
+        preset = read("preset", Preset, Preset.CLOSED_FORM)
+        kappa = read("kappa", real, 1.0, above=0.0)
+        g_values = read("g_over_kappa", _axis_values)
+        n_values = read("n_eff", _axis_values)
     if preset is Preset.TMS_HAMILTONIAN:
         D = np.stack([
             build_diffusion(ModelParams(G=0.0, kappa_a=kappa, kappa_b=kappa, n_a=n, n_b=n))
@@ -576,14 +584,19 @@ class TestSimulate:
         assert on_disk == [("null_a", True), ("null_b", True)]
 
     @pytest.mark.parametrize("edit, message", [
-        ({"correlation": 1.5}, "null_trio.correlation must lie in [0, 1]"),
+        ({"correlation": 1.5}, "null_trio.correlation must be <= 1, got 1.5"),
         ({"correlation": -0.2}, "null_trio.correlation must be >= 0, got -0.2"),
         ({"gain": -0.1}, "null_trio.gain must be >= 0, got -0.1"),
         ({"enabled": 3}, "field 'null_trio.enabled': expected true or false, got 3"),
-    ], ids=["correlation-high", "correlation-negative", "gain", "enabled"])
+        # null model B is stable only below kappa_a / 2
+        ({"gain": 0.5}, "null_trio.gain must be < 0.5, got 0.5"),
+        ({"gain": 0.6}, "null_trio.gain must be < 0.5, got 0.6"),
+    ], ids=["correlation-high", "correlation-negative", "gain", "enabled", "gain-at-limit",
+            "gain-unstable"])
     def test_bad_null_trio_field_names_its_path(self, tmp_path, capsys, edit, message):
         """The trio is checked before any record is written; restarts and
-        max_evals, which small_simulate_config still sends, are ignored."""
+        max_evals, which small_simulate_config still sends, are checked as
+        counts, then ignored."""
         cfg = small_simulate_config(ensemble=1, null_trio=True)
         cfg["null_trio"].update(edit)
         out = tmp_path / "out"
@@ -591,6 +604,43 @@ class TestSimulate:
                      "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not any(out.iterdir())
+
+    def test_euler_maruyama_members_equal_the_library_sampler(self, tmp_path):
+        """scheme EULER_MARUYAMA draws member k as sample_euler_maruyama does
+        at the member's derived seed, bit for bit."""
+        cfg = small_simulate_config(ensemble=2)
+        cfg["trajectory"].update(scheme="EULER_MARUYAMA", n_steps=3000)
+        out = tmp_path / "out"
+        assert main(["simulate", "-c", write_config(tmp_path, "sim.json", cfg),
+                     "--out-dir", str(out)]) == 0
+        params = ModelParams.from_dict(cfg["params"])
+        traj = TrajectoryConfig.from_dict(cfg["trajectory"])
+        A, D = closed_form_dynamics(params.G, params.kappa_a, params.n_a)
+        for k in range(2):
+            rec = load_record(out / f"quantum_{k:04d}.npy")
+            seed = derive_stream_seed(traj.master_seed, k)
+            want = sample_euler_maruyama(A, D, dataclasses.replace(traj, master_seed=seed))
+            assert np.array_equal(rec.samples, want.samples)
+            assert rec.meta["scheme"] == "EULER_MARUYAMA" and rec.seed == seed
+
+    def test_tms_hamiltonian_trio_is_thread_independent(self, tmp_path):
+        """A TMS_HAMILTONIAN preset with the trio on writes the same bytes at
+        --threads 2 as at --threads 1, and each trio record is matched to the
+        excess power of the preset's Lyapunov steady state."""
+        cfg = small_simulate_config(ensemble=2, null_trio=True)
+        cfg["params"].update(G=0.2, n_a=0.5, n_b=0.5, preset="TMS_HAMILTONIAN")
+        cfg["trajectory"]["n_steps"] = 2000
+        cfg_path = write_config(tmp_path, "sim.json", cfg)
+        seq, par = tmp_path / "seq", tmp_path / "par"
+        for out, threads in ((seq, "1"), (par, "2")):
+            assert main(["simulate", "-c", cfg_path, "--out-dir", str(out),
+                         "--threads", threads]) == 0
+        assert len(output_digests(seq)) == 2 * 5
+        assert output_digests(seq) == output_digests(par)
+        V = steady_state_covariance(ModelParams.from_dict(cfg["params"]))
+        excess = float(np.mean(np.diag(V))) - 0.5
+        for tag in ("null_a", "null_b", "null_c"):
+            assert load_record(seq / f"{tag}.npy").meta["target_power"] == excess, tag
 
     def test_null_trio_power_matched(self, tmp_path):
         cfg = small_simulate_config(ensemble=1, null_trio=True)
@@ -652,7 +702,8 @@ class TestAnalyze:
         argv += ["-c", write_config(tmp_path, "cfg.json", cfg), "--out-dir", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: segment_statistic must be 'second_moment', got 'mean'"]
+        field = "pipeline.segment_statistic" if command == "analyze" else "segment_statistic"
+        assert err == [f"error: {field} must be 'second_moment', got 'mean'"]
         assert not any(out.iterdir())
 
     def test_manifests_list_the_ignored_fields_a_config_sets(self, tmp_path):
@@ -690,6 +741,29 @@ class TestAnalyze:
                 without["witness_distribution.csv"].splitlines()[1:]
             report, bare = (json.loads(d["witness_report.json"]) for d in (with_field, without))
             assert report["groups"] == bare["groups"]
+
+    def test_dotted_records_read_their_own_sidecars(self, tmp_path):
+        """rec.npy and rec.v1.npy each read their own sidecar: rec.v1.npy's is
+        rec.v1.meta.json, never rec.meta.json."""
+        rng = np.random.default_rng(12)
+        records = []
+        for base, source, dt, kappa in (("rec", SourceTag.QUANTUM, 0.1, 1.0),
+                                        ("rec.v1", SourceTag.NULL_A, 0.05, 2.0)):
+            rec = TrajectoryRecord(samples=rng.standard_normal((2000, 4)), dt=dt,
+                                   source=source, seed=1, meta={"kappa": kappa})
+            npy, side = save_record(rec, tmp_path / base, "npy", "m")
+            assert (npy.name, side.name) == (f"{base}.npy", f"{base}.meta.json")
+            assert (load_record(npy).dt, load_record(npy).source) == (dt, source)
+            records.append(str(npy))
+        out = tmp_path / "out"
+        assert main(["analyze", *records, "-c", str(CONFIGS / "analyze.json"),
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "witness_distribution.csv").read_text().splitlines()[2:]
+        assert [line.split(",")[:2] for line in lines] == \
+            [["rec.npy", "QUANTUM"], ["rec.v1.npy", "NULL_A"]]
+        (manifest,) = out.glob("manifest_*.json")
+        assert set(json.loads(manifest.read_text())["inputs"]) == \
+            {"rec.npy", "rec.meta.json", "rec.v1.npy", "rec.v1.meta.json"}
 
     def test_manifest_lists_factors_and_default_kappa(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -789,6 +863,24 @@ class TestAnalyze:
         assert np.array_equal(back.samples, rec.samples)
         assert (back.dt, back.seed, back.source) == (rec.dt, rec.seed, rec.source)
         assert back.meta == dict(rec.meta, manifest="m")
+
+    @pytest.mark.parametrize("fmt", ["npy", "csv"])
+    def test_dotted_base_round_trips(self, tmp_path, fmt):
+        """save_record keeps every dot of its base: run.2024.01 is written as
+        run.2024.01.<fmt> and run.2024.01.meta.json, beside run.2024's files."""
+        rng = np.random.default_rng(13)
+        recs = [TrajectoryRecord(samples=rng.standard_normal((50, 4)), dt=dt,
+                                 source=SourceTag.QUANTUM, seed=seed, meta={"kappa": 1.0})
+                for seed, dt in ((1, 0.1), (2, 0.05))]
+        outer = save_record(recs[0], tmp_path / "run.2024", fmt, "m")
+        inner = save_record(recs[1], tmp_path / "run.2024.01", fmt, "m")
+        assert [p.name for p in inner] == [f"run.2024.01.{fmt}", "run.2024.01.meta.json"]
+        assert len({*outer, *inner}) == 4
+        for (path, side), rec in zip((outer, inner), recs):
+            assert record_sidecar(path) == side
+            back = load_record(path)
+            assert np.array_equal(back.samples, rec.samples)
+            assert (back.dt, back.seed) == (rec.dt, rec.seed)
 
     def test_csv_record_text_is_written_in_bounded_blocks(self, tmp_path):
         """A 2e4-step record spans ten blocks: its rows are the same repr
@@ -980,7 +1072,8 @@ class TestConverge:
         })
         out = tmp_path / "out"
         assert main(["converge", "-c", cfg_path, "--out-dir", str(out)]) == 0
-        assert plans == [(8.0, 1.0, 4), (8.0, 1.0, 4), (16.0, 1.0, 4)]
+        assert plans == [(8.0, 1.0, 4, "crossing.cells"), (8.0, 1.0, 4, "cells"),
+                         (16.0, 1.0, 4, "cells")]
         rows = crossing_scan(kappa=1.0, n=0.5, g_values=[0.1, 0.2], cells=[(8.0, 1.0)],
                              runs_per_cell=2, segments_per_record=4, master_seed=7)
         lines = (out / "crossing.csv").read_text().splitlines()[2:]
@@ -1260,13 +1353,14 @@ class TestExitCodes:
         ("simulate", {"params": small_simulate_config()["params"]}, "trajectory"),
         ("simulate", dict(small_simulate_config(), ensemble="many"), "ensemble"),
         ("converge", {}, "params"),
-        ("converge", {"params": small_simulate_config()["params"], "cells": [{"T": 5.0}]}, "B"),
+        ("converge", {"params": small_simulate_config()["params"], "cells": [{"T": 5.0}]},
+         "cells[0].B"),
         ("analyze", {}, "pipeline"),
         ("thresholds", {}, "B"),
         ("thresholds", {"B": 1.0, "C_eff": 1.0, "f_col": "fast", "T_amb": 300.0}, "f_col"),
         ("phase-diagram", {}, "g_over_kappa"),
         ("phase-diagram", {"g_over_kappa": {"min": 0.0, "max": 0.4, "steps": "x"},
-                           "n_eff": {"min": 0.0, "max": 1.0, "steps": 2}}, "steps"),
+                           "n_eff": {"min": 0.0, "max": 1.0, "steps": 2}}, "g_over_kappa.steps"),
         *[("thresholds", {"B": 1.0, "C_eff": 1e-12, "f_col": 1e6, "T_amb": 300.0,
                           "R_eff": 50.0, "ringdown_time": t}, "ringdown_time")
           for t in (0.0, -15e-6, float("nan"), float("inf"))],
@@ -1466,6 +1560,126 @@ class TestNumberPolicy:
         docs = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in written}
         for group in docs["witness_report.json"]["groups"].values():
             assert group["stderr_nu"] is None and group["stderr_duan"] > 0.0
+
+
+def _reader_config(command):
+    """A small valid config of each command (analyze's needs a record)."""
+    if command == "simulate":
+        cfg = small_simulate_config(ensemble=1, null_trio=True)
+        cfg["trajectory"]["n_steps"] = 2000
+        return cfg
+    return {
+        "phase-diagram": _small_phase_config,
+        "analyze": lambda: json.loads((CONFIGS / "analyze.json").read_text()),
+        "converge": lambda: json.loads((CONFIGS / "converge.json").read_text()),
+        "thresholds": lambda: json.loads(
+            (CONFIGS / "thresholds_room_temperature.json").read_text()),
+    }[command]()
+
+
+def _section_at(cfg, where: str):
+    """The object at a dotted place in cfg; a number indexes a list."""
+    for key in filter(None, where.split(".")):
+        cfg = cfg[int(key)] if key.isdigit() else cfg[key]
+    return cfg
+
+
+class TestOneReader:
+    """Every command reads each JSON object of its config with one reader:
+    a key it does not read, at any level, exits 2 before any output, and
+    every field is named by its path, a list entry by its place."""
+
+    def _refused(self, tmp_path, capsys, command, cfg, *flags):
+        records = []
+        if command == "analyze":
+            rec = TrajectoryRecord(samples=np.random.default_rng(3).standard_normal((2000, 4)),
+                                   dt=0.1, source=SourceTag.QUANTUM, seed=3, meta={"kappa": 1.0})
+            npy, _ = save_record(rec, tmp_path / "rec", "npy", "m")
+            records = [str(npy)]
+        out = tmp_path / "out"
+        assert main([command, *records, "-c", write_config(tmp_path, "cfg.json", cfg),
+                     "--out-dir", str(out), *flags]) == 2
+        assert not any(out.iterdir())
+        return capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("command, where, key, path", [
+        ("phase-diagram", "", "bogus", "bogus"),
+        ("phase-diagram", "n_eff", "bogus", "n_eff.bogus"),
+        ("simulate", "", "bogus", "bogus"),
+        ("simulate", "null_trio", "enable", "null_trio.enable"),
+        ("simulate", "params", "bogus", "params.bogus"),
+        ("simulate", "trajectory", "bogus", "trajectory.bogus"),
+        ("analyze", "", "bogus", "bogus"),
+        ("analyze", "pipeline", "bogus", "pipeline.bogus"),
+        ("converge", "", "runs_per_cel", "runs_per_cel"),
+        ("converge", "crossing", "bogus", "crossing.bogus"),
+        ("converge", "cells.1", "bogus", "cells[1].bogus"),
+        ("converge", "crossing.cells.0", "bogus", "crossing.cells[0].bogus"),
+        ("thresholds", "", "bogus", "bogus"),
+    ])
+    def test_unknown_key_exits_2_naming_its_path(
+        self, tmp_path, capsys, command, where, key, path
+    ):
+        cfg = _reader_config(command)
+        _section_at(cfg, where)[key] = 2
+        assert self._refused(tmp_path, capsys, command, cfg) == \
+            [f"error: unknown field '{path}'"]
+
+    def test_unknown_sidecar_key_exits_2(self, tmp_path, capsys):
+        rec = TrajectoryRecord(samples=np.random.default_rng(4).standard_normal((2000, 4)),
+                               dt=0.1, source=SourceTag.QUANTUM, seed=4, meta={"kappa": 1.0})
+        npy, side = save_record(rec, tmp_path / "rec", "npy", "m")
+        side.write_text(json.dumps(dict(json.loads(side.read_text()), bogus=1)))
+        out = tmp_path / "out"
+        assert main(["analyze", str(npy), "-c", str(CONFIGS / "analyze.json"),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == \
+            [f"error: cannot load record {npy}: unknown field 'bogus'"]
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, where, key, value, message", [
+        ("simulate", "params", "G", "x", "params.G must be a finite number, got 'x'"),
+        ("simulate", "params", "preset", "BOGUS",
+         "field 'params.preset': 'BOGUS' is not a valid Preset"),
+        ("simulate", "trajectory", "n_steps", None, "missing field 'trajectory.n_steps'"),
+        ("analyze", "pipeline", "bandwidth", True,
+         "pipeline.bandwidth must be a finite number, got True"),
+        ("converge", "cells.0", "B", -1.0, "cells[0].B must be > 0, got -1.0"),
+        ("converge", "cells", 2, 5, "field 'cells[2]': expected a JSON object, got 5"),
+        ("converge", "crossing.cells.1", "T", "x",
+         "crossing.cells[1].T must be a finite number, got 'x'"),
+        ("phase-diagram", "g_over_kappa", "steps", 1, "g_over_kappa.steps must be >= 2, got 1"),
+    ])
+    def test_nested_field_is_named_by_its_path(
+        self, tmp_path, capsys, command, where, key, value, message
+    ):
+        cfg = _reader_config(command)
+        _section_at(cfg, where)[key] = value
+        assert self._refused(tmp_path, capsys, command, cfg) == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command, where, edit, flags, message", [
+        ("simulate", "null_trio", {"enabled": False, "correlation": 1.5}, [],
+         "null_trio.correlation must be <= 1, got 1.5"),
+        ("simulate", "null_trio", {"enabled": False, "restarts": 2.5}, [],
+         "null_trio.restarts must be an integer, got 2.5"),
+        ("simulate", "null_trio", {"max_evals": "many"}, [],
+         "null_trio.max_evals must be an integer, got 'many'"),
+        ("simulate", "trajectory", {"master_seed": "x"}, ["--seed", "5"],
+         "trajectory.master_seed must be an integer, got 'x'"),
+        ("converge", "", {"master_seed": 1.5}, ["--seed", "5"],
+         "master_seed must be an integer, got 1.5"),
+        ("thresholds", "", {"V_col": None, "T_int": "x"}, [],
+         "T_int must be a finite number, got 'x'"),
+        ("thresholds", "", {"ringdown_time": None, "T_int": "x"}, [],
+         "T_int must be a finite number, got 'x'"),
+    ], ids=["trio-off-correlation", "trio-off-restarts", "max-evals", "simulate-seed",
+            "converge-seed", "thresholds-no-V_col", "thresholds-no-kappa"])
+    def test_field_is_checked_whether_or_not_the_run_uses_it(
+        self, tmp_path, capsys, command, where, edit, flags, message
+    ):
+        cfg = _reader_config(command)
+        _section_at(cfg, where).update(edit)
+        assert self._refused(tmp_path, capsys, command, cfg, *flags) == [f"error: {message}"]
 
 
 class TestThresholdSources:

@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from colmode._fields import ConfigFields, count, real
+from colmode._fields import ConfigFields, check, count, fields_of, real
 from colmode.errors import ValidationError
 from colmode.gaussian_core import ModelParams, Preset
 from colmode.null_models import NullKind, NullModelSpec
@@ -88,13 +89,22 @@ class TestConfigClasses:
             TrajectoryConfig(dt=0.1, n_steps="2000")
 
     def test_from_dict_names_unknown_and_missing_fields(self):
-        with pytest.raises(ValidationError, match=r"unknown PipelineConfig fields: \['bogus'\]"):
+        with pytest.raises(ValidationError, match=r"^unknown field 'bogus'$"):
             PipelineConfig.from_dict({"bandwidth": 1.0, "integration_time": 10.0, "bogus": 1})
-        with pytest.raises(ValidationError,
-                           match=r"missing TrajectoryConfig fields: \['n_steps'\]"):
+        with pytest.raises(ValidationError, match=r"^missing field 'n_steps'$"):
             TrajectoryConfig.from_dict({"dt": 0.1})
-        with pytest.raises(ValidationError, match="needs a JSON object"):
+        with pytest.raises(ValidationError, match=r"^expected a JSON object, got \[1, 2\]$"):
             NullModelSpec.from_dict([1, 2])
+        with pytest.raises(ValidationError, match=r"^missing field 'trajectory.n_steps'$"):
+            TrajectoryConfig.from_dict({"dt": 0.1}, "trajectory")
+        with pytest.raises(ValidationError, match=r"^field 'params': expected a JSON object"):
+            ModelParams.from_dict(5, "params")
+
+    def test_from_dict_gives_a_null_field_its_default(self):
+        assert TrajectoryConfig.from_dict({"dt": 0.1, "n_steps": 10, "burn_in": None,
+                                           "scheme": None}) == TrajectoryConfig(dt=0.1, n_steps=10)
+        with pytest.raises(ValidationError, match=r"^missing field 'n_steps'$"):
+            TrajectoryConfig.from_dict({"dt": 0.1, "n_steps": None})
 
     def test_every_field_is_checked_by_the_one_rule(self):
         """Every field of every config class is declared with checked, and
@@ -144,3 +154,47 @@ class TestRecordNumbers:
         rec = TrajectoryRecord(samples=np.zeros((10, 4)), dt=0.1, source=SourceTag.QUANTUM, seed=0)
         with pytest.raises(ValidationError, match="^demodulation frequency must be"):
             demodulate(rec, f0)
+
+
+class TestFieldsOf:
+    def test_reads_each_key_under_its_path(self):
+        section = {"n": 3, "g": None, "axis": {"steps": 4}}
+        with fields_of(section, "crossing") as read:
+            assert read("n", count, at_least=1) == 3
+            assert read("g", real, 0.25) == 0.25  # null takes the default
+            assert read("absent", real, None) is None
+            with fields_of(read("axis", lambda v, name: v), "crossing.axis") as axis:
+                assert axis("steps", count) == 4
+
+    @pytest.mark.parametrize("path, key", [("", "n"), ("cells[2]", "cells[2].n")])
+    def test_names_a_missing_or_bad_field_by_its_path(self, path, key):
+        with pytest.raises(ValidationError, match=rf"^missing field '{re.escape(key)}'$"):
+            with fields_of({}, path) as read:
+                read("n", real)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be <= 1, got 2.0$"):
+            with fields_of({"n": 2.0}, path) as read:
+                read("n", real, at_most=1.0)
+
+    def test_refuses_the_first_key_no_read_asked_for(self):
+        with pytest.raises(ValidationError, match=r"^unknown field 'trio.gian'$"):
+            with fields_of({"gain": 0.1, "gian": 0.2, "other": 1}, "trio") as read:
+                read("gain", real)
+        # an error inside the block comes first: keys are refused as it ends
+        with pytest.raises(ValidationError, match="^trio.gain must be < 0.05"):
+            with fields_of({"gain": 0.1, "gian": 0.2}, "trio") as read:
+                read("gain", real, below=0.05)
+
+    def test_a_section_that_is_no_object_is_named(self):
+        with pytest.raises(ValidationError, match=r"^field 'crossing': expected a JSON object, got \[\]$"):
+            with fields_of([], "crossing"):
+                pass
+
+    def test_check_names_a_kind_error_by_the_field(self):
+        assert check(Preset, "CLOSED_FORM", "params.preset") is Preset.CLOSED_FORM
+        with pytest.raises(ValidationError, match=r"^field 'params.preset': 'X' is not a valid"):
+            check(Preset, "X", "params.preset")
+        assert check(ModelParams, {"G": 0, "kappa_a": 1, "kappa_b": 1, "n_a": 0, "n_b": 0},
+                     "params") == ModelParams(G=0.0, kappa_a=1.0, kappa_b=1.0, n_a=0.0, n_b=0.0)
+        with pytest.raises(ValidationError, match=r"^params.kappa_a must be > 0, got -1.0$"):
+            check(ModelParams, {"G": 0, "kappa_a": -1, "kappa_b": 1, "n_a": 0, "n_b": 0},
+                  "params")
